@@ -15,8 +15,10 @@ bound is stated against. The recursion itself (:func:`run`,
 with an absolute threshold: the published index tables this code
 reproduces degrade at perturbation sizes that cross ``tol`` itself, which
 only an absolute cut reproduces (a perturbed zero R must read as
-rank-deficient while its norm stays below tol). Both rules are exposed via
-the ``relative`` flag.
+rank-deficient while its norm stays below tol). :func:`numerical_rank` and
+:func:`svd_split` expose both rules via the ``relative`` flag. Every rank
+decision, here and in the DAE chain, is one SVD whose singular values are
+counted against the cut in one place, ``_svd_rank``.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ from .problem import ConstraintBlock, LQProblem, primary_constraint
 __all__ = [
     "FEEDBACK",
     "STAGNATION",
-    "EXHAUSTED",
     "ConstraintMatrix",
     "SvdSplit",
     "PartialFeedback",
@@ -46,7 +47,6 @@ __all__ = [
 
 FEEDBACK = "feedback"
 STAGNATION = "stagnation"
-EXHAUSTED = "exhausted"
 
 
 @dataclass(frozen=True)
@@ -76,14 +76,13 @@ class ConstraintMatrix:
 
 @dataclass(frozen=True)
 class SvdSplit:
-    """SVD split of a rho block: rho = u_full @ diag(s) @ V'.
+    """SVD split of a rho block: rho = U @ diag(s) @ V'.
 
-    u_top holds the first ``rank`` rows of u_full', u_bottom the rest;
+    u_top holds the first ``rank`` rows of U', u_bottom the rest;
     u_bottom @ rho is numerically zero, so u_bottom selects the constraint
     directions that survive into the next level.
     """
 
-    u_full: np.ndarray
     singular_values: np.ndarray
     rank: int
     u_top: np.ndarray
@@ -115,11 +114,10 @@ class AlgorithmResult:
 
     steps counts constraint levels that refined the submanifold (the
     recursion index); codim is the row count of the filtered constraint
-    matrix phi. halt_reason is one of FEEDBACK (rho regular, every
-    remaining control derivative determined), STAGNATION (new rows added
-    no rank: gauge directions remain) or EXHAUSTED (reserved: an empty
-    new block is reported as FEEDBACK since full-rank rho determines
-    everything). rank_history holds one (rank rho, rank phi) pair per
+    matrix phi. halt_reason is FEEDBACK (rho regular, every remaining
+    control derivative determined; this includes a split that would leave
+    an empty new block) or STAGNATION (new rows added no rank: gauge
+    directions remain). rank_history holds one (rank rho, rank phi) pair per
     generated level; selectors the u_bottom factor of each executed
     split; blocks the raw per-level rows before independence filtering.
     """
@@ -135,14 +133,23 @@ class AlgorithmResult:
     tol: float = 1e-6
 
 
-def _rank(M: np.ndarray, tol: float, relative: bool) -> int:
-    if M.size == 0:
-        return 0
-    s = np.linalg.svd(M, compute_uv=False)
-    if s.size == 0 or s[0] == 0.0:
-        return 0
-    threshold = tol * s[0] if relative else tol
-    return int(np.count_nonzero(s > threshold))
+def _svd_rank(
+    M: np.ndarray, tol: float, relative: bool = False, full: bool = False
+) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """SVD of M and the count of its singular values above the cut.
+
+    The cut is ``tol``, or ``tol * s_1`` with ``relative``. Returns
+    ``(rank, s, u, vh)``; the factors come from ``full_matrices=True`` when
+    ``full`` is set and are None otherwise. Empty and zero matrices have
+    rank 0.
+    """
+    if not full:
+        s = np.linalg.svd(M, compute_uv=False)
+        u = vh = None
+    else:
+        u, s, vh = np.linalg.svd(M, full_matrices=True)
+    cut = tol * s[0] if relative and s.size else tol
+    return int(np.count_nonzero(s > cut)), s, u, vh
 
 
 def numerical_rank(M, tol: float, relative: bool = True) -> int:
@@ -154,8 +161,7 @@ def numerical_rank(M, tol: float, relative: bool = True) -> int:
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
-    M = np.asarray(M, dtype=float)
-    return _rank(M, tol, relative)
+    return _svd_rank(np.asarray(M, dtype=float), tol, relative)[0]
 
 
 def svd_split(rho, tol: float, relative: bool = True) -> SvdSplit:
@@ -165,15 +171,9 @@ def svd_split(rho, tol: float, relative: bool = True) -> SvdSplit:
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 2 or rho.shape[0] < 1:
         raise ValueError(f"rho must be a matrix with at least one row, got shape {rho.shape}")
-    u_full, svals, _ = np.linalg.svd(rho, full_matrices=True)
-    if svals.size and svals[0] > 0.0:
-        threshold = tol * svals[0] if relative else tol
-        rank = int(np.count_nonzero(svals > threshold))
-    else:
-        rank = 0
-    ut = u_full.T
+    rank, svals, u, _ = _svd_rank(rho, tol, relative, full=True)
+    ut = u.T
     return SvdSplit(
-        u_full=u_full,
         singular_values=svals,
         rank=rank,
         u_top=ut[:rank],
@@ -200,42 +200,41 @@ def step(block: ConstraintBlock, split: SvdSplit, problem: LQProblem) -> Constra
     )
 
 
-def _independent_rows_array(M: np.ndarray, tol: float, relative: bool) -> np.ndarray:
-    """Greedy top-down row filter at tolerance tol.
+def _independent_rows_array(
+    M: np.ndarray, tol: float, kept: np.ndarray | None = None, kept_rank: int = 0
+) -> tuple[np.ndarray, int]:
+    """Greedy top-down row filter at tolerance tol; returns (rows, rank).
 
     Keeps each row iff appending it raises the numerical rank of the rows
     kept so far, so the kept count always equals the numerical rank of the
-    result. Rank-0 or empty input yields the empty (void) matrix.
+    result. ``kept`` (rank ``kept_rank``) is a previous output of this
+    filter: the greedy pass over it would keep every row, so only M's rows
+    are tested. Rank-0 or empty input yields the empty (void) matrix.
     """
-    l = M.shape[0]
-    if l == 0:
-        return M[:0].copy()
-    total = _rank(M, tol, relative)
+    if kept is None:
+        kept = M[:0]
+    stacked = np.vstack([kept, M])
+    total = _svd_rank(stacked, tol)[0]
     if total == 0:
-        return M[:0].copy()
-    if total == l:
+        return stacked[:0], 0
+    if total == stacked.shape[0]:
         # Full row rank: by singular value interlacing every prefix is full
         # rank too, so the greedy pass keeps every row. One SVD instead of l.
-        return M.copy()
-    kept = M[:0]
-    kept_rank = 0
-    for i in range(l):
+        return stacked, total
+    for i in range(M.shape[0]):
         candidate = np.vstack([kept, M[i : i + 1]])
-        r = _rank(candidate, tol, relative)
+        r = _svd_rank(candidate, tol)[0]
         if r > kept_rank:
             kept, kept_rank = candidate, r
-    return kept
+    return kept, kept_rank
 
 
-def independent_rows(phi: ConstraintMatrix, tol: float, relative: bool = False) -> ConstraintMatrix:
+def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:
     """Filter phi to its greedily selected independent rows (idempotent)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    return ConstraintMatrix(
-        rows=_independent_rows_array(np.asarray(phi.rows, dtype=float), tol, relative),
-        n=phi.n,
-        m=phi.m,
-    )
+    rows, _ = _independent_rows_array(np.asarray(phi.rows, dtype=float), tol)
+    return ConstraintMatrix(rows=rows, n=phi.n, m=phi.m)
 
 
 def _partial_feedback(block: ConstraintBlock, split: SvdSplit, problem: LQProblem) -> PartialFeedback:
@@ -283,32 +282,25 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     block = primary_constraint(problem)
     blocks = [block]
     l = block.rho.shape[0]
-    phi = _independent_rows_array(block.stacked(), tol, relative=False)
+    phi, phi_rank = _independent_rows_array(block.stacked(), tol)
+    split = svd_split(block.rho, tol, relative=False)
     p = 0
     k = 1
-    rho_rank = _rank(block.rho, tol, relative=False)
-    phi_rank = _rank(phi, tol, relative=False)
-    rank_history = [(rho_rank, phi_rank)]
+    rank_history = [(split.rank, phi_rank)]
     feedbacks: list[PartialFeedback] = []
     selectors: list[np.ndarray] = []
-    halt = STAGNATION
 
     while True:
-        if rho_rank >= l:
-            # rho regular: the equation-of-motion feedback determines the rest.
-            if rho_rank >= 1:
-                feedbacks.append(_partial_feedback(block, svd_split(block.rho, tol, relative=False), problem))
-            halt = FEEDBACK
-            break
-        if phi_rank <= p:
-            if rho_rank >= 1:
-                feedbacks.append(_partial_feedback(block, svd_split(block.rho, tol, relative=False), problem))
-            halt = STAGNATION
+        # rho regular (the equation-of-motion feedback determines the rest)
+        # or phi stopped gaining rank; l is still the previous block's count.
+        if split.rank >= l or phi_rank <= p:
+            if split.rank >= 1:
+                feedbacks.append(_partial_feedback(block, split, problem))
+            halt = FEEDBACK if split.rank >= l else STAGNATION
             break
         k += 1
         p = phi_rank
         l = block.rho.shape[0]
-        split = svd_split(block.rho, tol, relative=False)
         if split.rank >= 1:
             feedbacks.append(_partial_feedback(block, split, problem))
         if split.rank == l:
@@ -320,10 +312,9 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
         selectors.append(split.u_bottom)
         block = step(block, split, problem)
         blocks.append(block)
-        phi = _independent_rows_array(np.vstack([phi, block.stacked()]), tol, relative=False)
-        rho_rank = _rank(block.rho, tol, relative=False)
-        phi_rank = _rank(phi, tol, relative=False)
-        rank_history.append((rho_rank, phi_rank))
+        phi, phi_rank = _independent_rows_array(block.stacked(), tol, phi, phi_rank)
+        split = svd_split(block.rho, tol, relative=False)
+        rank_history.append((split.rank, phi_rank))
 
     if phi_rank <= p:
         k -= 1
@@ -352,12 +343,12 @@ def final_submanifold(result: AlgorithmResult, tol: float | None = None) -> np.n
     tol = result.tol if tol is None else tol
     if tol <= 0:
         raise ValueError("tol must be positive")
-    width = result.phi.width
-    M = result.phi.rows
-    if M.shape[0] == 0:
-        return np.eye(width)
-    _, svals, vh = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.count_nonzero(svals > tol))
+    return _null_basis(result.phi.rows, tol)
+
+
+def _null_basis(M: np.ndarray, cut: float) -> np.ndarray:
+    """Orthonormal null-space basis of M; singular values <= cut count as zero."""
+    rank, _, _, vh = _svd_rank(M, cut, full=True)
     return vh[rank:].T
 
 

@@ -207,7 +207,6 @@ def _cmd_sweep(args) -> int:
         tol=args.tol,
         trials=args.trials,
         seed=args.seed,
-        jobs=args.jobs,
     )
     summaries = []
     for axis, values in (("delta", {r.delta for r in records}), ("n", {r.n for r in records})):
@@ -258,7 +257,6 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--tol", type=_positive_float, default=1e-6)
     sweep.add_argument("--trials", type=int, default=1)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--jobs", type=int, default=1)
     sweep.add_argument("--out", help="records CSV path (slope CSV lands beside it)")
     sweep.set_defaults(func=_cmd_sweep)
     return parser
@@ -275,12 +273,12 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass: catch it first
+        print(f"numerical failure: {exc}", file=sys.stderr)
+        return NUMERICAL_ERROR
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return NUMERICAL_ERROR
 
 
 if __name__ == "__main__":

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .algorithm import _null_basis
+
 __all__ = [
     "LinearDAE",
     "WeierstrassSpec",
@@ -92,24 +94,14 @@ class WeierstrassSpec:
         return self.Nnil.shape[0]
 
 
-def _null_basis(M: np.ndarray, cut: float) -> np.ndarray:
-    """Orthonormal null-space basis of M; singular values <= cut are zero.
+def _refine(dae: LinearDAE, basis: np.ndarray, cut_a: float, cut_b: float) -> np.ndarray:
+    """One chain step: basis of { x in span(basis) : B x in Im(A basis) }.
 
-    The cut is absolute and must be anchored to the scale of the original
-    system matrices, not of M: deep in the chain M is a product whose
-    entries can be pure roundoff, and a relative threshold would read such
+    The cuts are absolute and anchored to the scale of the original system
+    matrices, not of the products factorised here: deep in the chain those
+    products can be pure roundoff, and a relative threshold would read such
     noise as full rank.
     """
-    cols = M.shape[1]
-    if M.shape[0] == 0 or cols == 0:
-        return np.eye(cols)
-    _, svals, vh = np.linalg.svd(M, full_matrices=True)
-    rank = int(np.count_nonzero(svals > cut))
-    return vh[rank:].T
-
-
-def _refine(dae: LinearDAE, basis: np.ndarray, cut_a: float, cut_b: float) -> np.ndarray:
-    """One chain step: basis of { x in span(basis) : B x in Im(A basis) }."""
     restricted = dae.A @ basis
     left_null = _null_basis(restricted.T, cut_a)  # z with z' A basis = 0
     if left_null.shape[1] == 0:

@@ -17,13 +17,13 @@ from __future__ import annotations
 
 import csv
 import io
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from math import exp, log
 
 import numpy as np
 
 from .algorithm import AlgorithmResult, final_submanifold, run
+from .dae import _random_orthogonal
 from .geometry import (
     Subspace,
     SubspaceDimensionMismatch,
@@ -40,7 +40,6 @@ __all__ = [
     "gen_experiment2",
     "gen_experiment3",
     "run_sweep",
-    "slope_report",
     "slope_summary",
     "records_to_csv",
     "write_records_csv",
@@ -50,7 +49,9 @@ __all__ = [
     "SLOPE_HEADER",
 ]
 
-RECORD_HEADER = ["family", "n", "delta", "tol", "seed", "exact_steps", "steps", "codim", "alpha"]
+RECORD_HEADER = [
+    "family", "n", "delta", "tol", "seed", "exact_steps", "steps", "codim", "alpha", "trial"
+]
 SLOPE_HEADER = ["family", "axis", "slope", "r_squared", "num_points"]
 
 
@@ -77,11 +78,6 @@ class SlopeSummary:
     slope: float
     r_squared: float
     num_points: int
-
-
-def _random_orthogonal(n: int, rng) -> np.ndarray:
-    q, r = np.linalg.qr(rng.standard_normal((n, n)))
-    return q * np.sign(np.diag(r))
 
 
 def _random_symmetric(n: int, rng) -> np.ndarray:
@@ -235,14 +231,12 @@ def run_sweep(
     tol: float,
     trials: int = 1,
     seed: int = 0,
-    jobs: int = 1,
 ) -> list[ExperimentRecord]:
     """Run a perturbation sweep and return one record per (n, delta, trial).
 
     For each size the exact problem is generated once, run once, and its
-    final subspace compared against every perturbed run. Cells are
-    independent; ``jobs > 1`` runs them on a thread pool (the work is
-    BLAS-bound). Record order is deterministic regardless of jobs.
+    final subspace compared against every perturbed run. Records come in
+    (n, delta, trial) order.
     """
     if family not in (1, 2, 3):
         raise ValueError("family must be 1, 2 or 3")
@@ -257,19 +251,17 @@ def run_sweep(
     if tol <= 0:
         raise ValueError("tol must be positive")
 
-    tasks = []
+    records = []
     for n in sizes:
         problem = _exact_problem(family, n, seed)
         exact = run(problem, tol)
         exact_space = Subspace(final_submanifold(exact, tol))
         for delta in deltas:
             for trial in range(trials):
-                tasks.append((family, problem, exact, exact_space, n, delta, trial, tol, seed))
-
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(lambda t: _run_cell(*t), tasks))
-    return [_run_cell(*t) for t in tasks]
+                records.append(
+                    _run_cell(family, problem, exact, exact_space, n, delta, trial, tol, seed)
+                )
+    return records
 
 
 def _usable(records) -> list[ExperimentRecord]:
@@ -297,18 +289,13 @@ def _grouped_fit(records, axis: str):
     return loglog_fit(points)
 
 
-def slope_report(records, axis: str) -> float:
-    """Log-log slope of alpha against ``axis`` ('delta' or 'n').
+def slope_summary(records, axis: str) -> SlopeSummary:
+    """Log-log fit of alpha against ``axis`` ('delta' or 'n').
 
     Uses only usable records (finite positive alpha, steps equal to the
     exact count); trials at the same axis value are averaged in log space
-    before the fit.
+    before the fit. The records must come from a single family.
     """
-    return _grouped_fit(records, axis).slope
-
-
-def slope_summary(records, axis: str) -> SlopeSummary:
-    """Same fit as :func:`slope_report` packaged for the summary CSV."""
     families = {r.family for r in records}
     if len(families) != 1:
         raise ValueError("records must come from a single family")
@@ -345,6 +332,7 @@ def records_to_csv(records) -> str:
                 r.steps,
                 r.codim,
                 "mismatch" if r.alpha is None else _fmt(r.alpha),
+                r.trial,
             ]
         )
     return buf.getvalue()

@@ -13,7 +13,6 @@ __all__ = [
     "SubspaceDimensionMismatch",
     "max_principal_angle",
     "perturb",
-    "loglog_slope",
     "LogLogFit",
     "loglog_fit",
 ]
@@ -129,7 +128,3 @@ def loglog_fit(pairs: Iterable[tuple[float, float]]) -> LogLogFit:
     r2 = 1.0 if ss_tot == 0.0 else 1.0 - float(residual @ residual) / ss_tot
     return LogLogFit(float(slope), float(intercept), r2, len(data))
 
-
-def loglog_slope(pairs: Iterable[tuple[float, float]]) -> float:
-    """Slope of the least-squares line through (ln x, ln y)."""
-    return loglog_fit(pairs).slope

@@ -27,7 +27,7 @@ from singular_lq import (
     random_weierstrass_spec,
     run,
     run_sweep,
-    slope_report,
+    slope_summary,
     svd_split,
     theorem2_blocks,
     tilde_closed_form,
@@ -105,11 +105,11 @@ def test_criterion_3_slope_bands():
     slopes = {}
     for family, n in ((1, 22), (2, 50), (3, 20)):
         records = run_sweep(family, [n], deltas, 1e-6, trials=3, seed=0)
-        slopes[family] = slope_report(records, "delta")
+        slopes[family] = slope_summary(records, "delta").slope
     pooled = []
     for seed in (0, 1, 2):
         pooled += run_sweep(1, list(range(2, 203, 20)), [1e-9], 1e-6, trials=4, seed=seed)
-    n_slope = slope_report(pooled, "n")
+    n_slope = slope_summary(pooled, "n").slope
     ok = (
         0.80 <= slopes[1] <= 1.10
         and 0.80 <= slopes[2] <= 1.10

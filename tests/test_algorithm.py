@@ -114,7 +114,8 @@ def test_svd_split_left_null_and_orthogonality():
             rho[rng.integers(l)] = 0.0  # force some rank deficiency
         split = svd_split(rho, 1e-9)
         s1 = split.singular_values[0] if split.singular_values.size else 0.0
-        gram = split.u_full.T @ split.u_full - np.eye(l)
+        u_t = np.vstack([split.u_top, split.u_bottom])  # U' of rho = U S V'
+        gram = u_t @ u_t.T - np.eye(l)
         assert np.abs(gram).max() <= 1e-12 * l
         if split.u_bottom.shape[0]:
             assert np.abs(split.u_bottom @ rho).max() <= 1e-9 * max(s1, 1e-300)
@@ -242,6 +243,25 @@ def test_run_experiment3_index_growth():
     assert result.codim == 5
     assert result.halt_reason == STAGNATION
     assert all(rho_rank == 0 for rho_rank, _ in result.rank_history)
+
+
+def test_run_factorises_each_matrix_once(monkeypatch):
+    # Family 3 at n = 40: 40 levels of one-row blocks, each needing one SVD
+    # of rho and one rank check of the grown phi, plus the final null space.
+    n = 40
+    problem = gen_experiment3(n)
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    result = run(problem, tol=1e-6)
+    final_submanifold(result)
+    assert result.steps == n
+    assert len(calls) <= 2 * n + 4
 
 
 def test_run_regular_r_is_single_step():

@@ -101,6 +101,17 @@ def test_usage_errors(tmp_path, capsys):
     capsys.readouterr()
 
 
+def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
+    path = _write_problem(tmp_path / "p.json", gen_experiment2(2))
+
+    def failing_run(problem, tol):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr("singular_lq.cli.run", failing_run)
+    assert main(["solve", path]) == 3
+    assert "numerical failure: SVD did not converge" in capsys.readouterr().err
+
+
 def test_dae_command(tmp_path, capsys):
     path = tmp_path / "dae.json"
     path.write_text(json.dumps({"A": np.eye(3, k=1).tolist(), "B": np.eye(3).tolist()}))
@@ -127,7 +138,7 @@ def test_sweep_wide_delta_table(tmp_path, capsys):
     float(slope_lines[0].split("slope=")[1].split()[0])  # parseable
     lines = out.read_text().strip().split("\n")
     assert len(lines) == 17
-    assert lines[0] == "family,n,delta,tol,seed,exact_steps,steps,codim,alpha"
+    assert lines[0] == "family,n,delta,tol,seed,exact_steps,steps,codim,alpha,trial"
     for line in lines[1:]:
         fields = line.split(",")
         assert fields[6] == "3"  # steps stay at 3 across all magnitudes
@@ -164,7 +175,7 @@ def test_sweep_reruns_are_byte_identical(tmp_path, capsys):
             "--tol", "1e-9", "--trials", "2"]
     a, b = tmp_path / "a.csv", tmp_path / "b.csv"
     assert main(args + ["--out", str(a)]) == 0
-    assert main(args + ["--out", str(b), "--jobs", "2"]) == 0
+    assert main(args + ["--out", str(b)]) == 0
     capsys.readouterr()
     assert a.read_bytes() == b.read_bytes()
 

@@ -12,7 +12,6 @@ from singular_lq import (
     numerical_rank,
     run,
     run_sweep,
-    slope_report,
     slope_summary,
     write_records_csv,
     write_slopes_csv,
@@ -130,8 +129,7 @@ def test_run_sweep_records_regenerate_bit_for_bit():
     kwargs = dict(sizes=[4], deltas=[1e-8, 1e-6], tol=1e-9, trials=2, seed=5)
     first = run_sweep(2, **kwargs)
     second = run_sweep(2, **kwargs)
-    parallel = run_sweep(2, jobs=3, **kwargs)
-    assert first == second == parallel
+    assert first == second
     assert len(first) == 4
     assert [(r.delta, r.trial) for r in first] == [(1e-8, 0), (1e-8, 1), (1e-6, 0), (1e-6, 1)]
     assert all(r.exact_steps == 3 and r.family == 2 and r.n == 4 for r in first)
@@ -171,6 +169,7 @@ def test_csv_headers_and_round_trip(tmp_path):
     assert float(fields[2]) == 1e-8
     assert float(fields[3]) == 1e-9
     assert float(fields[8]) == records[0].alpha  # repr round-trips exactly
+    assert int(fields[9]) == records[0].trial
     path = tmp_path / "records.csv"
     write_records_csv(records, path)
     assert path.read_text() == text
@@ -196,7 +195,7 @@ def _synthetic_records():
 
 
 def test_slope_report_is_exact_on_linear_data():
-    assert abs(slope_report(_synthetic_records(), "delta") - 1.0) <= 1e-12
+    assert abs(slope_summary(_synthetic_records(), "delta").slope - 1.0) <= 1e-12
 
 
 def test_slope_report_exclusions():
@@ -206,7 +205,7 @@ def test_slope_report_exclusions():
         _record(1e-4, 7.0, steps=2),   # halted at the wrong level
         _record(1e-8, 0.0),            # exact zero angle carries no signal
     ]
-    assert abs(slope_report(records + noise, "delta") - 1.0) <= 1e-12
+    assert abs(slope_summary(records + noise, "delta").slope - 1.0) <= 1e-12
 
 
 def test_slope_report_averages_trials_in_log_space():
@@ -215,14 +214,14 @@ def test_slope_report_averages_trials_in_log_space():
     expected = np.polyfit(
         np.log([1e-8, 1e-6, 1e-4]), np.log([1e-16, 1e-6, 1e-4]), 1
     )[0]
-    assert abs(slope_report(records, "delta") - expected) <= 1e-12
+    assert abs(slope_summary(records, "delta").slope - expected) <= 1e-12
 
 
 def test_slope_report_needs_two_groups():
     with pytest.raises(ValueError, match="two usable"):
-        slope_report([_record(1e-8, 1e-8), _record(1e-8, 2e-8)], "delta")
+        slope_summary([_record(1e-8, 1e-8), _record(1e-8, 2e-8)], "delta")
     with pytest.raises(ValueError, match="axis"):
-        slope_report(_synthetic_records(), "tol")
+        slope_summary(_synthetic_records(), "tol")
 
 
 def test_slope_summary_fields_and_family_guard():

@@ -8,7 +8,6 @@ from singular_lq import (
     Subspace,
     SubspaceDimensionMismatch,
     loglog_fit,
-    loglog_slope,
     max_principal_angle,
     perturb,
 )
@@ -117,7 +116,7 @@ def test_loglog_fit_recovers_power_laws():
     quad = loglog_fit([(x, 3.0 * x * x) for x in xs])
     assert abs(quad.slope - 2.0) <= 1e-10
     assert abs(quad.intercept - np.log(3.0)) <= 1e-10
-    assert abs(loglog_slope([(x, 3.0 * x * x) for x in xs]) - quad.slope) == 0.0
+    assert abs(loglog_fit([(x, 3.0 * x * x) for x in xs]).slope - quad.slope) == 0.0
 
 
 def test_loglog_fit_validation():
