@@ -134,20 +134,20 @@ class AlgorithmResult:
 
 
 def _svd_rank(
-    M: np.ndarray, tol: float, relative: bool = False, full: bool = False
+    M: np.ndarray, tol: float, relative: bool = False, factors: str | None = None
 ) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """SVD of M and the count of its singular values above the cut.
 
     The cut is ``tol``, or ``tol * s_1`` with ``relative``. Returns
-    ``(rank, s, u, vh)``; the factors come from ``full_matrices=True`` when
-    ``full`` is set and are None otherwise. Empty and zero matrices have
-    rank 0.
+    ``(rank, s, u, vh)``; ``factors`` is None (u and vh are None),
+    ``"thin"`` or ``"full"`` (``full_matrices=False`` or ``True``). Empty
+    and zero matrices have rank 0.
     """
-    if not full:
+    if factors is None:
         s = np.linalg.svd(M, compute_uv=False)
         u = vh = None
     else:
-        u, s, vh = np.linalg.svd(M, full_matrices=True)
+        u, s, vh = np.linalg.svd(M, full_matrices=factors == "full")
     cut = tol * s[0] if relative and s.size else tol
     return int(np.count_nonzero(s > cut)), s, u, vh
 
@@ -171,7 +171,7 @@ def svd_split(rho, tol: float, relative: bool = True) -> SvdSplit:
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 2 or rho.shape[0] < 1:
         raise ValueError(f"rho must be a matrix with at least one row, got shape {rho.shape}")
-    rank, svals, u, _ = _svd_rank(rho, tol, relative, full=True)
+    rank, svals, u, _ = _svd_rank(rho, tol, relative, factors="full")
     ut = u.T
     return SvdSplit(
         singular_values=svals,
@@ -348,8 +348,14 @@ def final_submanifold(result: AlgorithmResult, tol: float | None = None) -> np.n
 
 def _null_basis(M: np.ndarray, cut: float) -> np.ndarray:
     """Orthonormal null-space basis of M; singular values <= cut count as zero."""
-    rank, _, _, vh = _svd_rank(M, cut, full=True)
+    rank, _, _, vh = _svd_rank(M, cut, factors="full")
     return vh[rank:].T
+
+
+def _row_basis(M: np.ndarray, cut: float) -> np.ndarray:
+    """Orthonormal row-space basis of M from thin factors; the complement of _null_basis."""
+    rank, _, _, vh = _svd_rank(M, cut, factors="thin")
+    return vh[:rank].T
 
 
 def feedback_rate_map(result: AlgorithmResult) -> np.ndarray:

@@ -22,7 +22,7 @@ from math import exp, log
 
 import numpy as np
 
-from .algorithm import AlgorithmResult, final_submanifold, run
+from .algorithm import AlgorithmResult, _null_basis, _row_basis, run
 from .dae import _random_orthogonal
 from .geometry import (
     Subspace,
@@ -190,11 +190,23 @@ def _exact_problem(family: int, n: int, seed: int) -> LQProblem:
     raise ValueError(f"unknown family {family}")
 
 
+def _compared_space(result: AlgorithmResult, tol: float, row_side: bool) -> Subspace:
+    """Phi's row space (``row_side``) or its null space, the final subspace.
+
+    Two subspaces of equal dimension have the same non-zero principal
+    angles as their orthogonal complements, so alpha can be measured on
+    whichever side of phi is smaller. The perturbed and exact dimensions
+    differ on one side exactly when they differ on the other.
+    """
+    return Subspace((_row_basis if row_side else _null_basis)(result.phi.rows, tol))
+
+
 def _run_cell(
     family: int,
     problem: LQProblem,
     exact: AlgorithmResult,
     exact_space: Subspace,
+    row_side: bool,
     n: int,
     delta: float,
     trial: int,
@@ -206,7 +218,7 @@ def _run_cell(
     result = run(perturbed, tol)
     try:
         alpha: float | None = max_principal_angle(
-            exact_space, Subspace(final_submanifold(result, tol))
+            exact_space, _compared_space(result, tol, row_side)
         )
     except SubspaceDimensionMismatch:
         alpha = None
@@ -235,8 +247,10 @@ def run_sweep(
     """Run a perturbation sweep and return one record per (n, delta, trial).
 
     For each size the exact problem is generated once, run once, and its
-    final subspace compared against every perturbed run. Records come in
-    (n, delta, trial) order.
+    final subspace compared against every perturbed run. Alpha is taken on
+    the smaller side of phi: its row space when the exact codimension is
+    below half the width, its null space (the final subspace) otherwise,
+    which gives the same angle. Records come in (n, delta, trial) order.
     """
     if family not in (1, 2, 3):
         raise ValueError("family must be 1, 2 or 3")
@@ -255,11 +269,15 @@ def run_sweep(
     for n in sizes:
         problem = _exact_problem(family, n, seed)
         exact = run(problem, tol)
-        exact_space = Subspace(final_submanifold(exact, tol))
+        # One side per size, so every perturbed run meets the exact one there.
+        row_side = 2 * exact.codim < exact.phi.width
+        exact_space = _compared_space(exact, tol, row_side)
         for delta in deltas:
             for trial in range(trials):
                 records.append(
-                    _run_cell(family, problem, exact, exact_space, n, delta, trial, tol, seed)
+                    _run_cell(
+                        family, problem, exact, exact_space, row_side, n, delta, trial, tol, seed
+                    )
                 )
     return records
 

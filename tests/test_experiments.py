@@ -6,9 +6,13 @@ import pytest
 from singular_lq import (
     ExperimentRecord,
     STAGNATION,
+    Subspace,
+    SubspaceDimensionMismatch,
+    final_submanifold,
     gen_experiment1,
     gen_experiment2,
     gen_experiment3,
+    max_principal_angle,
     numerical_rank,
     run,
     run_sweep,
@@ -19,6 +23,8 @@ from singular_lq import (
 from singular_lq.experiments import (
     RECORD_HEADER,
     SLOPE_HEADER,
+    _cell_rng,
+    _exact_problem,
     _perturbed_problem,
     records_to_csv,
     slopes_to_csv,
@@ -157,6 +163,56 @@ def test_large_perturbation_is_marked_mismatch():
     assert all(r.steps == 1 for r in degraded)
     text = records_to_csv(records)
     assert "mismatch" in text
+
+
+def test_sweep_factorises_only_small_sides(monkeypatch):
+    # Family 2 at n = 200: phi is 3 x 401 and the final subspace has
+    # dimension 398; alpha is taken between the 3-dimensional row spaces.
+    svd = np.linalg.svd
+    shapes = []
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    records = run_sweep(2, [200], [1e-8], 1e-6)
+    assert records[0].alpha is not None
+    assert max(min(shape) for shape in shapes) <= 3
+
+
+def _direct_alphas(family, sizes, deltas, tol, trials=2, seed=0):
+    """Alpha between the two final_submanifold bases, cell by cell (None on mismatch)."""
+    alphas = []
+    for n in sizes:
+        problem = _exact_problem(family, n, seed)
+        exact = Subspace(final_submanifold(run(problem, tol)))
+        for delta in deltas:
+            for trial in range(trials):
+                rng = _cell_rng(seed, family, n, delta, trial)
+                moved = run(_perturbed_problem(family, problem, delta, rng), tol)
+                try:
+                    alpha = max_principal_angle(exact, Subspace(final_submanifold(moved)))
+                except SubspaceDimensionMismatch:
+                    alpha = None
+                alphas.append(alpha)
+    return alphas
+
+
+def test_sweep_alpha_on_null_side_is_the_final_subspace_angle():
+    # Family 1 has codim 3n - 2 of width 3n: the sweep takes the null side.
+    grid = dict(sizes=[2, 5, 10], deltas=[1e-10, 1e-8, 1e-6], tol=1e-6)
+    records = run_sweep(1, trials=2, seed=0, **grid)
+    assert [r.alpha for r in records] == _direct_alphas(1, **grid)
+
+
+@pytest.mark.parametrize("family, sizes", [(2, [3, 10, 50]), (3, [5, 20, 50])])
+def test_sweep_alpha_on_row_side_matches_the_final_subspace_angle(family, sizes):
+    grid = dict(sizes=sizes, deltas=[1e-10, 1e-8], tol=1e-6)
+    records = run_sweep(family, trials=2, seed=0, **grid)
+    for record, direct in zip(records, _direct_alphas(family, **grid), strict=True):
+        # Both routes carry an absolute rounding floor of a few 1e-16.
+        assert abs(record.alpha - direct) <= 1e-6 * direct + 1e-15, record
 
 
 def test_csv_headers_and_round_trip(tmp_path):

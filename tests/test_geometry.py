@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from singular_lq import (
     LogLogFit,
@@ -63,6 +65,45 @@ def test_angle_to_orthogonal_complement_slice():
     left = Subspace(basis[:, :3])
     right = Subspace(basis[:, 3:])
     assert abs(max_principal_angle(left, right) - np.pi / 2) <= 1e-12
+
+
+_LOG_QUARTER_PI = float(np.log10(np.pi / 4))
+_LOG_HALF_PI = float(np.log10(np.pi / 2))
+
+
+@pytest.mark.parametrize("branch", ["sine", "acos"])
+@pytest.mark.parametrize("side", ["d < D/2", "d = D/2", "d > D/2"])
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(data=st.data())
+def test_angle_equals_angle_between_complements(side, branch, data):
+    # k planes (q_i, q_{d+i}) of a random orthonormal frame Q are rotated by
+    # theta_i. U = span q_1..q_d and V = its image meet at exactly the angles
+    # theta_i (and 0), and so do the complements U-perp and V-perp.
+    k = data.draw(st.integers(1, 4), label="rotated planes")
+    extra = 0 if side == "d = D/2" else data.draw(st.integers(1, 4), label="extra dims")
+    d = k + extra if side == "d > D/2" else k
+    ambient = 2 * k + extra
+    # The largest angle picks the branch: the sine route below pi/4, acos above.
+    low, high = (-10.0, _LOG_QUARTER_PI - 0.01) if branch == "sine" else (
+        _LOG_QUARTER_PI + 0.01, _LOG_HALF_PI)
+    top = 10.0 ** data.draw(st.floats(low, high), label="log10 largest angle")
+    rest = [
+        10.0 ** data.draw(st.floats(-10.0, float(np.log10(top))), label="log10 angle")
+        for _ in range(k - 1)
+    ]
+    thetas = np.array([top, *rest])
+    seed = data.draw(st.integers(0, 2**32 - 1), label="frame seed")
+    frame = np.linalg.qr(np.random.default_rng(seed).standard_normal((ambient, ambient)))[0]
+    rotation = np.eye(ambient)
+    idx = np.arange(k)
+    rotation[idx, idx] = rotation[d + idx, d + idx] = np.cos(thetas)
+    rotation[d + idx, idx] = np.sin(thetas)
+    rotation[idx, d + idx] = -np.sin(thetas)
+    moved = frame @ rotation
+    u, v = Subspace(frame[:, :d]), Subspace(moved[:, :d])
+    u_perp, v_perp = Subspace(frame[:, d:]), Subspace(moved[:, d:])
+    assert abs(max_principal_angle(u, v) - top) <= 1e-14
+    assert abs(max_principal_angle(u_perp, v_perp) - top) <= 1e-14
 
 
 def test_subspace_validation():
