@@ -1,9 +1,12 @@
 """Recursive constraint generation for singular LQ problems.
 
-Starting from the primary constraint rows [-N' | B' | -R], each step splits
-the control coefficient rho by SVD, peels off the directions in which the
-control derivative is determined, and propagates the undetermined part into
-a new block of constraint rows. The recursion halts when rho becomes
+Starting from the primary constraint rows [-N' | B' | -R], each level
+differentiates its rows once along the dynamics and splits that derivative
+by the left factor U' of the SVD of its control coefficient rho, as in the
+Gotay-Nester algorithm: the rows along rho's range determine part of the
+control derivative (the level's partial feedback), and the rows along its
+left null space carry no udot term and form the next block of constraint
+rows. The recursion halts when rho becomes
 regular (full row rank: the remaining control derivatives are all
 determined) or when the stacked constraint matrix stops gaining rank
 (gauge directions remain).
@@ -27,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .problem import ConstraintBlock, LQProblem, primary_constraint
+from .problem import ConstraintBlock, LQProblem, _derivative, primary_constraint
 
 __all__ = [
     "FEEDBACK",
@@ -94,18 +97,14 @@ class PartialFeedback:
     """Determined part of the control derivative at one level.
 
     On the final submanifold the determined components satisfy
-    diag(sigma_r) @ (v_top @ udot) + drift_x @ x + drift_p @ p
-    + drift_u @ u = 0, where drift_* are u_top times the derivative
-    coefficients of this level's rows.
+    rate @ udot + drift @ (x, p, u) = 0: rate is u_top @ rho and drift is
+    u_top times the (x, p, u) coefficients of the derivative of this
+    level's rows, the rows that the split of rho makes explicit in udot.
     """
 
     level: int
-    sigma_r: np.ndarray
-    u_top: np.ndarray
-    v_top: np.ndarray
-    drift_x: np.ndarray
-    drift_p: np.ndarray
-    drift_u: np.ndarray
+    rate: np.ndarray
+    drift: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -191,13 +190,8 @@ def step(block: ConstraintBlock, split: SvdSplit, problem: LQProblem) -> Constra
     """
     if split.u_bottom.shape[0] == 0:
         raise ValueError("rho has full row rank at this tolerance; nothing to propagate")
-    ub = split.u_bottom
-    return ConstraintBlock(
-        sigma=ub @ (block.sigma @ problem.A + block.beta @ problem.Q),
-        beta=ub @ (-block.beta @ problem.A.T),
-        rho=ub @ (block.sigma @ problem.B + block.beta @ problem.N),
-        level=block.level + 1,
-    )
+    part = _derivative(block.sigma, block.beta, problem)
+    return ConstraintBlock(*(split.u_bottom @ d for d in part), level=block.level + 1)
 
 
 def _independent_rows_array(
@@ -215,13 +209,15 @@ def _independent_rows_array(
         kept = M[:0]
     stacked = np.vstack([kept, M])
     total = _svd_rank(stacked, tol)[0]
-    if total == 0:
-        return stacked[:0], 0
     if total == stacked.shape[0]:
         # Full row rank: by singular value interlacing every prefix is full
         # rank too, so the greedy pass keeps every row. One SVD instead of l.
         return stacked, total
     for i in range(M.shape[0]):
+        if kept_rank == total:
+            # No subset of the rows ranks above the stacked matrix
+            # (interlacing again), so no later row can be kept.
+            break
         candidate = np.vstack([kept, M[i : i + 1]])
         r = _svd_rank(candidate, tol)[0]
         if r > kept_rank:
@@ -235,21 +231,6 @@ def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:
         raise ValueError("tol must be positive")
     rows, _ = _independent_rows_array(np.asarray(phi.rows, dtype=float), tol)
     return ConstraintMatrix(rows=rows, n=phi.n, m=phi.m)
-
-
-def _partial_feedback(block: ConstraintBlock, split: SvdSplit, problem: LQProblem) -> PartialFeedback:
-    sigma_r = split.singular_values[: split.rank]
-    # V'_top recovered from the split: Sigma_r V'_top = u_top rho.
-    v_top = (split.u_top @ block.rho) / sigma_r[:, None]
-    return PartialFeedback(
-        level=block.level,
-        sigma_r=sigma_r.copy(),
-        u_top=split.u_top,
-        v_top=v_top,
-        drift_x=split.u_top @ (block.sigma @ problem.A + block.beta @ problem.Q),
-        drift_p=split.u_top @ (-block.beta @ problem.A.T),
-        drift_u=split.u_top @ (block.sigma @ problem.B + block.beta @ problem.N),
-    )
 
 
 def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
@@ -291,18 +272,23 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     selectors: list[np.ndarray] = []
 
     while True:
+        # The level's derivative, split by U': its u_top rows determine part
+        # of udot, its u_bottom rows are the next constraint block.
+        part = _derivative(block.sigma, block.beta, problem)
+        if split.rank >= 1:
+            feedbacks.append(PartialFeedback(
+                level=block.level,
+                rate=split.u_top @ block.rho,
+                drift=np.hstack([split.u_top @ d for d in part]),
+            ))
         # rho regular (the equation-of-motion feedback determines the rest)
         # or phi stopped gaining rank; l is still the previous block's count.
         if split.rank >= l or phi_rank <= p:
-            if split.rank >= 1:
-                feedbacks.append(_partial_feedback(block, split, problem))
             halt = FEEDBACK if split.rank >= l else STAGNATION
             break
         k += 1
         p = phi_rank
         l = block.rho.shape[0]
-        if split.rank >= 1:
-            feedbacks.append(_partial_feedback(block, split, problem))
         if split.rank == l:
             # New block would be empty: all of rho's rows are independent,
             # so the feedback determines everything. The pseudocode appends
@@ -310,7 +296,7 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
             halt = FEEDBACK
             break
         selectors.append(split.u_bottom)
-        block = step(block, split, problem)
+        block = ConstraintBlock(*(split.u_bottom @ d for d in part), level=block.level + 1)
         blocks.append(block)
         phi, phi_rank = _independent_rows_array(block.stacked(), tol, phi, phi_rank)
         split = svd_split(block.rho, tol, relative=False)
@@ -371,9 +357,7 @@ def feedback_rate_map(result: AlgorithmResult) -> np.ndarray:
     width = result.phi.width
     if not result.partial_feedback:
         return np.zeros((m, width))
-    lhs = np.vstack([pf.sigma_r[:, None] * pf.v_top for pf in result.partial_feedback])
-    rhs = np.vstack([
-        np.hstack([pf.drift_x, pf.drift_p, pf.drift_u]) for pf in result.partial_feedback
-    ])
+    lhs = np.vstack([pf.rate for pf in result.partial_feedback])
+    rhs = np.vstack([pf.drift for pf in result.partial_feedback])
     solution, *_ = np.linalg.lstsq(lhs, -rhs, rcond=None)
     return solution

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .problem import ConstraintBlock, LQProblem
+from .problem import ConstraintBlock, LQProblem, _derivative, primary_constraint
 
 __all__ = ["TildeBlock", "tilde_recurrence", "tilde_closed_form", "theorem2_blocks"]
 
@@ -33,18 +33,11 @@ def tilde_recurrence(problem: LQProblem, k_max: int) -> list[TildeBlock]:
     """Tilde blocks for levels 1..k_max via the recurrence."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    A, B, Q, N, R = problem.A, problem.B, problem.Q, problem.N, problem.R
-    sigma = -N.T.copy()
-    beta = B.T.copy()
-    rho = -R.copy()
-    out = [TildeBlock(sigma, beta, rho, 1)]
+    first = primary_constraint(problem)
+    out = [TildeBlock(first.sigma, first.beta, first.rho, 1)]
     for level in range(2, k_max + 1):
-        sigma, beta, rho = (
-            sigma @ A + beta @ Q,
-            -beta @ A.T,
-            sigma @ B + beta @ N,
-        )
-        out.append(TildeBlock(sigma, beta, rho, level))
+        prev = out[-1]
+        out.append(TildeBlock(*_derivative(prev.sigma_t, prev.beta_t, problem), level))
     return out
 
 
@@ -68,9 +61,10 @@ def tilde_closed_form(problem: LQProblem, k: int) -> TildeBlock:
     """
     if k < 1:
         raise ValueError("k must be at least 1")
-    A, B, Q, N, R = problem.A, problem.B, problem.Q, problem.N, problem.R
     if k == 1:
-        return TildeBlock(-N.T.copy(), B.T.copy(), -R.copy(), 1)
+        first = primary_constraint(problem)
+        return TildeBlock(first.sigma, first.beta, first.rho, 1)
+    A, B, Q, N = problem.A, problem.B, problem.Q, problem.N
 
     j = k - 1
     pow_a = _powers(A, j)

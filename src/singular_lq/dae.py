@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import _null_basis
+from .algorithm import _null_basis, _svd_rank
 
 __all__ = [
     "LinearDAE",
@@ -128,21 +128,15 @@ def dae_constraint_chain(dae: LinearDAE, tol: float = 1e-9) -> tuple[list[np.nda
     cut_b = tol * (norm_b if norm_b > 0 else 1.0)
     basis = np.eye(dae.n)
     chain: list[np.ndarray] = []
-    k = 0
     while True:
         refined = _refine(dae, basis, cut_a, cut_b)
-        k += 1
-        if refined.shape[1] == basis.shape[1] and chain:
-            # M_k equals M_{k-1}: the chain stabilized one step earlier.
-            return chain, k - 1
         if refined.shape[1] == basis.shape[1]:
-            # M1 = M0 = R^n: no constraint at all, r = 1.
-            chain.append(refined)
-            return chain, 1
+            # The chain stabilized at its last entry; with none, M1 = M0 = R^n
+            # and r = 1. Dimensions strictly decrease until here, so the loop
+            # ends within n + 1 steps.
+            return (chain, len(chain)) if chain else ([refined], 1)
         chain.append(refined)
         basis = refined
-        if k > dae.n + 1:  # dimensions strictly decrease; cannot happen
-            raise RuntimeError("constraint chain failed to stabilize")
 
 
 def build_weierstrass(spec: WeierstrassSpec) -> LinearDAE:
@@ -163,15 +157,16 @@ def build_weierstrass(spec: WeierstrassSpec) -> LinearDAE:
 def pencil_is_regular(
     dae: LinearDAE, trials: int = 16, tol: float = 1e-12, rng=None
 ) -> bool:
-    """Probabilistic regularity test: det(lambda A - B) != 0 somewhere.
+    """Probabilistic regularity test: lambda A - B nonsingular somewhere.
 
-    Evaluates the determinant at ``trials`` random real lambda and
-    compares |det| against tol times the Hadamard bound (product of row
-    norms) of the evaluated pencil. An irregular pencil vanishes
-    identically, so any single clear non-zero certifies regularity; a
-    regular pencil fails all trials only if every sampled lambda lands
-    near a generalized eigenvalue, which has probability zero under a
-    continuous sampling distribution.
+    Samples ``trials`` random real lambda and asks the shared rank
+    primitive whether lambda A - B has full rank, ``tol`` being the
+    relative cut: every singular value must exceed ``tol`` times the
+    largest. An irregular pencil is singular for every lambda, so any
+    single full-rank sample certifies regularity; a regular pencil fails
+    all trials only if every sampled lambda lands near a generalized
+    eigenvalue, which has probability zero under a continuous sampling
+    distribution.
     """
     if tol <= 0:
         raise ValueError("tol must be positive")
@@ -180,14 +175,7 @@ def pencil_is_regular(
     rng = np.random.default_rng(0) if rng is None else rng
     for _ in range(trials):
         lam = rng.standard_normal()
-        pencil = lam * dae.A - dae.B
-        sign, logdet = np.linalg.slogdet(pencil)
-        if sign == 0.0:
-            continue
-        row_norms = np.linalg.norm(pencil, axis=1)
-        if np.any(row_norms == 0.0):
-            continue
-        if logdet > np.log(tol) + np.log(row_norms).sum():
+        if _svd_rank(lam * dae.A - dae.B, tol, relative=True)[0] == dae.n:
             return True
     return False
 

@@ -201,41 +201,6 @@ def _compared_space(result: AlgorithmResult, tol: float, row_side: bool) -> Subs
     return Subspace((_row_basis if row_side else _null_basis)(result.phi.rows, tol))
 
 
-def _run_cell(
-    family: int,
-    problem: LQProblem,
-    exact: AlgorithmResult,
-    exact_space: Subspace,
-    row_side: bool,
-    n: int,
-    delta: float,
-    trial: int,
-    tol: float,
-    seed: int,
-) -> ExperimentRecord:
-    rng = _cell_rng(seed, family, n, delta, trial)
-    perturbed = _perturbed_problem(family, problem, delta, rng)
-    result = run(perturbed, tol)
-    try:
-        alpha: float | None = max_principal_angle(
-            exact_space, _compared_space(result, tol, row_side)
-        )
-    except SubspaceDimensionMismatch:
-        alpha = None
-    return ExperimentRecord(
-        family=family,
-        n=n,
-        delta=delta,
-        tol=tol,
-        seed=seed,
-        trial=trial,
-        exact_steps=exact.steps,
-        steps=result.steps,
-        codim=result.codim,
-        alpha=alpha,
-    )
-
-
 def run_sweep(
     family: int,
     sizes,
@@ -274,11 +239,30 @@ def run_sweep(
         exact_space = _compared_space(exact, tol, row_side)
         for delta in deltas:
             for trial in range(trials):
+                rng = _cell_rng(seed, family, n, delta, trial)
+                result = run(_perturbed_problem(family, problem, delta, rng), tol)
+                try:
+                    alpha: float | None = max_principal_angle(
+                        exact_space, _compared_space(result, tol, row_side)
+                    )
+                except SubspaceDimensionMismatch:
+                    alpha = None
                 records.append(
-                    _run_cell(
-                        family, problem, exact, exact_space, row_side, n, delta, trial, tol, seed
+                    ExperimentRecord(
+                        family=family,
+                        n=n,
+                        delta=delta,
+                        tol=tol,
+                        seed=seed,
+                        trial=trial,
+                        exact_steps=exact.steps,
+                        steps=result.steps,
+                        codim=result.codim,
+                        alpha=alpha,
                     )
                 )
+                # Free this run's blocks and phi before the next run builds its own.
+                del result
     return records
 
 
@@ -328,6 +312,8 @@ def slope_summary(records, axis: str) -> SlopeSummary:
 
 
 def _fmt(value) -> str:
+    if value is None:
+        return "mismatch"  # alpha of a record whose subspace dimensions differ
     if isinstance(value, float):
         return repr(value)
     return str(value)
@@ -339,20 +325,7 @@ def records_to_csv(records) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(RECORD_HEADER)
     for r in records:
-        writer.writerow(
-            [
-                r.family,
-                r.n,
-                _fmt(r.delta),
-                _fmt(r.tol),
-                r.seed,
-                r.exact_steps,
-                r.steps,
-                r.codim,
-                "mismatch" if r.alpha is None else _fmt(r.alpha),
-                r.trial,
-            ]
-        )
+        writer.writerow([_fmt(getattr(r, name)) for name in RECORD_HEADER])
     return buf.getvalue()
 
 
@@ -366,7 +339,7 @@ def slopes_to_csv(summaries) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(SLOPE_HEADER)
     for s in summaries:
-        writer.writerow([s.family, s.axis, _fmt(s.slope), _fmt(s.r_squared), s.num_points])
+        writer.writerow([_fmt(getattr(s, name)) for name in SLOPE_HEADER])
     return buf.getvalue()
 
 

@@ -174,6 +174,18 @@ def primary_constraint(problem: LQProblem) -> ConstraintBlock:
     )
 
 
+def _derivative(sigma: np.ndarray, beta: np.ndarray, problem: LQProblem):
+    """(x, p, u) coefficients of d/dt (sigma x + beta p) along the dynamics.
+
+    Returns (sigma A + beta Q, -beta A', sigma B + beta N): one application
+    of the level map shared by the recursion, its partial feedback and the
+    unprojected tilde blocks. The rho u term contributes rho udot, which the
+    caller splits off.
+    """
+    A, B, Q, N = problem.A, problem.B, problem.Q, problem.N
+    return sigma @ A + beta @ Q, -beta @ A.T, sigma @ B + beta @ N
+
+
 def regular_feedback(problem: LQProblem, rank_tol: float = 1e-12):
     """Control law u = R^-1 (B'p - N'x) when R is numerically invertible.
 

@@ -27,6 +27,7 @@ from singular_lq import (
     svd_split,
     validate,
 )
+from singular_lq.problem import _derivative
 
 
 def _halves_problem(rng, n_max=4, m_max=4):
@@ -191,6 +192,23 @@ def test_independent_rows_idempotent():
     assert np.array_equal(once.rows, twice.rows)
 
 
+def test_independent_rows_stops_once_the_stacked_rank_is_kept(monkeypatch):
+    # No subset of the rows ranks above the stacked matrix, so once the kept
+    # rows reach its rank the greedy pass has nothing left to test.
+    E = np.eye(2, 5)
+    svd = np.linalg.svd
+    calls = []
+
+    def counting_svd(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    kept = independent_rows(ConstraintMatrix(rows=np.vstack([E, E, E]), n=2, m=1), 1e-9)
+    assert np.array_equal(kept.rows, E)
+    assert len(calls) <= 3
+
+
 def test_independent_rows_against_exact_row_space():
     rng = np.random.default_rng(29)
     for _ in range(50):
@@ -290,6 +308,28 @@ def test_run_no_effective_constraints():
 def test_run_rejects_bad_tol():
     with pytest.raises(ValueError):
         run(gen_experiment2(2), tol=-1e-6)
+
+
+def test_run_splits_one_derivative_per_level():
+    # Each level's derivative is split by U': the u_top rows are the
+    # recorded partial feedback, the u_bottom rows the next block.
+    rng = np.random.default_rng(59)
+    tol = 1e-9
+    checked = 0
+    for _ in range(60):
+        problem = _uniform_problem(rng) if rng.integers(2) else _halves_problem(rng)
+        result = run(problem, tol)
+        for pf in result.partial_feedback:
+            block = result.blocks[pf.level - 1]
+            split = svd_split(block.rho, tol, relative=False)
+            part = _derivative(block.sigma, block.beta, problem)
+            assert np.array_equal(pf.rate, split.u_top @ block.rho)
+            assert np.array_equal(pf.drift, np.hstack([split.u_top @ d for d in part]))
+            checked += 1
+        for block, following in zip(result.blocks, result.blocks[1:]):
+            expected = step(block, svd_split(block.rho, tol, relative=False), problem)
+            assert np.array_equal(following.stacked(), expected.stacked())
+    assert checked >= 30
 
 
 def _manual_trace(problem, tol):

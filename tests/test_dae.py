@@ -157,6 +157,21 @@ def test_pencil_regularity_against_exact_determinants():
     assert seen_irregular >= 5
 
 
+def test_pencil_regularity_on_large_weierstrass_pencils():
+    # Regular pencils up to 90 x 90 with index up to 59: a regularity cut
+    # that shrinks with dimension would call some of them irregular.
+    rng = np.random.default_rng(5)
+    for _ in range(40):
+        dae = build_weierstrass(
+            random_weierstrass_spec(rng, d_max=30, q_max=60, nu_max=59)
+        )
+        assert pencil_is_regular(dae)
+        # A shared null vector makes lambda A - B singular for every lambda.
+        v = rng.standard_normal((dae.n, 1))
+        drop = np.eye(dae.n) - v @ v.T / (v.T @ v)
+        assert not pencil_is_regular(LinearDAE(A=dae.A @ drop, B=dae.B @ drop))
+
+
 def test_weierstrass_spec_validation():
     ok = dict(E=np.eye(4), F=np.eye(4))
     with pytest.raises(ValueError, match="overstated"):
