@@ -21,7 +21,10 @@ only an absolute cut reproduces (a perturbed zero R must read as
 rank-deficient while its norm stays below tol). :func:`numerical_rank` and
 :func:`svd_split` expose both rules via the ``relative`` flag. Every rank
 decision, here and in the DAE chain, is one SVD whose singular values are
-counted against the cut in one place, ``_svd_rank``.
+counted against the cut in one place, ``_svd_rank``. Bases that decide no
+rank are not SVDs: the row filter leaves phi with full row rank at the
+run's tolerance, so its row space and null space (the final submanifold)
+come from one QR of phi'.
 """
 
 from __future__ import annotations
@@ -133,20 +136,19 @@ class AlgorithmResult:
 
 
 def _svd_rank(
-    M: np.ndarray, tol: float, relative: bool = False, factors: str | None = None
+    M: np.ndarray, tol: float, relative: bool = False, full: bool = False
 ) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
     """SVD of M and the count of its singular values above the cut.
 
     The cut is ``tol``, or ``tol * s_1`` with ``relative``. Returns
-    ``(rank, s, u, vh)``; ``factors`` is None (u and vh are None),
-    ``"thin"`` or ``"full"`` (``full_matrices=False`` or ``True``). Empty
-    and zero matrices have rank 0.
+    ``(rank, s, u, vh)``; u and vh are the ``full_matrices=True`` factors
+    with ``full``, None otherwise. Empty and zero matrices have rank 0.
     """
-    if factors is None:
+    if full:
+        u, s, vh = np.linalg.svd(M, full_matrices=True)
+    else:
         s = np.linalg.svd(M, compute_uv=False)
         u = vh = None
-    else:
-        u, s, vh = np.linalg.svd(M, full_matrices=factors == "full")
     cut = tol * s[0] if relative and s.size else tol
     return int(np.count_nonzero(s > cut)), s, u, vh
 
@@ -170,7 +172,7 @@ def svd_split(rho, tol: float, relative: bool = True) -> SvdSplit:
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 2 or rho.shape[0] < 1:
         raise ValueError(f"rho must be a matrix with at least one row, got shape {rho.shape}")
-    rank, svals, u, _ = _svd_rank(rho, tol, relative, factors="full")
+    rank, svals, u, _ = _svd_rank(rho, tol, relative, full=True)
     ut = u.T
     return SvdSplit(
         singular_values=svals,
@@ -324,34 +326,52 @@ def final_submanifold(result: AlgorithmResult, tol: float | None = None) -> np.n
 
     d equals 2n + m minus the numerical rank of phi at ``tol`` (defaults
     to the tolerance the recursion ran with). The columns span the set of
-    consistent (x, p, u) triples.
+    consistent (x, p, u) triples. At the run's own tolerance phi has full
+    row rank, so the basis comes from one QR of phi'; at any other
+    tolerance an SVD decides phi's rank there.
     """
     tol = result.tol if tol is None else tol
     if tol <= 0:
         raise ValueError("tol must be positive")
+    if tol == result.tol:
+        return _phi_basis(result.phi.rows, row_side=False)
     return _null_basis(result.phi.rows, tol)
 
 
 def _null_basis(M: np.ndarray, cut: float) -> np.ndarray:
     """Orthonormal null-space basis of M; singular values <= cut count as zero."""
-    rank, _, _, vh = _svd_rank(M, cut, factors="full")
+    rank, _, _, vh = _svd_rank(M, cut, full=True)
     return vh[rank:].T
 
 
-def _row_basis(M: np.ndarray, cut: float) -> np.ndarray:
-    """Orthonormal row-space basis of M from thin factors; the complement of _null_basis."""
-    rank, _, _, vh = _svd_rank(M, cut, factors="thin")
-    return vh[:rank].T
+def _phi_basis(rows: np.ndarray, row_side: bool) -> np.ndarray:
+    """Orthonormal basis of the row space (``row_side``) or null space of phi.
+
+    ``rows`` is the filtered phi of a run, which has full row rank at the
+    run's tolerance: the filter keeps a row only if it raises the rank. So
+    no rank decision is left to make, and one QR of phi' gives both sides:
+    the first Q columns, one per row of phi, span the row space and the
+    remaining ones its orthogonal complement.
+    """
+    if row_side:
+        return np.linalg.qr(rows.T)[0]
+    return np.linalg.qr(rows.T, mode="complete")[0][:, rows.shape[0]:]
 
 
 def feedback_rate_map(result: AlgorithmResult) -> np.ndarray:
     """Minimal-norm linear map L with udot = L @ (x, p, u).
 
     Stacks the recorded per-level feedback relations and solves them in
-    the least-squares sense; on the final submanifold the stacked system
-    is consistent, so the returned udot satisfies every determined
-    relation there. With no determined directions (all rho blocks zero)
-    the map is zero: the control derivative is pure gauge.
+    the least-squares sense. When the stacked ``rate`` rows have full row
+    rank the stacked system is consistent, so the returned udot satisfies
+    every determined relation, on the final submanifold in particular.
+    Each level's split only makes that level's own rows independent, so
+    the stacked rows can be rank-deficient: with rank-one B, N and R,
+    n = 1 and m = 2, ``rank_history`` [(1, 2), (1, 3)] halts with FEEDBACK
+    while the two rate rows are parallel. The relations can then conflict
+    on the final submanifold, and L is only their least-squares
+    compromise. With no determined directions (all rho blocks zero) the
+    map is zero: the control derivative is pure gauge.
     """
     m = result.phi.m
     width = result.phi.width

@@ -22,11 +22,12 @@ from math import exp, log
 
 import numpy as np
 
-from .algorithm import AlgorithmResult, _null_basis, _row_basis, run
+from .algorithm import AlgorithmResult, _phi_basis, run
 from .dae import _random_orthogonal
 from .geometry import (
     Subspace,
     SubspaceDimensionMismatch,
+    _spectral_norm,
     loglog_fit,
     max_principal_angle,
     perturb,
@@ -141,7 +142,7 @@ def gen_experiment3(n: int) -> LQProblem:
 def _symmetric_noise(n: int, delta: float, rng) -> np.ndarray:
     direction = rng.standard_normal((n, n))
     direction = (direction + direction.T) / 2.0
-    norm = np.linalg.norm(direction, 2)
+    norm = _spectral_norm(direction)
     magnitude = rng.uniform(0.0, delta)
     return direction * (magnitude / norm)
 
@@ -190,7 +191,7 @@ def _exact_problem(family: int, n: int, seed: int) -> LQProblem:
     raise ValueError(f"unknown family {family}")
 
 
-def _compared_space(result: AlgorithmResult, tol: float, row_side: bool) -> Subspace:
+def _compared_space(result: AlgorithmResult, row_side: bool) -> Subspace:
     """Phi's row space (``row_side``) or its null space, the final subspace.
 
     Two subspaces of equal dimension have the same non-zero principal
@@ -198,7 +199,7 @@ def _compared_space(result: AlgorithmResult, tol: float, row_side: bool) -> Subs
     whichever side of phi is smaller. The perturbed and exact dimensions
     differ on one side exactly when they differ on the other.
     """
-    return Subspace((_row_basis if row_side else _null_basis)(result.phi.rows, tol))
+    return Subspace(_phi_basis(result.phi.rows, row_side))
 
 
 def run_sweep(
@@ -236,14 +237,14 @@ def run_sweep(
         exact = run(problem, tol)
         # One side per size, so every perturbed run meets the exact one there.
         row_side = 2 * exact.codim < exact.phi.width
-        exact_space = _compared_space(exact, tol, row_side)
+        exact_space = _compared_space(exact, row_side)
         for delta in deltas:
             for trial in range(trials):
                 rng = _cell_rng(seed, family, n, delta, trial)
                 result = run(_perturbed_problem(family, problem, delta, rng), tol)
                 try:
                     alpha: float | None = max_principal_angle(
-                        exact_space, _compared_space(result, tol, row_side)
+                        exact_space, _compared_space(result, row_side)
                     )
                 except SubspaceDimensionMismatch:
                     alpha = None

@@ -27,6 +27,7 @@ from singular_lq import (
     svd_split,
     validate,
 )
+from singular_lq.algorithm import _null_basis
 from singular_lq.problem import _derivative
 
 
@@ -437,6 +438,45 @@ def test_run_constraint_stability_on_kernel():
     assert checked >= 40
 
 
+def _dependent_feedback_problem():
+    """n = 1, m = 2 with rank-one B, N and R: each level's rho split is full,
+    but the two levels' rate rows are parallel."""
+    rng = np.random.default_rng(0)
+    A, Q = rng.uniform(-1, 1, (1, 1)), rng.uniform(-1, 1, (1, 1))
+    B = np.outer(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 2))
+    N = np.outer(rng.uniform(-1, 1, 1), rng.uniform(-1, 1, 2))
+    r = rng.uniform(-1, 1, 2)
+    return validate(A, B, Q, N, np.outer(r, r))
+
+
+def _stacked_feedback(result):
+    rate = np.vstack([pf.rate for pf in result.partial_feedback])
+    drift = np.vstack([pf.drift for pf in result.partial_feedback])
+    return rate, drift
+
+
+def test_dependent_feedback_rows_halt_with_feedback():
+    result = run(_dependent_feedback_problem(), tol=1e-9)
+    assert result.rank_history == [(1, 2), (1, 3)]
+    assert result.halt_reason == FEEDBACK
+    rate, _ = _stacked_feedback(result)
+    assert rate.shape == (2, 2)
+    assert numerical_rank(rate, 1e-9) == 1
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="run halts on each level's own rho split, so stacked rate rows can be "
+    "rank-deficient and the feedback relations inconsistent on the final "
+    "submanifold (CHANGES.md, FOUND line on run's FEEDBACK halt)",
+)
+def test_feedback_rate_map_satisfies_every_relation_on_dependent_rows():
+    result = run(_dependent_feedback_problem(), tol=1e-9)
+    rate, drift = _stacked_feedback(result)
+    residual = (rate @ feedback_rate_map(result) + drift) @ final_submanifold(result)
+    assert np.abs(residual).max() <= 1e-8
+
+
 def test_run_matches_exact_rational_recursion():
     rng = np.random.default_rng(61)
     for _ in range(20):
@@ -454,6 +494,55 @@ def test_final_submanifold_respects_explicit_tol():
     assert final_submanifold(result).shape == final_submanifold(result, 1e-6).shape
     with pytest.raises(ValueError):
         final_submanifold(result, -1.0)
+
+
+def _recording_svd(monkeypatch):
+    svd = np.linalg.svd
+    shapes = []
+
+    def recording_svd(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    return shapes
+
+
+def test_final_submanifold_at_the_run_tol_is_one_qr(monkeypatch):
+    # The filter leaves phi with full row rank at the run's tol, so the
+    # final subspace needs no rank decision there and no SVD.
+    rng = np.random.default_rng(71)
+    for make in (_uniform_problem, _halves_problem):
+        for _ in range(60):
+            result = run(make(rng, n_max=6, m_max=5), tol=1e-9)
+            rows = result.phi.rows
+            with monkeypatch.context() as patch:
+                shapes = _recording_svd(patch)
+                basis = final_submanifold(result)
+            assert shapes == []
+            assert basis.shape == (result.phi.width, result.phi.width - result.codim)
+            assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-14
+            scale = max(1.0, np.abs(rows).max(initial=0.0))
+            assert np.abs(rows @ basis).max(initial=0.0) <= 1e-14 * scale
+            reference = Subspace(_null_basis(rows, result.tol))
+            assert max_principal_angle(Subspace(basis), reference) <= 1e-12
+
+
+def test_final_submanifold_decides_the_rank_at_a_foreign_tol(monkeypatch):
+    rng = np.random.default_rng(73)
+    checked = 0
+    for _ in range(40):
+        result = run(_uniform_problem(rng, n_max=6, m_max=5), tol=1e-9)
+        if result.codim == 0:
+            continue
+        checked += 1
+        smallest = np.linalg.svd(result.phi.rows, compute_uv=False)[-1]
+        with monkeypatch.context() as patch:
+            shapes = _recording_svd(patch)
+            basis = final_submanifold(result, 2.0 * smallest)
+        assert shapes == [result.phi.rows.shape]
+        assert basis.shape[1] > result.phi.width - result.codim
+    assert checked >= 20
 
 
 def test_extended_system_chain_contains_recursion_kernel():

@@ -181,6 +181,24 @@ def test_sweep_factorises_only_small_sides(monkeypatch):
     assert max(min(shape) for shape in shapes) <= 3
 
 
+def test_sweep_takes_no_svd_factors_of_phi(monkeypatch):
+    # Family 1 at n = 20 compares null spaces of phi, which is c x 3n; the
+    # bases come from QR, so no SVD with vectors touches a 3n-column matrix.
+    n = 20
+    svd = np.linalg.svd
+    factored = []
+
+    def recording_svd(a, *args, **kwargs):
+        if kwargs.get("compute_uv", True):
+            factored.append(np.shape(a))
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    records = run_sweep(1, [n], [1e-8], 1e-6)
+    assert records[0].alpha is not None
+    assert all(shape[1] != 3 * n for shape in factored)
+
+
 def _direct_alphas(family, sizes, deltas, tol, trials=2, seed=0):
     """Alpha between the two final_submanifold bases, cell by cell (None on mismatch)."""
     alphas = []

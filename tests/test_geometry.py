@@ -13,6 +13,8 @@ from singular_lq import (
     max_principal_angle,
     perturb,
 )
+from singular_lq.experiments import _symmetric_noise
+from singular_lq.geometry import _spectral_norm
 
 
 def _random_subspace(rng, ambient, dim):
@@ -145,6 +147,30 @@ def test_perturb_deterministic_and_validating():
     assert np.array_equal(a, b)
     with pytest.raises(ValueError):
         perturb(M, -1e-3, np.random.default_rng(7))
+
+
+def test_perturbations_take_no_svd(monkeypatch):
+    # np.linalg.norm(M, 2) reaches svd through numpy's private module.
+    def no_svd(*args, **kwargs):
+        raise AssertionError("perturbation norms need no SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)
+    rng = np.random.default_rng(17)
+    assert perturb(np.eye(4), 1e-6, rng).shape == (4, 4)
+    assert _symmetric_noise(4, 1e-6, rng).shape == (4, 4)
+
+
+def test_spectral_norm_matches_the_two_norm():
+    rng = np.random.default_rng(19)
+    shapes = [(1, 1), (7, 1), (1, 7), (5, 5), (9, 4), (4, 9), (600, 600)]
+    matrices = [rng.standard_normal(shape) for shape in shapes]
+    g = rng.standard_normal((6, 6))
+    matrices.append(g + g.T)
+    for M in matrices:
+        expected = np.linalg.norm(M, 2)
+        assert abs(_spectral_norm(M) - expected) <= 1e-13 * expected, M.shape
+    assert _spectral_norm(np.zeros((3, 2))) == 0.0
 
 
 def test_loglog_fit_recovers_power_laws():
