@@ -21,10 +21,16 @@ only an absolute cut reproduces (a perturbed zero R must read as
 rank-deficient while its norm stays below tol). :func:`numerical_rank` and
 :func:`svd_split` expose both rules via the ``relative`` flag. Every rank
 decision, here and in the DAE chain, is one SVD whose singular values are
-counted against the cut in one place, ``_svd_rank``. Bases that decide no
-rank are not SVDs: the row filter leaves phi with full row rank at the
-run's tolerance, so its row space and null space (the final submanifold)
-come from one QR of phi'.
+counted against the cut in one place, ``_svd_rank``. Once phi is large
+enough that its stacked SVD costs more than a projection, the row filter
+carries a QR factor of phi's rows from level to level and ranks each new
+block projected off that factor's basis, from the SVD of one small R
+factor; the stacked SVD of [phi; block] decides instead whenever a
+derived bound cannot certify that both give the same rank.
+Bases that decide no rank are not SVDs: the row filter leaves phi with
+full row rank at the run's tolerance, so the final submanifold there is
+the orthogonal complement of phi's row basis (``row_basis``), from QR
+alone.
 """
 
 from __future__ import annotations
@@ -33,6 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .geometry import _complement
 from .problem import ConstraintBlock, LQProblem, _derivative, primary_constraint
 
 __all__ = [
@@ -53,6 +60,14 @@ __all__ = [
 
 FEEDBACK = "feedback"
 STAGNATION = "stagnation"
+
+# While (c + k)^2 w (c kept rows and k block rows of width w, about the
+# flops of the stacked SVD) stays below this, the row filter ranks a block
+# by the stacked SVD and carries no factor: one SVD of [kept; block] then
+# costs less than the projected path's fixed ~0.1 ms of QRs, small SVD and
+# factor update (timed crossover for one-row blocks: c = 24, 12, 8-12 and
+# 6-8 at widths 61, 241, 606 and 1201, all near (c + 1)^2 w = 4e4).
+_FACTOR_FLOPS = 4e4
 
 
 @dataclass(frozen=True)
@@ -122,6 +137,8 @@ class AlgorithmResult:
     directions remain). rank_history holds one (rank rho, rank phi) pair per
     generated level; selectors the u_bottom factor of each executed
     split; blocks the raw per-level rows before independence filtering.
+    carried_basis is the Q factor of phi' that the row filter carried to
+    the last level, None when phi stayed too small to carry one.
     """
 
     phi: ConstraintMatrix
@@ -133,6 +150,17 @@ class AlgorithmResult:
     selectors: list[np.ndarray] = field(default_factory=list)
     blocks: list[ConstraintBlock] = field(default_factory=list)
     tol: float = 1e-6
+    carried_basis: np.ndarray | None = None
+
+    @property
+    def row_basis(self) -> np.ndarray:
+        """Orthonormal basis of phi's row space, shape (2n + m, codim).
+
+        The carried Q factor when there is one, else one thin QR of phi'.
+        """
+        if self.carried_basis is None:
+            return np.linalg.qr(self.phi.rows.T)[0]
+        return self.carried_basis
 
 
 def _svd_rank(
@@ -196,25 +224,115 @@ def step(block: ConstraintBlock, split: SvdSplit, problem: LQProblem) -> Constra
     return ConstraintBlock(*(split.u_bottom @ d for d in part), level=block.level + 1)
 
 
+def _row_factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Q, R^-1) of the thin QR rows' = Q R of full-row-rank rows."""
+    q, upper = np.linalg.qr(rows.T)
+    return q, np.linalg.inv(upper)
+
+
+def _projected_rank(
+    M: np.ndarray,
+    tol: float,
+    stacked: np.ndarray,
+    kept_rank: int,
+    factor: tuple[np.ndarray, np.ndarray],
+) -> tuple[int | None, tuple[np.ndarray, np.ndarray] | None]:
+    """Rank of stacked = [kept; M] certified from M projected off kept's rows.
+
+    ``factor`` is (Q, R^-1) with kept' = Q R, kept of full row rank c =
+    ``kept_rank``. P is M projected off Q twice (classical Gram-Schmidt
+    with reorthogonalisation); one thin QR of P' gives its singular values
+    s_j, from its R factor, and a = #{s_j > tol}. The count c + a is the
+    stacked SVD's rank when two bounds clear tol by the SVD's rounding
+    slack, e = eps * max(shape) * ||stacked||_F:
+
+    * upper: column interlacing gives s_(c+a+1)(stacked) <= s_(a+1)(P);
+    * lower: on the span of Q and P's top a right singular vectors the
+      stacked matrix acts as [[R', 0], [U_a' M Q, S_a]], whose inverse
+      bounds s_(c+a)(stacked) >= 1 / (||R^-1|| + (1 + ||G||) / s_a), with
+      G = M Q R'^-1 and Frobenius norms for the spectral ones. The carried
+      R^-1 is accurate to about eps * cond(R) <= e ||R^-1|| relative, so
+      its norm enters inflated by that factor.
+
+    The lower side is where a projected count alone goes wrong: an
+    ill-conditioned kept (large ||R^-1||) or a block with a large
+    component along it (large ||G||) pulls the stacked values below P's.
+    Returns (rank, factor of the stacked rows), the factor only when every
+    row of M adds rank, or (None, None) when the bounds do not certify.
+    """
+    basis, inv_r = factor
+    coef = M @ basis
+    projected = M - coef @ basis.T
+    projected -= (projected @ basis) @ basis.T
+    q, upper = np.linalg.qr(projected.T)
+    added, s, _, _ = _svd_rank(upper, tol)
+    slack = np.finfo(float).eps * max(stacked.shape) * np.linalg.norm(stacked)
+    inv_norm = np.linalg.norm(inv_r)
+    inv_low = inv_norm * (1.0 + slack * inv_norm)  # 1 / lower bound of s_(c+a)
+    if added:
+        inv_low += (1.0 + np.linalg.norm(coef @ inv_r.T)) / s[added - 1]
+    if (added < s.size and s[added] > tol - slack) or inv_low * (tol + slack) >= 1.0:
+        return None, None
+    if added < M.shape[0]:
+        return kept_rank + added, None
+    # One QR's columns are orthogonal to Q only to about eps ||P|| / s_a.
+    # Projected off Q once more they are orthogonal to it, and orthonormal
+    # up to ||Q' q||^2, so they are orthonormalised again only when that
+    # exceeds eps. Then [kept; M]' = [Q, q] [[R, T], [0, S]] with T = (M Q)'
+    # up to rounding, and the new R^-1 follows blockwise.
+    drift = basis.T @ q
+    q -= basis @ drift
+    if np.vdot(drift, drift) > np.finfo(float).eps:
+        q, again = np.linalg.qr(q)
+        upper = again @ upper
+    tail = np.linalg.inv(upper)
+    grown = np.zeros((kept_rank + added, kept_rank + added))
+    grown[:kept_rank, :kept_rank] = inv_r
+    grown[:kept_rank, kept_rank:] = -(inv_r @ coef.T) @ tail
+    grown[kept_rank:, kept_rank:] = tail
+    return kept_rank + added, (np.hstack([basis, q]), grown)
+
+
 def _independent_rows_array(
-    M: np.ndarray, tol: float, kept: np.ndarray | None = None, kept_rank: int = 0
-) -> tuple[np.ndarray, int]:
-    """Greedy top-down row filter at tolerance tol; returns (rows, rank).
+    M: np.ndarray,
+    tol: float,
+    kept: np.ndarray | None = None,
+    kept_rank: int = 0,
+    factor: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray] | None]:
+    """Greedy top-down row filter at tolerance tol; returns (rows, rank, factor).
 
     Keeps each row iff appending it raises the numerical rank of the rows
     kept so far, so the kept count always equals the numerical rank of the
     result. ``kept`` (rank ``kept_rank``) is a previous output of this
-    filter: the greedy pass over it would keep every row, so only M's rows
-    are tested. Rank-0 or empty input yields the empty (void) matrix.
+    filter and ``factor`` the one returned with it: the greedy pass over
+    kept would keep every row, so only M's rows are tested. Rank-0 or empty
+    input yields the empty (void) matrix.
+
+    The stacked [kept; M] is ranked by its SVD while it is small ((c + k)^2
+    w below ``_FACTOR_FLOPS``). From there on a factor (Q, R^-1) of kept' = Q R
+    is carried (built by one QR when missing) and :func:`_projected_rank`
+    certifies the rank from M projected off Q, falling back to the stacked
+    SVD when its bounds come within rounding of tol. Either way the rank
+    is the stacked SVD's. The returned factor, when not None, spans the
+    returned rows; it is None when kept gained rows other than by a
+    certified full-rank block, and is then rebuilt at the next level.
     """
     if kept is None:
         kept = M[:0]
     stacked = np.vstack([kept, M])
-    total = _svd_rank(stacked, tol)[0]
+    total = extended = None
+    if stacked.shape[0] ** 2 * stacked.shape[1] >= _FACTOR_FLOPS:
+        if factor is None:
+            factor = _row_factor(kept)
+        total, extended = _projected_rank(M, tol, stacked, kept_rank, factor)
+    if total is None:
+        total = _svd_rank(stacked, tol)[0]
     if total == stacked.shape[0]:
         # Full row rank: by singular value interlacing every prefix is full
-        # rank too, so the greedy pass keeps every row. One SVD instead of l.
-        return stacked, total
+        # rank too, so the greedy pass keeps every row.
+        return stacked, total, extended
+    rows = kept.shape[0]
     for i in range(M.shape[0]):
         if kept_rank == total:
             # No subset of the rows ranks above the stacked matrix
@@ -224,14 +342,14 @@ def _independent_rows_array(
         r = _svd_rank(candidate, tol)[0]
         if r > kept_rank:
             kept, kept_rank = candidate, r
-    return kept, kept_rank
+    return kept, kept_rank, factor if kept.shape[0] == rows else None
 
 
 def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:
     """Filter phi to its greedily selected independent rows (idempotent)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rows, _ = _independent_rows_array(np.asarray(phi.rows, dtype=float), tol)
+    rows, _, _ = _independent_rows_array(np.asarray(phi.rows, dtype=float), tol)
     return ConstraintMatrix(rows=rows, n=phi.n, m=phi.m)
 
 
@@ -265,7 +383,7 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     block = primary_constraint(problem)
     blocks = [block]
     l = block.rho.shape[0]
-    phi, phi_rank = _independent_rows_array(block.stacked(), tol)
+    phi, phi_rank, factor = _independent_rows_array(block.stacked(), tol)
     split = svd_split(block.rho, tol, relative=False)
     p = 0
     k = 1
@@ -300,7 +418,9 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
         selectors.append(split.u_bottom)
         block = ConstraintBlock(*(split.u_bottom @ d for d in part), level=block.level + 1)
         blocks.append(block)
-        phi, phi_rank = _independent_rows_array(block.stacked(), tol, phi, phi_rank)
+        phi, phi_rank, factor = _independent_rows_array(
+            block.stacked(), tol, phi, phi_rank, factor
+        )
         split = svd_split(block.rho, tol, relative=False)
         rank_history.append((split.rank, phi_rank))
 
@@ -318,6 +438,7 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
         selectors=selectors,
         blocks=blocks,
         tol=tol,
+        carried_basis=None if factor is None else factor[0],
     )
 
 
@@ -327,14 +448,15 @@ def final_submanifold(result: AlgorithmResult, tol: float | None = None) -> np.n
     d equals 2n + m minus the numerical rank of phi at ``tol`` (defaults
     to the tolerance the recursion ran with). The columns span the set of
     consistent (x, p, u) triples. At the run's own tolerance phi has full
-    row rank, so the basis comes from one QR of phi'; at any other
+    row rank, so no rank decision is left: the basis is the orthogonal
+    complement of the run's ``row_basis``, from QR alone. At any other
     tolerance an SVD decides phi's rank there.
     """
     tol = result.tol if tol is None else tol
     if tol <= 0:
         raise ValueError("tol must be positive")
     if tol == result.tol:
-        return _phi_basis(result.phi.rows, row_side=False)
+        return _complement(result.row_basis)
     return _null_basis(result.phi.rows, tol)
 
 
@@ -342,20 +464,6 @@ def _null_basis(M: np.ndarray, cut: float) -> np.ndarray:
     """Orthonormal null-space basis of M; singular values <= cut count as zero."""
     rank, _, _, vh = _svd_rank(M, cut, full=True)
     return vh[rank:].T
-
-
-def _phi_basis(rows: np.ndarray, row_side: bool) -> np.ndarray:
-    """Orthonormal basis of the row space (``row_side``) or null space of phi.
-
-    ``rows`` is the filtered phi of a run, which has full row rank at the
-    run's tolerance: the filter keeps a row only if it raises the rank. So
-    no rank decision is left to make, and one QR of phi' gives both sides:
-    the first Q columns, one per row of phi, span the row space and the
-    remaining ones its orthogonal complement.
-    """
-    if row_side:
-        return np.linalg.qr(rows.T)[0]
-    return np.linalg.qr(rows.T, mode="complete")[0][:, rows.shape[0]:]
 
 
 def feedback_rate_map(result: AlgorithmResult) -> np.ndarray:

@@ -22,11 +22,12 @@ from math import exp, log
 
 import numpy as np
 
-from .algorithm import AlgorithmResult, _phi_basis, run
+from .algorithm import run
 from .dae import _random_orthogonal
 from .geometry import (
     Subspace,
     SubspaceDimensionMismatch,
+    _complement,
     _spectral_norm,
     loglog_fit,
     max_principal_angle,
@@ -191,17 +192,6 @@ def _exact_problem(family: int, n: int, seed: int) -> LQProblem:
     raise ValueError(f"unknown family {family}")
 
 
-def _compared_space(result: AlgorithmResult, row_side: bool) -> Subspace:
-    """Phi's row space (``row_side``) or its null space, the final subspace.
-
-    Two subspaces of equal dimension have the same non-zero principal
-    angles as their orthogonal complements, so alpha can be measured on
-    whichever side of phi is smaller. The perturbed and exact dimensions
-    differ on one side exactly when they differ on the other.
-    """
-    return Subspace(_phi_basis(result.phi.rows, row_side))
-
-
 def run_sweep(
     family: int,
     sizes,
@@ -216,7 +206,11 @@ def run_sweep(
     final subspace compared against every perturbed run. Alpha is taken on
     the smaller side of phi: its row space when the exact codimension is
     below half the width, its null space (the final subspace) otherwise,
-    which gives the same angle. Records come in (n, delta, trial) order.
+    which gives the same angle, since equal-dimension subspaces have the
+    same principal angles as their orthogonal complements. Both sides come
+    from the run's ``row_basis``, with no rank decision: the perturbed and
+    exact dimensions differ on one side exactly when they differ on the
+    other. Records come in (n, delta, trial) order.
     """
     if family not in (1, 2, 3):
         raise ValueError("family must be 1, 2 or 3")
@@ -237,15 +231,17 @@ def run_sweep(
         exact = run(problem, tol)
         # One side per size, so every perturbed run meets the exact one there.
         row_side = 2 * exact.codim < exact.phi.width
-        exact_space = _compared_space(exact, row_side)
+
+        def compared(result):
+            return Subspace(result.row_basis if row_side else _complement(result.row_basis))
+
+        exact_space = compared(exact)
         for delta in deltas:
             for trial in range(trials):
                 rng = _cell_rng(seed, family, n, delta, trial)
                 result = run(_perturbed_problem(family, problem, delta, rng), tol)
                 try:
-                    alpha: float | None = max_principal_angle(
-                        exact_space, _compared_space(result, row_side)
-                    )
+                    alpha: float | None = max_principal_angle(exact_space, compared(result))
                 except SubspaceDimensionMismatch:
                     alpha = None
                 records.append(

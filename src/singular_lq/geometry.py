@@ -18,6 +18,12 @@ __all__ = [
 ]
 
 
+# Seed of the Gaussian sketch behind _complement, and the largest spread of
+# its R factor's diagonal that the sketch route accepts.
+_SKETCH_SEED = 20121
+_SKETCH_SPREAD = 1e3
+
+
 class SubspaceDimensionMismatch(ValueError):
     """Compared subspaces have different dimensions; no angle is defined.
 
@@ -58,6 +64,8 @@ def max_principal_angle(first: Subspace, second: Subspace) -> float:
     basis1' basis2. That formula alone loses half the working precision
     near zero (acos of 1 - eps), so small angles are recomputed from the
     sine: the largest singular value of basis2 projected off span(basis1).
+    Subspaces of more than half the ambient dimension are compared through
+    their orthogonal complements, which meet at the same largest angle.
     Raises SubspaceDimensionMismatch when the subspace dimensions differ
     and ValueError when the ambient spaces do.
     """
@@ -69,18 +77,53 @@ def max_principal_angle(first: Subspace, second: Subspace) -> float:
         raise SubspaceDimensionMismatch(
             f"subspace dimensions differ: {first.dim} vs {second.dim}"
         )
-    if first.dim == 0:
+    u, v = first.basis, second.basis
+    if 2 * first.dim > first.ambient_dim:
+        # Equal-dimension subspaces and their orthogonal complements have the
+        # same largest angle (Bjorck & Golub 1973); compare the smaller side.
+        u, v = _complement(u), _complement(v)
+    if u.shape[1] == 0:
         return 0.0
-    cross = first.basis.T @ second.basis
+    cross = u.T @ v
     svals = np.linalg.svd(cross, compute_uv=False)
     cos_min = min(max(float(svals[-1]), 0.0), 1.0)
     if cos_min ** 2 > 0.5:  # angle below pi/4: sine route keeps full precision
-        residual = second.basis - first.basis @ cross
+        residual = v - u @ cross
         sin_max = float(np.linalg.svd(residual, compute_uv=False)[0])
         angle = asin(min(max(sin_max, 0.0), 1.0))
     else:
         angle = acos(cos_min)
     return min(max(angle, 0.0), pi / 2)
+
+
+def _complement(basis: np.ndarray) -> np.ndarray:
+    """Orthonormal basis of the orthogonal complement of an orthonormal basis.
+
+    ``basis`` is D x d with orthonormal columns; the result is D x (D - d).
+    Its dimension is known, so no rank is decided and no SVD is spent.
+    When the complement is the smaller side, a fixed-seed Gaussian sketch
+    of D - d columns is projected off the basis and orthonormalised, twice
+    (the second pass restores orthogonality to the basis that the first
+    QR's conditioning can cost); the output is the same for the same
+    input. If either QR's R factor looks ill-conditioned (its diagonal
+    spreads over more than ``_SKETCH_SPREAD``), or the complement is the
+    larger side, the trailing columns of a complete QR of the basis are
+    returned instead.
+    """
+    ambient, dim = basis.shape
+    if dim == ambient:
+        return np.zeros((ambient, 0))
+    if 2 * dim >= ambient:
+        sketch = np.random.default_rng(_SKETCH_SEED).standard_normal((ambient, ambient - dim))
+        for _ in range(2):
+            sketch -= basis @ (basis.T @ sketch)
+            sketch, upper = np.linalg.qr(sketch)
+            diag = np.abs(np.diag(upper))
+            if diag.min() <= diag.max() / _SKETCH_SPREAD:
+                break
+        else:
+            return sketch
+    return np.linalg.qr(basis, mode="complete")[0][:, dim:]
 
 
 def _spectral_norm(M: np.ndarray) -> float:

@@ -27,7 +27,14 @@ from singular_lq import (
     svd_split,
     validate,
 )
-from singular_lq.algorithm import _null_basis
+from singular_lq.algorithm import (
+    _independent_rows_array,
+    _null_basis,
+    _projected_rank,
+    _row_factor,
+    _svd_rank,
+)
+from singular_lq.experiments import _cell_rng, _exact_problem, _perturbed_problem
 from singular_lq.problem import _derivative
 
 
@@ -47,6 +54,15 @@ def _uniform_problem(rng, n_max=4, m_max=4):
     # leave R singular half the time so both halting branches get exercised
     R = sym(m) if rng.integers(2) else np.zeros((m, m))
     return validate(g(n, n), g(n, m), sym(n), g(n, m), R)
+
+
+def _rank_one_problem(rng, n_max=4, m_max=4):
+    """Random problem whose B, N and R all have rank one."""
+    n, m = int(rng.integers(1, n_max + 1)), int(rng.integers(1, m_max + 1))
+    g = lambda *shape: rng.uniform(-1.0, 1.0, shape)
+    q, r = g(n, n), g(m)
+    return validate(g(n, n), np.outer(g(n), g(m)), (q + q.T) / 2.0,
+                    np.outer(g(n), g(m)), np.outer(r, r))
 
 
 def _exact_matrices(problem):
@@ -228,6 +244,110 @@ def test_independent_rows_against_exact_row_space():
             matches = [i for i in range(rows) if np.array_equal(M[i], row)]
             positions.append(min(m for m in matches if not positions or m > positions[-1]))
         assert positions == sorted(positions)
+
+
+# Blocks whose rows, projected off the rows of an ill-conditioned phi,
+# rank 1 at tol 1e-6 while phi stacked on them ranks 2: (phi, block).
+_PROJECTION_TRAPS = [
+    # P = [0, 0, 1e-4] sits near tol; the stacked s_3 is 1e-10.
+    ([[1.0, 0.0, 0.0], [0.0, 1e-3, 0.0]], [0.0, 1e3, 1e-4]),
+    # P = [0, 0, 2e-3] sits outside any fixed 3-decade band; s_3 is 2e-11.
+    ([[1.0, 0.0, 0.0], [0.0, 1e-4, 0.0]], [0.0, 1e4, 2e-3]),
+    # P = [0, 0, 1] is far from tol, yet the stacked s_3 is 9.0e-7.
+    ([[1.0, 0.0, 0.0], [0.0, 1.01e-6, 0.0]], [0.0, 0.5, 1.0]),
+]
+
+
+@pytest.mark.parametrize("phi, block", _PROJECTION_TRAPS)
+def test_projected_rank_declines_when_the_stacked_rank_differs(phi, block):
+    phi, block = np.array(phi), np.array([block])
+    stacked = np.vstack([phi, block])
+    assert _svd_rank(stacked, 1e-6)[0] == 2
+    projected = block - (block @ np.eye(3)[:, :2]) @ np.eye(3)[:2]
+    assert 2 + _svd_rank(projected, 1e-6)[0] == 3
+    assert _projected_rank(block, 1e-6, stacked, 2, _row_factor(phi)) == (None, None)
+
+
+def test_row_filter_falls_back_to_the_stacked_rank():
+    # The first trap under 18 more unit rows: phi is wide and tall enough
+    # for the filter to rank by projection, which declines, and the
+    # stacked SVD keeps phi as it is.
+    width = 100
+    phi = np.eye(width)[:20]
+    phi[19, 19] = 1e-3
+    block = np.zeros((1, width))
+    block[0, 19:21] = 1e3, 1e-4
+    factor = _row_factor(phi)
+    assert _projected_rank(block, 1e-6, np.vstack([phi, block]), 20, factor) == (None, None)
+    rows, rank, kept_factor = _independent_rows_array(block, 1e-6, phi, 20, factor)
+    assert rank == 20
+    assert np.array_equal(rows, phi)
+    assert kept_factor is factor
+
+
+@pytest.mark.parametrize("gap, tol", [(1e-7, 1e-9), (1e-10, 1e-13)])
+def test_row_filter_extends_an_orthonormal_factor(gap, tol):
+    # Two nearly dependent rows (P's values about 10 and 5.6 gap) appended:
+    # a single QR of P' leaves its columns about eps * 10 / (5.6 gap) off
+    # the carried basis. Projected off it once more they are orthogonal to
+    # it, and at gap 1e-10 they need a second QR to be orthonormal again.
+    rng = np.random.default_rng(83)
+    phi = rng.standard_normal((20, 100))
+    first = rng.standard_normal(100)
+    block = np.vstack([first, first + gap * rng.standard_normal(100)])
+    rows, rank, (basis, inv_r) = _independent_rows_array(block, tol, phi, 20, _row_factor(phi))
+    assert rank == 22
+    assert np.array_equal(rows, np.vstack([phi, block]))
+    assert np.abs(basis.T @ basis - np.eye(22)).max() <= 1e-14
+    # rows' = basis R with R^-1 = inv_r up to eps cond(R), R upper triangular.
+    upper = basis.T @ rows.T
+    assert np.abs(np.tril(upper, -1)).max() <= 1e-12
+    assert np.abs(upper @ inv_r - np.eye(22)).max() <= 1e-4
+
+
+def _replayed_runs():
+    """Seeded small problems at three tolerances, then family cells at n <= 60."""
+    rng = np.random.default_rng(79)
+    for make in (_uniform_problem, _halves_problem, _rank_one_problem):
+        for _ in range(100):
+            problem = make(rng, n_max=6, m_max=5)
+            for tol in (1e-6, 1e-9, 1e-12):
+                yield run(problem, tol)
+    for family, sizes in ((1, (2, 5, 10, 20, 40)), (2, (1, 5, 20)), (3, (2, 8, 20, 60))):
+        for n in sizes:
+            problem = _exact_problem(family, n, 0)
+            yield run(problem, 1e-6)
+            for delta in (1e-9, 1e-7, 1e-5):
+                rng = _cell_rng(0, family, n, delta, 0)
+                yield run(_perturbed_problem(family, problem, delta, rng), 1e-6)
+
+
+def test_row_filter_replays_the_stacked_rank_decisions(monkeypatch):
+    # Each level's phi rank is the SVD rank of the phi kept so far stacked
+    # on the level's raw block, and the carried row basis spans phi. The
+    # n = 40 and 60 cells rank most of their levels by projection.
+    projected = []
+
+    def spy(*args):
+        out = _projected_rank(*args)
+        projected.append(out[0])
+        return out
+
+    monkeypatch.setattr("singular_lq.algorithm._projected_rank", spy)
+    levels = 0
+    for result in _replayed_runs():
+        history = result.rank_history
+        for j in range(1, len(history)):
+            stacked = np.vstack([result.phi.rows[: history[j - 1][1]], result.blocks[j].stacked()])
+            assert _svd_rank(stacked, result.tol)[0] == history[j][1]
+            levels += 1
+        basis = result.row_basis
+        assert basis.shape == (result.phi.width, result.codim)
+        assert np.abs(basis.T @ basis - np.eye(result.codim)).max(initial=0.0) <= 1e-14
+        reference = Subspace(np.linalg.qr(result.phi.rows.T)[0])
+        assert max_principal_angle(Subspace(basis), reference) <= 1e-12
+    assert levels >= 700
+    assert sum(rank is not None for rank in projected) >= 100
 
 
 # ---------------------------------------------------------------- run

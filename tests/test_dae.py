@@ -14,6 +14,7 @@ from singular_lq import (
     pencil_is_regular,
     random_weierstrass_spec,
 )
+from singular_lq.dae import _random_orthogonal
 
 
 def test_invertible_a_needs_no_constraints():
@@ -188,3 +189,27 @@ def test_weierstrass_spec_validation():
     with pytest.raises(ValueError):
         WeierstrassSpec(W=np.eye(1), Nnil=np.zeros((3, 3)), nu=0,
                         E=np.eye(2), F=np.eye(4))
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=AssertionError,
+    reason="at the default tol the chain refines past the finite part of this "
+    "index-59 system: 87 steps to dimension 0 (ROADMAP open item 4, DAE "
+    "overshoot)",
+)
+def test_deep_weierstrass_chain_stops_at_index_plus_one():
+    # Item 67 of the perfbench dae-chains stream at seed 1: the shapes come
+    # from a fixed generator, the hiding transforms E and F from the seed.
+    structure = np.random.default_rng(20121)
+    rng = np.random.default_rng(np.random.SeedSequence([1, 4]))
+    for _ in range(68):
+        shape = random_weierstrass_spec(structure, d_max=30, q_max=60, nu_max=59)
+        size = shape.d + shape.q
+        E, F = _random_orthogonal(size, rng), _random_orthogonal(size, rng)
+    spec = WeierstrassSpec(W=shape.W, Nnil=shape.Nnil, nu=shape.nu, E=E, F=F)
+    if (spec.nu, spec.d) != (59, 27):
+        pytest.fail("the seeded stream no longer yields the index-59 system")
+    chain, steps = dae_constraint_chain(build_weierstrass(spec))
+    assert steps == spec.nu + 1
+    assert chain[-1].shape[1] == spec.d

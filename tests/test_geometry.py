@@ -14,7 +14,8 @@ from singular_lq import (
     perturb,
 )
 from singular_lq.experiments import _symmetric_noise
-from singular_lq.geometry import _spectral_norm
+import singular_lq.geometry as geometry
+from singular_lq.geometry import _complement, _spectral_norm
 
 
 def _random_subspace(rng, ambient, dim):
@@ -106,6 +107,49 @@ def test_angle_equals_angle_between_complements(side, branch, data):
     u_perp, v_perp = Subspace(frame[:, d:]), Subspace(moved[:, d:])
     assert abs(max_principal_angle(u, v) - top) <= 1e-14
     assert abs(max_principal_angle(u_perp, v_perp) - top) <= 1e-14
+
+
+# (ambient, dim, QR modes): the complement is the smaller side (a sketch
+# orthonormalised twice) or the larger one (one complete QR); dim 0 and a
+# full basis are the edges.
+_COMPLEMENT_CASES = [
+    (9, 7, ["reduced", "reduced"]),
+    (8, 4, ["reduced", "reduced"]),
+    (9, 2, ["complete"]),
+    (6, 0, ["complete"]),
+    (6, 6, []),
+]
+
+
+@pytest.mark.parametrize("ambient, dim, modes", _COMPLEMENT_CASES)
+def test_complement_is_an_orthonormal_basis_of_the_rest(monkeypatch, ambient, dim, modes):
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a complement of known dimension needs no SVD")
+
+    qr = np.linalg.qr
+    used = []
+
+    def recording_qr(a, mode="reduced"):
+        used.append(mode)
+        return qr(a, mode=mode)
+
+    basis = np.linalg.qr(np.random.default_rng(ambient + dim).standard_normal((ambient, dim)))[0]
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    monkeypatch.setattr(np.linalg, "qr", recording_qr)
+    rest = _complement(basis)
+    assert used == modes
+    assert rest.shape == (ambient, ambient - dim)
+    assert np.abs(rest.T @ rest - np.eye(ambient - dim)).max(initial=0.0) <= 1e-14
+    assert np.abs(basis.T @ rest).max(initial=0.0) <= 1e-14
+
+
+def test_complement_falls_back_to_a_complete_qr(monkeypatch):
+    # A sketch whose R factor spreads too far is replaced by the complete QR.
+    basis = np.linalg.qr(np.random.default_rng(3).standard_normal((9, 6)))[0]
+    monkeypatch.setattr(geometry, "_SKETCH_SPREAD", 1.0)
+    rest = _complement(basis)
+    expected = np.linalg.qr(basis, mode="complete")[0][:, 6:]
+    assert np.array_equal(rest, expected)
 
 
 def test_subspace_validation():
