@@ -40,12 +40,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .geometry import _complement
-from .problem import ConstraintBlock, LQProblem, _derivative, primary_constraint
+from .problem import ConstraintMatrix, LQProblem, _derivative, primary_constraint
 
 __all__ = [
     "FEEDBACK",
     "STAGNATION",
-    "ConstraintMatrix",
     "SvdSplit",
     "PartialFeedback",
     "AlgorithmResult",
@@ -54,6 +53,7 @@ __all__ = [
     "step",
     "independent_rows",
     "run",
+    "regular_feedback",
     "final_submanifold",
     "feedback_rate_map",
 ]
@@ -68,31 +68,6 @@ STAGNATION = "stagnation"
 # factor update (timed crossover for one-row blocks: c = 24, 12, 8-12 and
 # 6-8 at widths 61, 241, 606 and 1201, all near (c + 1)^2 w = 4e4).
 _FACTOR_FLOPS = 4e4
-
-
-@dataclass(frozen=True)
-class ConstraintMatrix:
-    """Stacked constraint rows over (x, p, u), shape (c, 2n + m)."""
-
-    rows: np.ndarray
-    n: int
-    m: int
-
-    @property
-    def width(self) -> int:
-        return 2 * self.n + self.m
-
-    @property
-    def sigma_part(self) -> np.ndarray:
-        return self.rows[:, : self.n]
-
-    @property
-    def beta_part(self) -> np.ndarray:
-        return self.rows[:, self.n : 2 * self.n]
-
-    @property
-    def rho_part(self) -> np.ndarray:
-        return self.rows[:, 2 * self.n :]
 
 
 @dataclass(frozen=True)
@@ -136,7 +111,8 @@ class AlgorithmResult:
     an empty new block) or STAGNATION (new rows added no rank: gauge
     directions remain). rank_history holds one (rank rho, rank phi) pair per
     generated level; selectors the u_bottom factor of each executed
-    split; blocks the raw per-level rows before independence filtering.
+    split; blocks the raw per-level rows before independence filtering,
+    blocks[k - 1] at level k.
     carried_basis is the Q factor of phi' that the row filter carried to
     the last level, None when phi stayed too small to carry one.
     """
@@ -148,7 +124,7 @@ class AlgorithmResult:
     rank_history: list[tuple[int, int]] = field(default_factory=list)
     partial_feedback: list[PartialFeedback] = field(default_factory=list)
     selectors: list[np.ndarray] = field(default_factory=list)
-    blocks: list[ConstraintBlock] = field(default_factory=list)
+    blocks: list[ConstraintMatrix] = field(default_factory=list)
     tol: float = 1e-6
     carried_basis: np.ndarray | None = None
 
@@ -210,7 +186,7 @@ def svd_split(rho, tol: float, relative: bool = True) -> SvdSplit:
     )
 
 
-def step(block: ConstraintBlock, split: SvdSplit, problem: LQProblem) -> ConstraintBlock:
+def step(block: ConstraintMatrix, split: SvdSplit, problem: LQProblem) -> ConstraintMatrix:
     """Propagate the undetermined rows of a block one level.
 
     sigma_next = Ub (sigma A + beta Q), beta_next = Ub (-beta A'),
@@ -220,8 +196,8 @@ def step(block: ConstraintBlock, split: SvdSplit, problem: LQProblem) -> Constra
     """
     if split.u_bottom.shape[0] == 0:
         raise ValueError("rho has full row rank at this tolerance; nothing to propagate")
-    part = _derivative(block.sigma, block.beta, problem)
-    return ConstraintBlock(*(split.u_bottom @ d for d in part), level=block.level + 1)
+    part = _derivative(block, problem)
+    return ConstraintMatrix(np.hstack([split.u_bottom @ d for d in part]), problem.n, problem.m)
 
 
 def _row_factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -383,7 +359,7 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     block = primary_constraint(problem)
     blocks = [block]
     l = block.rho.shape[0]
-    phi, phi_rank, factor = _independent_rows_array(block.stacked(), tol)
+    phi, phi_rank, factor = _independent_rows_array(block.rows, tol)
     split = svd_split(block.rho, tol, relative=False)
     p = 0
     k = 1
@@ -394,10 +370,10 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     while True:
         # The level's derivative, split by U': its u_top rows determine part
         # of udot, its u_bottom rows are the next constraint block.
-        part = _derivative(block.sigma, block.beta, problem)
+        part = _derivative(block, problem)
         if split.rank >= 1:
             feedbacks.append(PartialFeedback(
-                level=block.level,
+                level=len(blocks),
                 rate=split.u_top @ block.rho,
                 drift=np.hstack([split.u_top @ d for d in part]),
             ))
@@ -416,11 +392,12 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
             halt = FEEDBACK
             break
         selectors.append(split.u_bottom)
-        block = ConstraintBlock(*(split.u_bottom @ d for d in part), level=block.level + 1)
+        # One product per part, as in the drift: a single u_bottom @
+        # hstack(part) rounds differently in the last bit.
+        rows = np.hstack([split.u_bottom @ d for d in part])
+        block = ConstraintMatrix(rows, problem.n, problem.m)
         blocks.append(block)
-        phi, phi_rank, factor = _independent_rows_array(
-            block.stacked(), tol, phi, phi_rank, factor
-        )
+        phi, phi_rank, factor = _independent_rows_array(rows, tol, phi, phi_rank, factor)
         split = svd_split(block.rho, tol, relative=False)
         rank_history.append((split.rank, phi_rank))
 
@@ -440,6 +417,23 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
         tol=tol,
         carried_basis=None if factor is None else factor[0],
     )
+
+
+def regular_feedback(problem: LQProblem, rank_tol: float = 1e-12):
+    """Control law u = R^-1 (B'p - N'x) when R is numerically invertible.
+
+    Returns the m x 2n matrix K with u = K [x; p], or None when R is
+    singular at ``rank_tol`` (smallest singular value <= rank_tol times the
+    largest; a zero R is always singular). A None result is the signal to
+    hand the problem to the constraint recursion instead.
+    """
+    if rank_tol <= 0:
+        raise ValueError("rank_tol must be positive")
+    if _svd_rank(problem.R, rank_tol, relative=True)[0] < problem.m:
+        return None
+    rinv_bt = np.linalg.solve(problem.R, problem.B.T)
+    rinv_nt = np.linalg.solve(problem.R, problem.N.T)
+    return np.hstack([-rinv_nt, rinv_bt])
 
 
 def final_submanifold(result: AlgorithmResult, tol: float | None = None) -> np.ndarray:

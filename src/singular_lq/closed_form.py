@@ -10,34 +10,21 @@ routes is a cheap consistency test for any run.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .problem import ConstraintBlock, LQProblem, _derivative, primary_constraint
+from .problem import ConstraintMatrix, LQProblem, _derivative, primary_constraint
 
-__all__ = ["TildeBlock", "tilde_recurrence", "tilde_closed_form", "theorem2_blocks"]
-
-
-@dataclass(frozen=True)
-class TildeBlock:
-    """Unprojected level-k block; sigma_t, beta_t are m x n, rho_t is m x m."""
-
-    sigma_t: np.ndarray
-    beta_t: np.ndarray
-    rho_t: np.ndarray
-    level: int
+__all__ = ["tilde_recurrence", "tilde_closed_form", "theorem2_blocks"]
 
 
-def tilde_recurrence(problem: LQProblem, k_max: int) -> list[TildeBlock]:
-    """Tilde blocks for levels 1..k_max via the recurrence."""
+def tilde_recurrence(problem: LQProblem, k_max: int) -> list[ConstraintMatrix]:
+    """Tilde blocks for levels 1..k_max via the recurrence, level k at index k - 1."""
     if k_max < 1:
         raise ValueError("k_max must be at least 1")
-    first = primary_constraint(problem)
-    out = [TildeBlock(first.sigma, first.beta, first.rho, 1)]
-    for level in range(2, k_max + 1):
-        prev = out[-1]
-        out.append(TildeBlock(*_derivative(prev.sigma_t, prev.beta_t, problem), level))
+    out = [primary_constraint(problem)]
+    for _ in range(1, k_max):
+        rows = np.hstack(_derivative(out[-1], problem))
+        out.append(ConstraintMatrix(rows, problem.n, problem.m))
     return out
 
 
@@ -49,7 +36,7 @@ def _powers(M: np.ndarray, top: int) -> list[np.ndarray]:
     return out
 
 
-def tilde_closed_form(problem: LQProblem, k: int) -> TildeBlock:
+def tilde_closed_form(problem: LQProblem, k: int) -> ConstraintMatrix:
     """Level-k tilde block straight from powers of A.
 
     For j = k - 1 >= 1:
@@ -62,8 +49,7 @@ def tilde_closed_form(problem: LQProblem, k: int) -> TildeBlock:
     if k < 1:
         raise ValueError("k must be at least 1")
     if k == 1:
-        first = primary_constraint(problem)
-        return TildeBlock(first.sigma, first.beta, first.rho, 1)
+        return primary_constraint(problem)
     A, B, Q, N = problem.A, problem.B, problem.Q, problem.N
 
     j = k - 1
@@ -89,12 +75,12 @@ def tilde_closed_form(problem: LQProblem, k: int) -> TildeBlock:
             + (-1.0) ** (j - 1) * bt @ pow_at[j - 1] @ N
             + bt @ acc2 @ B
         )
-    return TildeBlock(sigma, beta, rho, k)
+    return ConstraintMatrix(np.hstack([sigma, beta, rho]), problem.n, problem.m)
 
 
 def theorem2_blocks(
     problem: LQProblem, u_selectors: list[np.ndarray], k: int
-) -> ConstraintBlock:
+) -> ConstraintMatrix:
     """Level-k projected block as selector products applied to tilde blocks.
 
     u_selectors are the recorded u_bottom factors of a run, in level
@@ -117,9 +103,4 @@ def theorem2_blocks(
                 f"{proj.shape[0]}-row product; selectors inconsistent with k"
             )
         proj = sel @ proj
-    return ConstraintBlock(
-        sigma=proj @ tilde.sigma_t,
-        beta=proj @ tilde.beta_t,
-        rho=proj @ tilde.rho_t,
-        level=k,
-    )
+    return ConstraintMatrix(proj @ tilde.rows, problem.n, problem.m)

@@ -271,23 +271,6 @@ def _usable(records) -> list[ExperimentRecord]:
     ]
 
 
-def _grouped_fit(records, axis: str):
-    if axis not in ("delta", "n"):
-        raise ValueError("axis must be 'delta' or 'n'")
-    usable = _usable(records)
-    groups: dict[float, list[float]] = {}
-    for r in usable:
-        key = float(getattr(r, axis))
-        if key > 0.0:
-            groups.setdefault(key, []).append(log(r.alpha))
-    points = [(key, exp(np.mean(vals))) for key, vals in sorted(groups.items())]
-    if len(points) < 2:
-        raise ValueError(
-            f"need at least two usable {axis} groups for a slope, got {len(points)}"
-        )
-    return loglog_fit(points)
-
-
 def slope_summary(records, axis: str) -> SlopeSummary:
     """Log-log fit of alpha against ``axis`` ('delta' or 'n').
 
@@ -298,7 +281,19 @@ def slope_summary(records, axis: str) -> SlopeSummary:
     families = {r.family for r in records}
     if len(families) != 1:
         raise ValueError("records must come from a single family")
-    fit = _grouped_fit(records, axis)
+    if axis not in ("delta", "n"):
+        raise ValueError("axis must be 'delta' or 'n'")
+    groups: dict[float, list[float]] = {}
+    for r in _usable(records):
+        key = float(getattr(r, axis))
+        if key > 0.0:
+            groups.setdefault(key, []).append(log(r.alpha))
+    points = [(key, exp(np.mean(vals))) for key, vals in sorted(groups.items())]
+    if len(points) < 2:
+        raise ValueError(
+            f"need at least two usable {axis} groups for a slope, got {len(points)}"
+        )
+    fit = loglog_fit(points)
     return SlopeSummary(
         family=families.pop(),
         axis=axis,
@@ -316,30 +311,31 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def records_to_csv(records) -> str:
-    """Records as CSV text; alpha is a decimal or the literal ``mismatch``."""
+def _csv(header, items, path=None) -> str:
+    """``items`` as CSV text under ``header``, also written to ``path`` if given."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RECORD_HEADER)
-    for r in records:
-        writer.writerow([_fmt(getattr(r, name)) for name in RECORD_HEADER])
+    writer.writerow(header)
+    for item in items:
+        writer.writerow([_fmt(getattr(item, name)) for name in header])
+    if path is not None:
+        with open(path, "w", newline="") as fh:
+            fh.write(buf.getvalue())
     return buf.getvalue()
+
+
+def records_to_csv(records) -> str:
+    """Records as CSV text; alpha is a decimal or the literal ``mismatch``."""
+    return _csv(RECORD_HEADER, records)
 
 
 def write_records_csv(records, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(records_to_csv(records))
+    _csv(RECORD_HEADER, records, path)
 
 
 def slopes_to_csv(summaries) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SLOPE_HEADER)
-    for s in summaries:
-        writer.writerow([_fmt(getattr(s, name)) for name in SLOPE_HEADER])
-    return buf.getvalue()
+    return _csv(SLOPE_HEADER, summaries)
 
 
 def write_slopes_csv(summaries, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write(slopes_to_csv(summaries))
+    _csv(SLOPE_HEADER, summaries, path)

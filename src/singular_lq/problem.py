@@ -15,12 +15,11 @@ import numpy as np
 __all__ = [
     "LQProblem",
     "CostateTriple",
-    "ConstraintBlock",
+    "ConstraintMatrix",
     "validate",
     "hamiltonian",
     "dynamics_rhs",
     "primary_constraint",
-    "regular_feedback",
 ]
 
 
@@ -66,25 +65,33 @@ class CostateTriple:
 
 
 @dataclass(frozen=True)
-class ConstraintBlock:
-    """One level of constraint rows phi = sigma x + beta p + rho u.
+class ConstraintMatrix:
+    """Constraint rows sigma x + beta p + rho u over (x, p, u), shape (c, 2n + m).
 
-    sigma and beta have shape (rows, n), rho has shape (rows, m); level is
-    1 for the primary constraint and grows by one per recursion step.
+    sigma, beta and rho are views of ``rows``: its first n columns, the
+    next n and the last m. One level of the recursion, its unprojected
+    tilde block and the stacked, filtered phi are all of this type.
     """
 
-    sigma: np.ndarray
-    beta: np.ndarray
-    rho: np.ndarray
-    level: int
+    rows: np.ndarray
+    n: int
+    m: int
 
     @property
-    def rows(self) -> int:
-        return self.sigma.shape[0]
+    def width(self) -> int:
+        return 2 * self.n + self.m
 
-    def stacked(self) -> np.ndarray:
-        """The rows as a (rows, 2n + m) matrix [sigma | beta | rho]."""
-        return np.hstack([self.sigma, self.beta, self.rho])
+    @property
+    def sigma(self) -> np.ndarray:
+        return self.rows[:, : self.n]
+
+    @property
+    def beta(self) -> np.ndarray:
+        return self.rows[:, self.n : 2 * self.n]
+
+    @property
+    def rho(self) -> np.ndarray:
+        return self.rows[:, 2 * self.n :]
 
 
 def _check_symmetry(M: np.ndarray, name: str, symmetry_tol: float) -> None:
@@ -164,17 +171,13 @@ def dynamics_rhs(problem: LQProblem, s: CostateTriple) -> tuple[np.ndarray, np.n
     return xdot, pdot
 
 
-def primary_constraint(problem: LQProblem) -> ConstraintBlock:
+def primary_constraint(problem: LQProblem) -> ConstraintMatrix:
     """dH/du = 0 as constraint rows: sigma = -N', beta = B', rho = -R."""
-    return ConstraintBlock(
-        sigma=-problem.N.T.copy(),
-        beta=problem.B.T.copy(),
-        rho=-problem.R.copy(),
-        level=1,
-    )
+    rows = np.hstack([-problem.N.T, problem.B.T, -problem.R])
+    return ConstraintMatrix(rows=rows, n=problem.n, m=problem.m)
 
 
-def _derivative(sigma: np.ndarray, beta: np.ndarray, problem: LQProblem):
+def _derivative(block: ConstraintMatrix, problem: LQProblem):
     """(x, p, u) coefficients of d/dt (sigma x + beta p) along the dynamics.
 
     Returns (sigma A + beta Q, -beta A', sigma B + beta N): one application
@@ -183,22 +186,5 @@ def _derivative(sigma: np.ndarray, beta: np.ndarray, problem: LQProblem):
     caller splits off.
     """
     A, B, Q, N = problem.A, problem.B, problem.Q, problem.N
+    sigma, beta = block.sigma, block.beta
     return sigma @ A + beta @ Q, -beta @ A.T, sigma @ B + beta @ N
-
-
-def regular_feedback(problem: LQProblem, rank_tol: float = 1e-12):
-    """Control law u = R^-1 (B'p - N'x) when R is numerically invertible.
-
-    Returns the m x 2n matrix K with u = K [x; p], or None when R is
-    singular at ``rank_tol`` (smallest singular value <= rank_tol times the
-    largest; a zero R is always singular). A None result is the signal to
-    hand the problem to the constraint recursion instead.
-    """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
-    svals = np.linalg.svd(problem.R, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0 or svals[-1] <= rank_tol * svals[0]:
-        return None
-    rinv_bt = np.linalg.solve(problem.R, problem.B.T)
-    rinv_nt = np.linalg.solve(problem.R, problem.N.T)
-    return np.hstack([-rinv_nt, rinv_bt])

@@ -216,19 +216,19 @@ def test_criterion_6_closed_form_cross_validation():
             scale = max(
                 1.0,
                 *(np.abs(M).max() for M in
-                  (rec.sigma_t, rec.beta_t, rec.rho_t) if M.size),
+                  (rec.sigma, rec.beta, rec.rho) if M.size),
             )
             dev = max(
-                np.abs(closed.sigma_t - rec.sigma_t).max(),
-                np.abs(closed.beta_t - rec.beta_t).max(),
-                np.abs(closed.rho_t - rec.rho_t).max(),
+                np.abs(closed.sigma - rec.sigma).max(),
+                np.abs(closed.beta - rec.beta).max(),
+                np.abs(closed.rho - rec.rho).max(),
             )
             worst_tilde = max(worst_tilde, dev / (1e-12 * scale))
         result = run(problem, tol=1e-9)
         for k, block in enumerate(result.blocks, start=1):
             rebuilt = theorem2_blocks(problem, result.selectors, k)
-            scale = max(1.0, np.abs(block.stacked()).max())
-            dev = np.abs(rebuilt.stacked() - block.stacked()).max()
+            scale = max(1.0, np.abs(block.rows).max())
+            dev = np.abs(rebuilt.rows - block.rows).max()
             worst_block = max(worst_block, dev / (1e-10 * scale))
     ok = worst_tilde <= 1.0 and worst_block <= 1.0
     detail = (
@@ -278,10 +278,10 @@ def _check_constraint_stability(count: int) -> int:
         A, B, Q, N = problem.A, problem.B, problem.Q, problem.N
         n = problem.n
         drift = np.zeros((result.codim, 2 * n + problem.m))
-        drift[:, :n] = result.phi.sigma_part @ A + result.phi.beta_part @ Q
-        drift[:, n:2 * n] = -result.phi.beta_part @ A.T
-        drift[:, 2 * n:] = result.phi.sigma_part @ B + result.phi.beta_part @ N
-        residual = (result.phi.rho_part @ feedback_rate_map(result) + drift) @ basis
+        drift[:, :n] = result.phi.sigma @ A + result.phi.beta @ Q
+        drift[:, n:2 * n] = -result.phi.beta @ A.T
+        drift[:, 2 * n:] = result.phi.sigma @ B + result.phi.beta @ N
+        residual = (result.phi.rho @ feedback_rate_map(result) + drift) @ basis
         scale = max(1.0, np.abs(result.phi.rows).max(),
                     *(np.abs(M).max() for M in (A, B, Q, N)))
         assert np.abs(residual).max() <= 1e-8 * scale

@@ -22,6 +22,7 @@ from singular_lq import (
     max_principal_angle,
     numerical_rank,
     primary_constraint,
+    regular_feedback,
     run,
     step,
     svd_split,
@@ -305,6 +306,28 @@ def test_row_filter_extends_an_orthonormal_factor(gap, tol):
     assert np.abs(upper @ inv_r - np.eye(22)).max() <= 1e-4
 
 
+def test_row_filter_drops_the_factor_when_part_of_a_block_adds_rank():
+    # The projected count certifies 22 of 23 rows, so the greedy pass picks
+    # the rows, keeps block rows 0 and 2, and returns no factor for the
+    # grown phi. The next level rebuilds one from all 23 rows.
+    rng = np.random.default_rng(89)
+    tol = 1e-9
+    phi = rng.standard_normal((20, 100))
+    block = rng.standard_normal((3, 100))
+    block[1] = rng.standard_normal(20) @ phi
+    stacked = np.vstack([phi, block])
+    assert _projected_rank(block, tol, stacked, 20, _row_factor(phi)) == (22, None)
+    rows, rank, factor = _independent_rows_array(block, tol, phi, 20, _row_factor(phi))
+    assert rank == 22
+    assert np.array_equal(rows, stacked[[*range(20), 20, 22]])
+    assert factor is None
+    following = rng.standard_normal((1, 100))
+    rows, rank, (basis, _) = _independent_rows_array(following, tol, rows, rank, factor)
+    assert rank == 23 and basis.shape == (100, 23)
+    assert np.abs(basis.T @ basis - np.eye(23)).max() <= 1e-14
+    assert np.abs(rows - (rows @ basis) @ basis.T).max() <= 1e-12 * np.abs(rows).max()
+
+
 def _replayed_runs():
     """Seeded small problems at three tolerances, then family cells at n <= 60."""
     rng = np.random.default_rng(79)
@@ -338,7 +361,7 @@ def test_row_filter_replays_the_stacked_rank_decisions(monkeypatch):
     for result in _replayed_runs():
         history = result.rank_history
         for j in range(1, len(history)):
-            stacked = np.vstack([result.phi.rows[: history[j - 1][1]], result.blocks[j].stacked()])
+            stacked = np.vstack([result.phi.rows[: history[j - 1][1]], result.blocks[j].rows])
             assert _svd_rank(stacked, result.tol)[0] == history[j][1]
             levels += 1
         basis = result.row_basis
@@ -412,7 +435,25 @@ def test_run_regular_r_is_single_step():
     result = run(problem, tol=1e-6)
     assert result.steps == 1
     assert result.halt_reason == FEEDBACK
-    assert np.array_equal(result.phi.rows, primary_constraint(problem).stacked())
+    assert np.array_equal(result.phi.rows, primary_constraint(problem).rows)
+
+
+def test_regular_feedback_decides_the_rank_of_r_in_the_shared_helper(monkeypatch):
+    # One relative-rank call per verdict, agreeing with s_min <= tol * s_max
+    # on both sides of the cut; a zero R reads as rank 0.
+    calls = []
+
+    def spy(M, tol, relative=False, full=False):
+        calls.append(relative)
+        return _svd_rank(M, tol, relative, full)
+
+    monkeypatch.setattr("singular_lq.algorithm._svd_rank", spy)
+    eye = np.eye(2)
+    for small in (0.0, 1e-13, 1e-11, 1e-7, 1e-5, 1.0):
+        problem = validate(eye, eye, eye, np.zeros((2, 2)), np.diag([3.0, 3.0 * small]))
+        for rank_tol in (1e-12, 1e-6):
+            assert (regular_feedback(problem, rank_tol) is None) == (small <= rank_tol)
+    assert calls == [True] * 12
 
 
 def test_run_no_effective_constraints():
@@ -443,22 +484,20 @@ def test_run_splits_one_derivative_per_level():
         for pf in result.partial_feedback:
             block = result.blocks[pf.level - 1]
             split = svd_split(block.rho, tol, relative=False)
-            part = _derivative(block.sigma, block.beta, problem)
+            part = _derivative(block, problem)
             assert np.array_equal(pf.rate, split.u_top @ block.rho)
             assert np.array_equal(pf.drift, np.hstack([split.u_top @ d for d in part]))
             checked += 1
         for block, following in zip(result.blocks, result.blocks[1:]):
             expected = step(block, svd_split(block.rho, tol, relative=False), problem)
-            assert np.array_equal(following.stacked(), expected.stacked())
+            assert np.array_equal(following.rows, expected.rows)
     assert checked >= 30
 
 
 def _manual_trace(problem, tol):
     """The loop replayed through the public pieces, there is no shortcut."""
     block = primary_constraint(problem)
-    phi = independent_rows(
-        ConstraintMatrix(rows=block.stacked(), n=problem.n, m=problem.m), tol
-    )
+    phi = independent_rows(block, tol)
     history = [(
         numerical_rank(block.rho, tol, relative=False),
         numerical_rank(phi.rows, tol, relative=False),
@@ -473,7 +512,7 @@ def _manual_trace(problem, tol):
             break
         block = step(block, split, problem)
         phi = independent_rows(
-            ConstraintMatrix(rows=np.vstack([phi.rows, block.stacked()]),
+            ConstraintMatrix(rows=np.vstack([phi.rows, block.rows]),
                              n=problem.n, m=problem.m), tol,
         )
         history.append((
@@ -547,11 +586,11 @@ def test_run_constraint_stability_on_kernel():
         A, B, Q, N = problem.A, problem.B, problem.Q, problem.N
         n, m = problem.n, problem.m
         drift = np.zeros((result.codim, 2 * n + m))
-        drift[:, :n] = result.phi.sigma_part @ A + result.phi.beta_part @ Q
-        drift[:, n:2 * n] = -result.phi.beta_part @ A.T
-        drift[:, 2 * n:] = result.phi.sigma_part @ B + result.phi.beta_part @ N
+        drift[:, :n] = result.phi.sigma @ A + result.phi.beta @ Q
+        drift[:, n:2 * n] = -result.phi.beta @ A.T
+        drift[:, 2 * n:] = result.phi.sigma @ B + result.phi.beta @ N
         L = feedback_rate_map(result)
-        residual = (result.phi.rho_part @ L + drift) @ basis
+        residual = (result.phi.rho @ L + drift) @ basis
         scale = max(1.0, np.abs(result.phi.rows).max(),
                     *(np.abs(M).max() for M in (A, B, Q, N)))
         assert np.abs(residual).max() <= 1e-8 * scale

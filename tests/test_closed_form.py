@@ -27,7 +27,7 @@ def _uniform_problem(rng, n_max=4, m_max=4):
 def _block_scale(*blocks):
     vals = [1.0]
     for b in blocks:
-        for M in (b.sigma_t, b.beta_t, b.rho_t):
+        for M in (b.sigma, b.beta, b.rho):
             if M.size:
                 vals.append(np.abs(M).max())
     return max(vals)
@@ -37,16 +37,15 @@ def test_level_one_is_primary_block():
     rng = np.random.default_rng(3)
     problem = _uniform_problem(rng)
     for tilde in (tilde_closed_form(problem, 1), tilde_recurrence(problem, 1)[0]):
-        assert np.array_equal(tilde.sigma_t, -problem.N.T)
-        assert np.array_equal(tilde.beta_t, problem.B.T)
-        assert np.array_equal(tilde.rho_t, -problem.R)
-        assert tilde.level == 1
+        assert np.array_equal(tilde.sigma, -problem.N.T)
+        assert np.array_equal(tilde.beta, problem.B.T)
+        assert np.array_equal(tilde.rho, -problem.R)
 
 
 def test_recurrence_levels_and_validation():
     problem = gen_experiment2(3)
     blocks = tilde_recurrence(problem, 5)
-    assert [b.level for b in blocks] == [1, 2, 3, 4, 5]
+    assert len(blocks) == 5
     with pytest.raises(ValueError):
         tilde_recurrence(problem, 0)
     with pytest.raises(ValueError):
@@ -57,8 +56,8 @@ def test_level_two_rho_commutator_form():
     rng = np.random.default_rng(7)
     problem = _uniform_problem(rng)
     expected = -problem.N.T @ problem.B + problem.B.T @ problem.N
-    assert np.allclose(tilde_closed_form(problem, 2).rho_t, expected, atol=1e-15)
-    assert np.allclose(tilde_recurrence(problem, 2)[1].rho_t, expected, atol=1e-15)
+    assert np.allclose(tilde_closed_form(problem, 2).rho, expected, atol=1e-15)
+    assert np.allclose(tilde_recurrence(problem, 2)[1].rho, expected, atol=1e-15)
 
 
 def test_zero_drift_kills_beta_beyond_level_one():
@@ -69,7 +68,7 @@ def test_zero_drift_kills_beta_beyond_level_one():
         rng.uniform(-1, 1, (n, m)), np.zeros((m, m)),
     )
     for k in (2, 3, 4):
-        assert np.array_equal(tilde_closed_form(problem, k).beta_t, np.zeros((m, n)))
+        assert np.array_equal(tilde_closed_form(problem, k).beta, np.zeros((m, n)))
 
 
 def test_recurrence_matches_closed_form():
@@ -82,9 +81,9 @@ def test_recurrence_matches_closed_form():
             closed = tilde_closed_form(problem, k)
             rec = blocks[k - 1]
             scale = _block_scale(closed, rec)
-            assert np.abs(closed.sigma_t - rec.sigma_t).max() <= 1e-12 * scale
-            assert np.abs(closed.beta_t - rec.beta_t).max() <= 1e-12 * scale
-            assert np.abs(closed.rho_t - rec.rho_t).max() <= 1e-12 * scale
+            assert np.abs(closed.sigma - rec.sigma).max() <= 1e-12 * scale
+            assert np.abs(closed.beta - rec.beta).max() <= 1e-12 * scale
+            assert np.abs(closed.rho - rec.rho).max() <= 1e-12 * scale
 
 
 def test_experiment3_tilde_blocks_are_antisymmetric_pair():
@@ -98,11 +97,11 @@ def test_experiment3_tilde_blocks_are_antisymmetric_pair():
         if k:
             power = power @ at
         expected_beta = (-1.0) ** k * problem.B.T @ power
-        assert np.array_equal(block.beta_t, expected_beta)
-        assert np.array_equal(block.sigma_t, -block.beta_t)
+        assert np.array_equal(block.beta, expected_beta)
+        assert np.array_equal(block.sigma, -block.beta)
         if k:
-            assert np.array_equal(block.rho_t, np.zeros((1, 1)))
-    assert np.array_equal(tilde_recurrence(problem, n + 2)[-1].beta_t, np.zeros((1, n)))
+            assert np.array_equal(block.rho, np.zeros((1, 1)))
+    assert np.array_equal(tilde_recurrence(problem, n + 2)[-1].beta, np.zeros((1, n)))
 
 
 def test_identity_drift_level_three_rho():
@@ -116,7 +115,7 @@ def test_identity_drift_level_three_rho():
     Q = (Q + Q.T) / 2.0
     problem = validate(np.eye(n), B, Q, B @ V, np.zeros((m, m)))
     expected = B.T @ Q @ B - 2.0 * V
-    assert np.allclose(tilde_closed_form(problem, 3).rho_t, expected, atol=1e-12)
+    assert np.allclose(tilde_closed_form(problem, 3).rho, expected, atol=1e-12)
 
 
 def test_closed_form_perturbation_is_first_order():
@@ -129,7 +128,7 @@ def test_closed_form_perturbation_is_first_order():
             base.B, base.Q, base.N, base.R,
         )
         devs.append(np.abs(
-            tilde_closed_form(problem, 4).rho_t - tilde_closed_form(base, 4).rho_t
+            tilde_closed_form(problem, 4).rho - tilde_closed_form(base, 4).rho
         ).max())
     slopes = np.diff(np.log(devs)) / np.diff(np.log(deltas))
     assert all(0.8 <= s <= 1.2 for s in slopes)
@@ -138,7 +137,7 @@ def test_closed_form_perturbation_is_first_order():
 def test_theorem2_level_one_needs_no_selectors():
     problem = gen_experiment2(3)
     block = theorem2_blocks(problem, [], 1)
-    assert np.array_equal(block.stacked(),
+    assert np.array_equal(block.rows,
                           np.hstack([-problem.N.T, problem.B.T, -problem.R]))
 
 
@@ -150,9 +149,8 @@ def test_theorem2_matches_run_blocks():
         result = run(problem, tol=1e-9)
         for k, block in enumerate(result.blocks, start=1):
             rebuilt = theorem2_blocks(problem, result.selectors, k)
-            scale = max(1.0, np.abs(block.stacked()).max())
-            assert np.abs(rebuilt.stacked() - block.stacked()).max() <= 1e-10 * scale
-            assert rebuilt.level == k
+            scale = max(1.0, np.abs(block.rows).max())
+            assert np.abs(rebuilt.rows - block.rows).max() <= 1e-10 * scale
 
 
 def test_theorem2_selector_validation():

@@ -183,7 +183,6 @@ def test_primary_constraint_blocks():
     r = np.diag([2.0, 0.0, 0.0])
     problem = validate(rng.uniform(-1, 1, (3, 3)), b_raw, np.eye(3), b_raw @ v, r)
     block = primary_constraint(problem)
-    assert block.level == 1
     assert np.array_equal(block.sigma, -(b_raw @ v).T)
     assert np.array_equal(block.beta, b_raw.T)
     assert np.array_equal(block.rho, -r)
