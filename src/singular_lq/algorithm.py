@@ -23,10 +23,10 @@ rank-deficient while its norm stays below tol). :func:`numerical_rank` and
 decision, here and in the DAE chain, is one SVD whose singular values are
 counted against the cut in one place, ``_svd_rank``. Once phi is large
 enough that its stacked SVD costs more than a projection, the row filter
-carries a QR factor of phi's rows from level to level and ranks each new
-block projected off that factor's basis, from the SVD of one small R
-factor; the stacked SVD of [phi; block] decides instead whenever a
-derived bound cannot certify that both give the same rank.
+grows phi's rows and a QR factor of them in place from level to level and
+ranks each new block projected off its basis, from one small R factor (a
+scalar, with no LAPACK call, for a one-row block); the stacked SVD of [phi;
+block] decides instead whenever a derived bound cannot certify the rank.
 Bases that decide no rank are not SVDs: the row filter leaves phi with
 full row rank at the run's tolerance, so the final submanifold there is
 the orthogonal complement of phi's row basis (``row_basis``), from QR
@@ -35,6 +35,7 @@ alone.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -63,10 +64,10 @@ STAGNATION = "stagnation"
 
 # While (c + k)^2 w (c kept rows and k block rows of width w, about the
 # flops of the stacked SVD) stays below this, the row filter ranks a block
-# by the stacked SVD and carries no factor: one SVD of [kept; block] then
-# costs less than the projected path's fixed ~0.1 ms of QRs, small SVD and
-# factor update (timed crossover for one-row blocks: c = 24, 12, 8-12 and
-# 6-8 at widths 61, 241, 606 and 1201, all near (c + 1)^2 w = 4e4).
+# by the stacked SVD and carries no factor. A projected one-row level costs
+# less from about c = 5, 3, 2 and 1 at widths 61, 241, 606 and 1201, but the
+# factor's first QR (~0.25 ms) pays back only over many levels (below 1.1e4
+# family 2's last one-row level would pay it); 1.2e4 to 4e4 timed alike.
 _FACTOR_FLOPS = 4e4
 
 
@@ -200,25 +201,46 @@ def step(block: ConstraintMatrix, split: SvdSplit, problem: LQProblem) -> Constr
     return ConstraintMatrix(np.hstack([split.u_bottom @ d for d in part]), problem.n, problem.m)
 
 
-def _row_factor(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Q, R^-1) of the thin QR rows' = Q R of full-row-rank rows."""
-    q, upper = np.linalg.qr(rows.T)
-    return q, np.linalg.inv(upper)
+class _RowFactor:
+    """Rows of full row rank with Q' and R^-1 of their thin QR rows' = Q R.
+
+    ``rows``, ``qt`` and ``inv_r`` are views of buffers whose capacity at
+    least doubles (up to the width) when full, so appending k rows writes
+    only them and k new columns of Q and R^-1. The rows' and R^-1's squared
+    Frobenius norms are carried along, so the certificate re-reads neither.
+    """
+
+    def __init__(self, rows: np.ndarray):
+        # Adopted, not copied: the buffers start full, so extend never writes them.
+        q, upper = np.linalg.qr(rows.T)
+        self.rows, self.qt, self.inv_r = self._rows, self._qt, self._inv_r = rows, q.T, np.linalg.inv(upper)
+        self.sq_norm, self.inv_sq_norm = float(np.vdot(rows, rows)), float(np.vdot(self.inv_r, self.inv_r))
+
+    def extend(self, rows: np.ndarray, qt: np.ndarray, off: np.ndarray, tail: np.ndarray) -> None:
+        """Append rows whose Q' rows are qt; R^-1 gains the columns [off; tail]."""
+        c, (k, width) = self.rows.shape[0], rows.shape
+        if c + k > self._rows.shape[0]:
+            cap = min(max(c + k, 2 * self._rows.shape[0]), width)  # full row rank: c + k <= w
+            grown = np.empty((cap, width)), np.empty((cap, width)), np.zeros((cap, cap))
+            grown[0][:c], grown[1][:c], grown[2][:c, :c] = self.rows, self.qt, self.inv_r
+            self._rows, self._qt, self._inv_r = grown
+        self._rows[c : c + k], self._qt[c : c + k] = rows, qt
+        self._inv_r[:c, c : c + k], self._inv_r[c : c + k, c : c + k] = off, tail
+        self.rows, self.qt, self.inv_r = self._rows[: c + k], self._qt[: c + k], self._inv_r[: c + k, : c + k]
+        self.sq_norm += float(np.vdot(rows, rows))
+        self.inv_sq_norm += float(np.vdot(off, off) + np.vdot(tail, tail))
 
 
-def _projected_rank(
-    M: np.ndarray,
-    tol: float,
-    stacked: np.ndarray,
-    kept_rank: int,
-    factor: tuple[np.ndarray, np.ndarray],
-) -> tuple[int | None, tuple[np.ndarray, np.ndarray] | None]:
+def _projected_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int | None:
     """Rank of stacked = [kept; M] certified from M projected off kept's rows.
 
-    ``factor`` is (Q, R^-1) with kept' = Q R, kept of full row rank c =
-    ``kept_rank``. P is M projected off Q twice (classical Gram-Schmidt
-    with reorthogonalisation); one thin QR of P' gives its singular values
-    s_j, from its R factor, and a = #{s_j > tol}. The count c + a is the
+    ``factor`` holds kept, of full row rank c, with Q' and R^-1 of kept' =
+    Q R. P is M projected off Q twice (classical Gram-Schmidt with
+    reorthogonalisation); the R factor of a thin QR of P' gives its
+    singular values s_j, and a = #{s_j > tol}. A one-row P needs no
+    factorisation: its R is the scalar beta = -sign(p_1) ||P|| that
+    LAPACK's Householder reflector gives (p_1 itself when p_2..p_w are
+    zero), so q = P / beta and s_1 = |beta|. The count c + a is the
     stacked SVD's rank when two bounds clear tol by the SVD's rounding
     slack, e = eps * max(shape) * ||stacked||_F:
 
@@ -226,47 +248,56 @@ def _projected_rank(
     * lower: on the span of Q and P's top a right singular vectors the
       stacked matrix acts as [[R', 0], [U_a' M Q, S_a]], whose inverse
       bounds s_(c+a)(stacked) >= 1 / (||R^-1|| + (1 + ||G||) / s_a), with
-      G = M Q R'^-1 and Frobenius norms for the spectral ones. The carried
-      R^-1 is accurate to about eps * cond(R) <= e ||R^-1|| relative, so
-      its norm enters inflated by that factor.
+      G' = R^-1 (M Q)' and Frobenius norms for the spectral ones. The
+      carried R^-1 is accurate to about eps * cond(R) <= e ||R^-1||
+      relative, so its norm enters inflated by that factor.
 
     The lower side is where a projected count alone goes wrong: an
     ill-conditioned kept (large ||R^-1||) or a block with a large
     component along it (large ||G||) pulls the stacked values below P's.
-    Returns (rank, factor of the stacked rows), the factor only when every
-    row of M adds rank, or (None, None) when the bounds do not certify.
+    Returns the rank, and appends M to ``factor`` when every row of M adds
+    rank, or returns None when the bounds do not certify.
     """
-    basis, inv_r = factor
-    coef = M @ basis
-    projected = M - coef @ basis.T
-    projected -= (projected @ basis) @ basis.T
-    q, upper = np.linalg.qr(projected.T)
-    added, s, _, _ = _svd_rank(upper, tol)
-    slack = np.finfo(float).eps * max(stacked.shape) * np.linalg.norm(stacked)
-    inv_norm = np.linalg.norm(inv_r)
+    c, (k, width) = factor.rows.shape[0], M.shape
+    basis_t = factor.qt
+    coef = M @ basis_t.T
+    projected = M - coef @ basis_t
+    projected -= (projected @ basis_t.T) @ basis_t
+    if k == 1:
+        p = projected[0]
+        first, rest = float(p[0]), math.sqrt(p[1:] @ p[1:])
+        beta = first if rest == 0.0 else -math.copysign(math.hypot(first, rest), first)
+        added, s = int(abs(beta) > tol), [abs(beta)]
+    else:
+        q, upper = np.linalg.qr(projected.T)
+        added, s, _, _ = _svd_rank(upper, tol)
+    slack = np.finfo(float).eps * max(c + k, width) * math.sqrt(factor.sq_norm + np.vdot(M, M))
+    inv_norm = math.sqrt(factor.inv_sq_norm)
     inv_low = inv_norm * (1.0 + slack * inv_norm)  # 1 / lower bound of s_(c+a)
     if added:
-        inv_low += (1.0 + np.linalg.norm(coef @ inv_r.T)) / s[added - 1]
-    if (added < s.size and s[added] > tol - slack) or inv_low * (tol + slack) >= 1.0:
-        return None, None
-    if added < M.shape[0]:
-        return kept_rank + added, None
-    # One QR's columns are orthogonal to Q only to about eps ||P|| / s_a.
-    # Projected off Q once more they are orthogonal to it, and orthonormal
-    # up to ||Q' q||^2, so they are orthonormalised again only when that
-    # exceeds eps. Then [kept; M]' = [Q, q] [[R, T], [0, S]] with T = (M Q)'
-    # up to rounding, and the new R^-1 follows blockwise.
-    drift = basis.T @ q
-    q -= basis @ drift
-    if np.vdot(drift, drift) > np.finfo(float).eps:
-        q, again = np.linalg.qr(q)
-        upper = again @ upper
-    tail = np.linalg.inv(upper)
-    grown = np.zeros((kept_rank + added, kept_rank + added))
-    grown[:kept_rank, :kept_rank] = inv_r
-    grown[:kept_rank, kept_rank:] = -(inv_r @ coef.T) @ tail
-    grown[kept_rank:, kept_rank:] = tail
-    return kept_rank + added, (np.hstack([basis, q]), grown)
+        g = factor.inv_r @ coef.T
+        inv_low += (1.0 + math.sqrt(np.vdot(g, g))) / s[added - 1]
+    if (added < len(s) and s[added] > tol - slack) or inv_low * (tol + slack) >= 1.0:
+        return None
+    if added < k:
+        return c + added
+    if k == 1:
+        # q = P / beta is orthogonal to Q to about eps, since s_1 = ||P||.
+        q, tail = projected / beta, np.array([[1.0 / beta]])
+    else:
+        # One QR's columns are orthogonal to Q only to about eps ||P|| / s_a.
+        # Projected off Q once more they are orthogonal to it, and orthonormal
+        # up to ||Q' q||^2, so they are orthonormalised again only when that
+        # exceeds eps. Then [kept; M]' = [Q, q] [[R, T], [0, S]] with
+        # T = (M Q)' up to rounding, and the new R^-1 follows blockwise.
+        drift = basis_t @ q
+        q -= basis_t.T @ drift
+        if np.vdot(drift, drift) > np.finfo(float).eps:
+            q, again = np.linalg.qr(q)
+            upper = again @ upper
+        q, tail = q.T, np.linalg.inv(upper)
+    factor.extend(M, q, -g @ tail, tail)
+    return c + k
 
 
 def _independent_rows_array(
@@ -274,8 +305,8 @@ def _independent_rows_array(
     tol: float,
     kept: np.ndarray | None = None,
     kept_rank: int = 0,
-    factor: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[np.ndarray, int, tuple[np.ndarray, np.ndarray] | None]:
+    factor: _RowFactor | None = None,
+) -> tuple[np.ndarray, int, _RowFactor | None]:
     """Greedy top-down row filter at tolerance tol; returns (rows, rank, factor).
 
     Keeps each row iff appending it raises the numerical rank of the rows
@@ -286,30 +317,32 @@ def _independent_rows_array(
     input yields the empty (void) matrix.
 
     The stacked [kept; M] is ranked by its SVD while it is small ((c + k)^2
-    w below ``_FACTOR_FLOPS``). From there on a factor (Q, R^-1) of kept' = Q R
+    w below ``_FACTOR_FLOPS``). From there on a :class:`_RowFactor` of kept
     is carried (built by one QR when missing) and :func:`_projected_rank`
-    certifies the rank from M projected off Q, falling back to the stacked
-    SVD when its bounds come within rounding of tol. Either way the rank
-    is the stacked SVD's. The returned factor, when not None, spans the
-    returned rows; it is None when kept gained rows other than by a
-    certified full-rank block, and is then rebuilt at the next level.
+    certifies the rank from M projected off its Q, falling back to the
+    stacked SVD when its bounds come within rounding of tol. Either way the
+    rank is the stacked SVD's. The returned factor, when not None, holds
+    the returned rows as a view; it is None when kept gained rows other
+    than by a certified full-rank block, and is then rebuilt next level.
     """
     if kept is None:
         kept = M[:0]
-    stacked = np.vstack([kept, M])
-    total = extended = None
-    if stacked.shape[0] ** 2 * stacked.shape[1] >= _FACTOR_FLOPS:
+    c, (k, width) = kept.shape[0], M.shape
+    total = None
+    if (c + k) ** 2 * width >= _FACTOR_FLOPS:
         if factor is None:
-            factor = _row_factor(kept)
-        total, extended = _projected_rank(M, tol, stacked, kept_rank, factor)
+            factor = _RowFactor(kept)
+        total = _projected_rank(M, tol, factor)
+        if total == c + k:
+            return factor.rows, total, factor
+    stacked = np.vstack([kept, M])
     if total is None:
         total = _svd_rank(stacked, tol)[0]
-    if total == stacked.shape[0]:
+    if total == c + k:
         # Full row rank: by singular value interlacing every prefix is full
         # rank too, so the greedy pass keeps every row.
-        return stacked, total, extended
-    rows = kept.shape[0]
-    for i in range(M.shape[0]):
+        return stacked, total, None
+    for i in range(k):
         if kept_rank == total:
             # No subset of the rows ranks above the stacked matrix
             # (interlacing again), so no later row can be kept.
@@ -318,15 +351,15 @@ def _independent_rows_array(
         r = _svd_rank(candidate, tol)[0]
         if r > kept_rank:
             kept, kept_rank = candidate, r
-    return kept, kept_rank, factor if kept.shape[0] == rows else None
+    return kept, kept_rank, factor if kept.shape[0] == c else None
 
 
 def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:
     """Filter phi to its greedily selected independent rows (idempotent)."""
     if tol <= 0:
         raise ValueError("tol must be positive")
-    rows, _, _ = _independent_rows_array(np.asarray(phi.rows, dtype=float), tol)
-    return ConstraintMatrix(rows=rows, n=phi.n, m=phi.m)
+    rows, _, factor = _independent_rows_array(np.asarray(phi.rows, dtype=float), tol)
+    return ConstraintMatrix(rows=rows if factor is None else rows.copy(), n=phi.n, m=phi.m)
 
 
 def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
@@ -404,9 +437,9 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     if phi_rank <= p:
         k -= 1
     k = max(k, 1)
-
+    # With a factor, phi is a view of its buffers: keep compact copies.
     return AlgorithmResult(
-        phi=ConstraintMatrix(rows=phi, n=problem.n, m=problem.m),
+        phi=ConstraintMatrix(rows=phi if factor is None else phi.copy(), n=problem.n, m=problem.m),
         steps=k,
         codim=phi.shape[0],
         halt_reason=halt,
@@ -415,7 +448,7 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
         selectors=selectors,
         blocks=blocks,
         tol=tol,
-        carried_basis=None if factor is None else factor[0],
+        carried_basis=None if factor is None else factor.qt.T.copy(),
     )
 
 

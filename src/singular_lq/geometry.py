@@ -107,8 +107,10 @@ def _complement(basis: np.ndarray) -> np.ndarray:
     QR's conditioning can cost); the output is the same for the same
     input. If either QR's R factor looks ill-conditioned (its diagonal
     spreads over more than ``_SKETCH_SPREAD``), or the complement is the
-    larger side, the trailing columns of a complete QR of the basis are
-    returned instead.
+    larger side, the trailing D - d columns of a complete QR's Q are built
+    from the basis's Householder reflectors in compact WY form, Q = I -
+    V T V' with T^-1 = striu(V'V) + diag(1 / tau) (Schreiber & Van Loan
+    1989); a reflector with tau = 0 is I and drops out.
     """
     ambient, dim = basis.shape
     if dim == ambient:
@@ -123,7 +125,10 @@ def _complement(basis: np.ndarray) -> np.ndarray:
                 break
         else:
             return sketch
-    return np.linalg.qr(basis, mode="complete")[0][:, dim:]
+    h, tau = np.linalg.qr(basis, mode="raw")
+    v = (np.tril(h.T, -1) + np.eye(ambient, dim))[:, tau != 0.0]
+    t_inv = np.triu(v.T @ v, 1) + np.diag(1.0 / tau[tau != 0.0])
+    return np.eye(ambient, ambient - dim, -dim) - v @ np.linalg.solve(t_inv, v[dim:].T)
 
 
 def _spectral_norm(M: np.ndarray) -> float:
@@ -154,7 +159,8 @@ def perturb(M, delta: float, rng) -> np.ndarray:
         direction = rng.standard_normal(M.shape)
         norm = _spectral_norm(direction)
     magnitude = rng.uniform(0.0, delta)
-    return M + direction * (magnitude / norm)
+    direction *= magnitude / norm
+    return np.add(direction, M, out=direction)
 
 
 class LogLogFit(NamedTuple):

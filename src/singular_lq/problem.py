@@ -95,8 +95,9 @@ class ConstraintMatrix:
 
 
 def _check_symmetry(M: np.ndarray, name: str, symmetry_tol: float) -> None:
-    dev = np.abs(M - M.T).max() if M.size else 0.0
-    scale = max(1.0, np.abs(M).max() if M.size else 0.0)
+    diff = M - M.T  # the only full-size temporary
+    dev = np.abs(diff, out=diff).max(initial=0.0)
+    scale = max(1.0, M.max(initial=0.0), -M.min(initial=0.0))
     if dev > symmetry_tol * scale:
         raise ValueError(
             f"{name} is not symmetric: max |{name} - {name}'| = {dev:.3e} "

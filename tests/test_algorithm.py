@@ -31,8 +31,8 @@ from singular_lq import (
 from singular_lq.algorithm import (
     _independent_rows_array,
     _null_basis,
+    _RowFactor,
     _projected_rank,
-    _row_factor,
     _svd_rank,
 )
 from singular_lq.experiments import _cell_rng, _exact_problem, _perturbed_problem
@@ -266,7 +266,7 @@ def test_projected_rank_declines_when_the_stacked_rank_differs(phi, block):
     assert _svd_rank(stacked, 1e-6)[0] == 2
     projected = block - (block @ np.eye(3)[:, :2]) @ np.eye(3)[:2]
     assert 2 + _svd_rank(projected, 1e-6)[0] == 3
-    assert _projected_rank(block, 1e-6, stacked, 2, _row_factor(phi)) == (None, None)
+    assert _projected_rank(block, 1e-6, _RowFactor(phi)) is None
 
 
 def test_row_filter_falls_back_to_the_stacked_rank():
@@ -278,8 +278,8 @@ def test_row_filter_falls_back_to_the_stacked_rank():
     phi[19, 19] = 1e-3
     block = np.zeros((1, width))
     block[0, 19:21] = 1e3, 1e-4
-    factor = _row_factor(phi)
-    assert _projected_rank(block, 1e-6, np.vstack([phi, block]), 20, factor) == (None, None)
+    factor = _RowFactor(phi)
+    assert _projected_rank(block, 1e-6, factor) is None
     rows, rank, kept_factor = _independent_rows_array(block, 1e-6, phi, 20, factor)
     assert rank == 20
     assert np.array_equal(rows, phi)
@@ -296,7 +296,8 @@ def test_row_filter_extends_an_orthonormal_factor(gap, tol):
     phi = rng.standard_normal((20, 100))
     first = rng.standard_normal(100)
     block = np.vstack([first, first + gap * rng.standard_normal(100)])
-    rows, rank, (basis, inv_r) = _independent_rows_array(block, tol, phi, 20, _row_factor(phi))
+    rows, rank, factor = _independent_rows_array(block, tol, phi, 20, _RowFactor(phi))
+    basis, inv_r = factor.qt.T, factor.inv_r
     assert rank == 22
     assert np.array_equal(rows, np.vstack([phi, block]))
     assert np.abs(basis.T @ basis - np.eye(22)).max() <= 1e-14
@@ -316,16 +317,73 @@ def test_row_filter_drops_the_factor_when_part_of_a_block_adds_rank():
     block = rng.standard_normal((3, 100))
     block[1] = rng.standard_normal(20) @ phi
     stacked = np.vstack([phi, block])
-    assert _projected_rank(block, tol, stacked, 20, _row_factor(phi)) == (22, None)
-    rows, rank, factor = _independent_rows_array(block, tol, phi, 20, _row_factor(phi))
+    assert _projected_rank(block, tol, _RowFactor(phi)) == 22
+    rows, rank, factor = _independent_rows_array(block, tol, phi, 20, _RowFactor(phi))
     assert rank == 22
     assert np.array_equal(rows, stacked[[*range(20), 20, 22]])
     assert factor is None
     following = rng.standard_normal((1, 100))
-    rows, rank, (basis, _) = _independent_rows_array(following, tol, rows, rank, factor)
+    rows, rank, factor = _independent_rows_array(following, tol, rows, rank, factor)
+    basis = factor.qt.T
     assert rank == 23 and basis.shape == (100, 23)
     assert np.abs(basis.T @ basis - np.eye(23)).max() <= 1e-14
     assert np.abs(rows - (rows @ basis) @ basis.T).max() <= 1e-12 * np.abs(rows).max()
+
+
+def test_grown_factor_spans_phi_and_inverts_its_r(monkeypatch):
+    # Family 3 at n = 100 appends one row a level to a factor first built
+    # at 14 rows, so its buffers grow several times along the way, at least
+    # doubling each time.
+    factors = []
+
+    def spy(M, tol, factor):
+        out = _projected_rank(M, tol, factor)
+        factors.append((factor, factor._rows.shape[0]))
+        return out
+
+    monkeypatch.setattr("singular_lq.algorithm._projected_rank", spy)
+    exact = _exact_problem(3, 100, 0)
+    for problem in (exact, _perturbed_problem(3, exact, 1e-9, _cell_rng(0, 3, 100, 1e-9, 0))):
+        factors.clear()
+        result = run(problem, 1e-6)
+        factor = factors[-1][0]
+        assert all(f is factor for f, _ in factors)
+        assert 3 <= len({capacity for _, capacity in factors}) <= 4
+        basis, rows = result.carried_basis, result.phi.rows
+        assert result.codim == 100 and basis.shape == (201, 100)
+        assert np.abs(basis.T @ basis - np.eye(100)).max() <= 1e-14
+        reference = Subspace(np.linalg.qr(rows.T)[0])
+        assert max_principal_angle(Subspace(basis), reference) <= 1e-12
+        assert np.abs(factor.inv_r @ (basis.T @ rows.T) - np.eye(100)).max() <= 1e-12
+        # The result owns compact copies, not views of the factor's buffers.
+        for array in (basis, rows):
+            assert array.base is None and array.flags.c_contiguous
+        assert np.array_equal(rows, factor.rows) and np.array_equal(basis, factor.qt.T)
+
+
+@pytest.mark.parametrize("gap", [1.0, 1e-12])
+def test_one_row_projected_rank_needs_no_factorisation(monkeypatch, gap):
+    # A row well outside phi's row space extends the factor; one within
+    # 1e-12 of it ranks below tol and leaves the factor as it was.
+    rng = np.random.default_rng(97)
+    phi = rng.standard_normal((20, 100))
+    row = rng.standard_normal(20) @ phi + gap * rng.standard_normal(100)
+    factor = _RowFactor(phi)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a one-row block needs no QR, SVD or inverse")
+
+    for name in ("qr", "svd", "inv"):
+        monkeypatch.setattr(np.linalg, name, forbidden)
+    rank = _projected_rank(row[None, :], 1e-9, factor)
+    monkeypatch.undo()
+    stacked = np.vstack([phi, row])
+    assert rank == _svd_rank(stacked, 1e-9)[0] == factor.rows.shape[0]
+    basis = factor.qt.T
+    assert np.abs(basis.T @ basis - np.eye(rank)).max() <= 1e-14
+    assert np.abs(factor.inv_r @ (basis.T @ factor.rows.T) - np.eye(rank)).max() <= 1e-12
+    assert np.isclose(factor.sq_norm, np.vdot(factor.rows, factor.rows), rtol=1e-14)
+    assert np.isclose(factor.inv_sq_norm, np.vdot(factor.inv_r, factor.inv_r), rtol=1e-14)
 
 
 def _replayed_runs():
@@ -353,7 +411,7 @@ def test_row_filter_replays_the_stacked_rank_decisions(monkeypatch):
 
     def spy(*args):
         out = _projected_rank(*args)
-        projected.append(out[0])
+        projected.append(out)
         return out
 
     monkeypatch.setattr("singular_lq.algorithm._projected_rank", spy)

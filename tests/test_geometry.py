@@ -110,14 +110,15 @@ def test_angle_equals_angle_between_complements(side, branch, data):
 
 
 # (ambient, dim, QR modes): the complement is the smaller side (a sketch
-# orthonormalised twice) or the larger one (one complete QR); dim 0 and a
-# full basis are the edges.
+# orthonormalised twice) or the larger one (the Householder reflectors of
+# one QR); dim 0, dim D - 1 and a full basis are the edges.
 _COMPLEMENT_CASES = [
     (9, 7, ["reduced", "reduced"]),
     (8, 4, ["reduced", "reduced"]),
-    (9, 2, ["complete"]),
-    (6, 0, ["complete"]),
+    (9, 2, ["raw"]),
+    (6, 0, ["raw"]),
     (6, 6, []),
+    (6, 5, ["reduced", "reduced"]),
 ]
 
 
@@ -143,13 +144,36 @@ def test_complement_is_an_orthonormal_basis_of_the_rest(monkeypatch, ambient, di
     assert np.abs(basis.T @ rest).max(initial=0.0) <= 1e-14
 
 
-def test_complement_falls_back_to_a_complete_qr(monkeypatch):
-    # A sketch whose R factor spreads too far is replaced by the complete QR.
-    basis = np.linalg.qr(np.random.default_rng(3).standard_normal((9, 6)))[0]
-    monkeypatch.setattr(geometry, "_SKETCH_SPREAD", 1.0)
+# Coordinate subspaces make Householder reflectors with tau = 0 (H = I).
+_LARGER_SIDE_BASES = [
+    np.linalg.qr(np.random.default_rng(5).standard_normal((9, 2)))[0],
+    np.linalg.qr(np.random.default_rng(7).standard_normal((41, 20)))[0],
+    np.eye(7)[:, [0, 3, 5]],
+    -np.eye(5)[:, :2],
+    np.zeros((6, 0)),
+]
+
+
+@pytest.mark.parametrize("basis", _LARGER_SIDE_BASES)
+def test_complement_of_the_larger_side_is_the_complete_qr(basis):
+    dim = basis.shape[1]
     rest = _complement(basis)
-    expected = np.linalg.qr(basis, mode="complete")[0][:, 6:]
-    assert np.array_equal(rest, expected)
+    expected = np.linalg.qr(basis, mode="complete")[0][:, dim:]
+    assert np.abs(rest - expected).max() <= 1e-14
+
+
+def test_complement_falls_back_to_a_complete_qr(monkeypatch):
+    # A sketch whose R factor spreads too far is replaced by the complete
+    # QR's trailing columns, also at d = D - 1 and for a coordinate subspace.
+    monkeypatch.setattr(geometry, "_SKETCH_SPREAD", 1.0)
+    for basis in (
+        np.linalg.qr(np.random.default_rng(3).standard_normal((9, 6)))[0],
+        np.linalg.qr(np.random.default_rng(3).standard_normal((6, 5)))[0],
+        np.eye(6)[:, :5],
+    ):
+        dim = basis.shape[1]
+        expected = np.linalg.qr(basis, mode="complete")[0][:, dim:]
+        assert np.abs(_complement(basis) - expected).max() <= 1e-14
 
 
 def test_subspace_validation():
