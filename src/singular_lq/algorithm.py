@@ -21,16 +21,15 @@ only an absolute cut reproduces (a perturbed zero R must read as
 rank-deficient while its norm stays below tol). :func:`numerical_rank` and
 :func:`svd_split` expose both rules via the ``relative`` flag. Every rank
 decision, here and in the DAE chain, is one SVD whose singular values are
-counted against the cut in one place, ``_svd_rank``. Once phi is large
-enough that its stacked SVD costs more than a projection, the row filter
-grows phi's rows and a QR factor of them in place from level to level and
-ranks each new block projected off its basis, from one small R factor (a
-scalar, with no LAPACK call, for a one-row block); the stacked SVD of [phi;
-block] decides instead whenever a derived bound cannot certify the rank.
-Bases that decide no rank are not SVDs: the row filter leaves phi with
-full row rank at the run's tolerance, so the final submanifold there is
-the orthogonal complement of phi's row basis (``row_basis``), from QR
-alone.
+counted against the cut in one place, ``_svd_rank``. From the primary
+block on, the row filter carries phi's rows and a QR factor of them, grown
+in place from level to level, and ranks each new block projected off its
+basis, from one small R factor (a scalar, with no LAPACK call, for a
+one-row block); the stacked SVD of [phi; block] decides instead whenever a
+derived bound cannot certify the rank. Bases that decide no rank are not
+SVDs: the row filter leaves phi with full row rank at the run's tolerance,
+so the final submanifold there is the orthogonal complement of phi's
+carried row basis (``row_basis``), from QR alone.
 """
 
 from __future__ import annotations
@@ -61,15 +60,6 @@ __all__ = [
 
 FEEDBACK = "feedback"
 STAGNATION = "stagnation"
-
-# While (c + k)^2 w (c kept rows and k block rows of width w, about the
-# flops of the stacked SVD) stays below this, the row filter ranks a block
-# by the stacked SVD and carries no factor. A projected one-row level costs
-# less from about c = 5, 3, 2 and 1 at widths 61, 241, 606 and 1201, but the
-# factor's first QR (~0.25 ms) pays back only over many levels (below 1.1e4
-# family 2's last one-row level would pay it); 1.2e4 to 4e4 timed alike.
-_FACTOR_FLOPS = 4e4
-
 
 @dataclass(frozen=True)
 class SvdSplit:
@@ -113,31 +103,21 @@ class AlgorithmResult:
     directions remain). rank_history holds one (rank rho, rank phi) pair per
     generated level; selectors the u_bottom factor of each executed
     split; blocks the raw per-level rows before independence filtering,
-    blocks[k - 1] at level k.
-    carried_basis is the Q factor of phi' that the row filter carried to
-    the last level, None when phi stayed too small to carry one.
+    blocks[k - 1] at level k. row_basis is an orthonormal basis of phi's
+    row space, shape (2n + m, codim): the Q factor of phi' that the row
+    filter carried to the last level.
     """
 
     phi: ConstraintMatrix
     steps: int
     codim: int
     halt_reason: str
+    row_basis: np.ndarray
     rank_history: list[tuple[int, int]] = field(default_factory=list)
     partial_feedback: list[PartialFeedback] = field(default_factory=list)
     selectors: list[np.ndarray] = field(default_factory=list)
     blocks: list[ConstraintMatrix] = field(default_factory=list)
     tol: float = 1e-6
-    carried_basis: np.ndarray | None = None
-
-    @property
-    def row_basis(self) -> np.ndarray:
-        """Orthonormal basis of phi's row space, shape (2n + m, codim).
-
-        The carried Q factor when there is one, else one thin QR of phi'.
-        """
-        if self.carried_basis is None:
-            return np.linalg.qr(self.phi.rows.T)[0]
-        return self.carried_basis
 
 
 def _svd_rank(
@@ -165,15 +145,15 @@ def numerical_rank(M, tol: float, relative: bool = True) -> int:
     ``relative=False`` it is ``tol`` itself, matching the rank calls the
     recursion makes. Empty and zero matrices have rank 0.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     return _svd_rank(np.asarray(M, dtype=float), tol, relative)[0]
 
 
 def svd_split(rho, tol: float, relative: bool = True) -> SvdSplit:
     """Full SVD of rho with the left factor split at the numerical rank."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     rho = np.asarray(rho, dtype=float)
     if rho.ndim != 2 or rho.shape[0] < 1:
         raise ValueError(f"rho must be a matrix with at least one row, got shape {rho.shape}")
@@ -211,10 +191,14 @@ class _RowFactor:
     """
 
     def __init__(self, rows: np.ndarray):
-        # Adopted, not copied: the buffers start full, so extend never writes them.
-        q, upper = np.linalg.qr(rows.T)
-        self.rows, self.qt, self.inv_r = self._rows, self._qt, self._inv_r = rows, q.T, np.linalg.inv(upper)
-        self.sq_norm, self.inv_sq_norm = float(np.vdot(rows, rows)), float(np.vdot(self.inv_r, self.inv_r))
+        # Adopted, not copied: the buffers start full, so extend never writes
+        # them. Zero rows need no LAPACK call: their Q' is empty too.
+        qt, inv_r = rows, np.zeros((0, 0))
+        if rows.shape[0]:
+            q, upper = np.linalg.qr(rows.T)
+            qt, inv_r = q.T, np.linalg.inv(upper)
+        self.rows, self.qt, self.inv_r = self._rows, self._qt, self._inv_r = rows, qt, inv_r
+        self.sq_norm, self.inv_sq_norm = float(np.vdot(rows, rows)), float(np.vdot(inv_r, inv_r))
 
     def extend(self, rows: np.ndarray, qt: np.ndarray, off: np.ndarray, tail: np.ndarray) -> None:
         """Append rows whose Q' rows are qt; R^-1 gains the columns [off; tail]."""
@@ -301,47 +285,40 @@ def _projected_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int | None
 
 
 def _independent_rows_array(
-    M: np.ndarray,
-    tol: float,
-    kept: np.ndarray | None = None,
-    kept_rank: int = 0,
-    factor: _RowFactor | None = None,
-) -> tuple[np.ndarray, int, _RowFactor | None]:
-    """Greedy top-down row filter at tolerance tol; returns (rows, rank, factor).
+    M: np.ndarray, tol: float, factor: _RowFactor | None = None
+) -> _RowFactor:
+    """Greedy top-down row filter at tolerance tol; returns the kept rows' factor.
 
     Keeps each row iff appending it raises the numerical rank of the rows
     kept so far, so the kept count always equals the numerical rank of the
-    result. ``kept`` (rank ``kept_rank``) is a previous output of this
-    filter and ``factor`` the one returned with it: the greedy pass over
-    kept would keep every row, so only M's rows are tested. Rank-0 or empty
-    input yields the empty (void) matrix.
+    result. ``factor`` holds a previous output of this filter (none: zero
+    rows): the greedy pass over its rows would keep every one, so only M's
+    rows are tested. Rank-0 or empty input yields the empty (void) matrix.
 
-    The stacked [kept; M] is ranked by its SVD while it is small ((c + k)^2
-    w below ``_FACTOR_FLOPS``). From there on a :class:`_RowFactor` of kept
-    is carried (built by one QR when missing) and :func:`_projected_rank`
-    certifies the rank from M projected off its Q, falling back to the
-    stacked SVD when its bounds come within rounding of tol. Either way the
-    rank is the stacked SVD's. The returned factor, when not None, holds
-    the returned rows as a view; it is None when kept gained rows other
-    than by a certified full-rank block, and is then rebuilt next level.
+    :func:`_projected_rank` certifies the rank of the stacked [kept; M] from
+    M projected off the factor's Q, and the stacked SVD decides when its
+    bounds come within rounding of tol; either way the rank is the stacked
+    SVD's. A full-rank block extends the factor in place, or rebuilds it by
+    one QR after the SVD decided. A partial block takes the greedy pass,
+    and the factor is rebuilt only when that pass keeps rows. The returned
+    factor's rows are views of its buffers.
     """
-    if kept is None:
-        kept = M[:0]
-    c, (k, width) = kept.shape[0], M.shape
-    total = None
-    if (c + k) ** 2 * width >= _FACTOR_FLOPS:
-        if factor is None:
-            factor = _RowFactor(kept)
-        total = _projected_rank(M, tol, factor)
-        if total == c + k:
-            return factor.rows, total, factor
-    stacked = np.vstack([kept, M])
+    if factor is None:
+        factor = _RowFactor(M[:0])
+    c, k = factor.rows.shape[0], M.shape[0]
+    if k == 0:
+        return factor
+    total = _projected_rank(M, tol, factor)
     if total is None:
+        stacked = np.vstack([factor.rows, M])
         total = _svd_rank(stacked, tol)[0]
+        if total == c + k:
+            # Full row rank: by singular value interlacing every prefix is
+            # full rank too, so the greedy pass keeps every row.
+            return _RowFactor(stacked)
     if total == c + k:
-        # Full row rank: by singular value interlacing every prefix is full
-        # rank too, so the greedy pass keeps every row.
-        return stacked, total, None
+        return factor
+    kept, kept_rank = factor.rows, c
     for i in range(k):
         if kept_rank == total:
             # No subset of the rows ranks above the stacked matrix
@@ -351,15 +328,15 @@ def _independent_rows_array(
         r = _svd_rank(candidate, tol)[0]
         if r > kept_rank:
             kept, kept_rank = candidate, r
-    return kept, kept_rank, factor if kept.shape[0] == c else None
+    return factor if kept_rank == c else _RowFactor(kept)
 
 
 def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:
     """Filter phi to its greedily selected independent rows (idempotent)."""
-    if tol <= 0:
-        raise ValueError("tol must be positive")
-    rows, _, factor = _independent_rows_array(np.asarray(phi.rows, dtype=float), tol)
-    return ConstraintMatrix(rows=rows if factor is None else rows.copy(), n=phi.n, m=phi.m)
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    rows = _independent_rows_array(np.asarray(phi.rows, dtype=float), tol).rows
+    return ConstraintMatrix(rows=rows.copy(), n=phi.n, m=phi.m)
 
 
 def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
@@ -386,13 +363,14 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     no rank, and is clamped to at least 1 (a problem with no effective
     constraints stabilizes at the first level).
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
 
     block = primary_constraint(problem)
     blocks = [block]
     l = block.rho.shape[0]
-    phi, phi_rank, factor = _independent_rows_array(block.rows, tol)
+    factor = _independent_rows_array(block.rows, tol)
+    phi_rank = factor.rows.shape[0]
     split = svd_split(block.rho, tol, relative=False)
     p = 0
     k = 1
@@ -430,25 +408,26 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
         rows = np.hstack([split.u_bottom @ d for d in part])
         block = ConstraintMatrix(rows, problem.n, problem.m)
         blocks.append(block)
-        phi, phi_rank, factor = _independent_rows_array(rows, tol, phi, phi_rank, factor)
+        factor = _independent_rows_array(rows, tol, factor)
+        phi_rank = factor.rows.shape[0]
         split = svd_split(block.rho, tol, relative=False)
         rank_history.append((split.rank, phi_rank))
 
     if phi_rank <= p:
         k -= 1
     k = max(k, 1)
-    # With a factor, phi is a view of its buffers: keep compact copies.
+    # phi and its basis are views of the factor's buffers: keep compact copies.
     return AlgorithmResult(
-        phi=ConstraintMatrix(rows=phi if factor is None else phi.copy(), n=problem.n, m=problem.m),
+        phi=ConstraintMatrix(rows=factor.rows.copy(), n=problem.n, m=problem.m),
         steps=k,
-        codim=phi.shape[0],
+        codim=phi_rank,
         halt_reason=halt,
         rank_history=rank_history,
         partial_feedback=feedbacks,
         selectors=selectors,
         blocks=blocks,
+        row_basis=factor.qt.T.copy(),
         tol=tol,
-        carried_basis=None if factor is None else factor.qt.T.copy(),
     )
 
 
@@ -460,8 +439,8 @@ def regular_feedback(problem: LQProblem, rank_tol: float = 1e-12):
     largest; a zero R is always singular). A None result is the signal to
     hand the problem to the constraint recursion instead.
     """
-    if rank_tol <= 0:
-        raise ValueError("rank_tol must be positive")
+    if not 0 < rank_tol < math.inf:
+        raise ValueError("rank_tol must be positive and finite")
     if _svd_rank(problem.R, rank_tol, relative=True)[0] < problem.m:
         return None
     rinv_bt = np.linalg.solve(problem.R, problem.B.T)
@@ -480,8 +459,8 @@ def final_submanifold(result: AlgorithmResult, tol: float | None = None) -> np.n
     tolerance an SVD decides phi's rank there.
     """
     tol = result.tol if tol is None else tol
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
     if tol == result.tol:
         return _complement(result.row_basis)
     return _null_basis(result.phi.rows, tol)

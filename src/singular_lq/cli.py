@@ -10,7 +10,7 @@ import argparse
 import json
 import os
 import sys
-from math import isclose, log10
+from math import inf, isclose, log10
 from pathlib import Path
 
 import numpy as np
@@ -45,8 +45,8 @@ class _Parser(argparse.ArgumentParser):
 
 def _positive_float(text: str) -> float:
     value = float(text)
-    if value <= 0:
-        raise argparse.ArgumentTypeError(f"{text} is not positive")
+    if not 0 < value < inf:
+        raise argparse.ArgumentTypeError(f"{text} is not positive and finite")
     return value
 
 
@@ -78,8 +78,10 @@ def _parse_deltas(text: str) -> list[float]:
                 lo, hi = float(lo_text), float(hi_text)
             except ValueError as exc:
                 raise argparse.ArgumentTypeError(f"bad delta range {token!r}") from exc
-            if lo <= 0 or hi <= 0:
-                raise argparse.ArgumentTypeError("delta range endpoints must be positive")
+            if not (0 < lo < inf and 0 < hi < inf):
+                raise argparse.ArgumentTypeError(
+                    "delta range endpoints must be positive and finite"
+                )
             e_lo, e_hi = round(log10(lo)), round(log10(hi))
             if not isclose(lo, 10.0 ** e_lo, rel_tol=1e-12) or not isclose(
                 hi, 10.0 ** e_hi, rel_tol=1e-12
@@ -94,8 +96,8 @@ def _parse_deltas(text: str) -> list[float]:
                 value = float(token)
             except ValueError as exc:
                 raise argparse.ArgumentTypeError(f"bad delta {token!r}") from exc
-            if value < 0:
-                raise argparse.ArgumentTypeError("deltas must be non-negative")
+            if not 0 <= value < inf:
+                raise argparse.ArgumentTypeError("deltas must be non-negative and finite")
             deltas.append(value)
     if not deltas:
         raise argparse.ArgumentTypeError("empty delta list")
@@ -139,7 +141,7 @@ def _load_problem(path: str):
     for name in ("n", "m"):
         if name not in data:
             raise InputError(f"{path}: missing field {name!r}")
-        if not isinstance(data[name], int) or data[name] < 1:
+        if isinstance(data[name], bool) or not isinstance(data[name], int) or data[name] < 1:
             raise InputError(f"{path}: field {name!r} must be a positive integer")
     n, m = data["n"], data["m"]
     A = _matrix_field(data, "A", n, n, path)

@@ -11,6 +11,7 @@ Nnil^nu != 0 and Nnil^(nu+1) = 0 (nu = 0 for Nnil = 0).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -120,8 +121,8 @@ def dae_constraint_chain(dae: LinearDAE, tol: float = 1e-9) -> tuple[list[np.nda
     Subspaces are compared by dimension, which suffices because each step
     refines the previous subspace.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < inf:
+        raise ValueError("tol must be positive and finite")
     norm_a = np.linalg.norm(dae.A, 2)
     norm_b = np.linalg.norm(dae.B, 2)
     cut_a = tol * (norm_a if norm_a > 0 else 1.0)
@@ -168,8 +169,8 @@ def pencil_is_regular(
     eigenvalue, which has probability zero under a continuous sampling
     distribution.
     """
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < inf:
+        raise ValueError("tol must be positive and finite")
     if trials < 1:
         raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(0) if rng is None else rng

@@ -18,7 +18,7 @@ from __future__ import annotations
 import csv
 import io
 from dataclasses import dataclass
-from math import exp, log
+from math import exp, inf, log
 
 import numpy as np
 
@@ -218,12 +218,12 @@ def run_sweep(
     deltas = [float(d) for d in deltas]
     if not sizes or not deltas:
         raise ValueError("sizes and deltas must be non-empty")
-    if any(d < 0 for d in deltas):
-        raise ValueError("deltas must be non-negative")
+    if not all(0 <= d < inf for d in deltas):
+        raise ValueError("deltas must be non-negative and finite")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
+    if not 0 < tol < inf:
+        raise ValueError("tol must be positive and finite")
 
     records = []
     for n in sizes:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, asin, pi
+from math import acos, asin, inf, pi
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -149,8 +149,8 @@ def perturb(M, delta: float, rng) -> np.ndarray:
     generator state: the direction first, then the magnitude.
     """
     M = np.asarray(M, dtype=float)
-    if delta < 0:
-        raise ValueError("delta must be non-negative")
+    if not 0 <= delta < inf:
+        raise ValueError("delta must be non-negative and finite")
     if delta == 0.0:
         return M.copy()
     direction = rng.standard_normal(M.shape)

@@ -86,8 +86,9 @@ def test_numerical_rank_absolute_mode_differs():
 
 
 def test_numerical_rank_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        numerical_rank(np.eye(2), 0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            numerical_rank(np.eye(2), tol)
 
 
 def test_numerical_rank_matches_exact_rank():
@@ -280,10 +281,8 @@ def test_row_filter_falls_back_to_the_stacked_rank():
     block[0, 19:21] = 1e3, 1e-4
     factor = _RowFactor(phi)
     assert _projected_rank(block, 1e-6, factor) is None
-    rows, rank, kept_factor = _independent_rows_array(block, 1e-6, phi, 20, factor)
-    assert rank == 20
-    assert np.array_equal(rows, phi)
-    assert kept_factor is factor
+    assert _independent_rows_array(block, 1e-6, factor) is factor
+    assert np.array_equal(factor.rows, phi)
 
 
 @pytest.mark.parametrize("gap, tol", [(1e-7, 1e-9), (1e-10, 1e-13)])
@@ -296,9 +295,9 @@ def test_row_filter_extends_an_orthonormal_factor(gap, tol):
     phi = rng.standard_normal((20, 100))
     first = rng.standard_normal(100)
     block = np.vstack([first, first + gap * rng.standard_normal(100)])
-    rows, rank, factor = _independent_rows_array(block, tol, phi, 20, _RowFactor(phi))
-    basis, inv_r = factor.qt.T, factor.inv_r
-    assert rank == 22
+    factor = _independent_rows_array(block, tol, _RowFactor(phi))
+    rows, basis, inv_r = factor.rows, factor.qt.T, factor.inv_r
+    assert rows.shape[0] == 22
     assert np.array_equal(rows, np.vstack([phi, block]))
     assert np.abs(basis.T @ basis - np.eye(22)).max() <= 1e-14
     # rows' = basis R with R^-1 = inv_r up to eps cond(R), R upper triangular.
@@ -309,31 +308,30 @@ def test_row_filter_extends_an_orthonormal_factor(gap, tol):
 
 def test_row_filter_drops_the_factor_when_part_of_a_block_adds_rank():
     # The projected count certifies 22 of 23 rows, so the greedy pass picks
-    # the rows, keeps block rows 0 and 2, and returns no factor for the
-    # grown phi. The next level rebuilds one from all 23 rows.
+    # the rows, keeps block rows 0 and 2, and drops the old factor for one
+    # rebuilt from the grown phi, which the next level extends.
     rng = np.random.default_rng(89)
     tol = 1e-9
     phi = rng.standard_normal((20, 100))
     block = rng.standard_normal((3, 100))
     block[1] = rng.standard_normal(20) @ phi
     stacked = np.vstack([phi, block])
+    old = _RowFactor(phi)
     assert _projected_rank(block, tol, _RowFactor(phi)) == 22
-    rows, rank, factor = _independent_rows_array(block, tol, phi, 20, _RowFactor(phi))
-    assert rank == 22
-    assert np.array_equal(rows, stacked[[*range(20), 20, 22]])
-    assert factor is None
+    factor = _independent_rows_array(block, tol, old)
+    assert factor is not old and np.array_equal(old.rows, phi)
+    assert np.array_equal(factor.rows, stacked[[*range(20), 20, 22]])
     following = rng.standard_normal((1, 100))
-    rows, rank, factor = _independent_rows_array(following, tol, rows, rank, factor)
-    basis = factor.qt.T
-    assert rank == 23 and basis.shape == (100, 23)
+    assert _independent_rows_array(following, tol, factor) is factor
+    rows, basis = factor.rows, factor.qt.T
+    assert basis.shape == (100, 23)
     assert np.abs(basis.T @ basis - np.eye(23)).max() <= 1e-14
     assert np.abs(rows - (rows @ basis) @ basis.T).max() <= 1e-12 * np.abs(rows).max()
 
 
 def test_grown_factor_spans_phi_and_inverts_its_r(monkeypatch):
-    # Family 3 at n = 100 appends one row a level to a factor first built
-    # at 14 rows, so its buffers grow several times along the way, at least
-    # doubling each time.
+    # Family 3 at n = 100 appends one row a level to a factor that starts
+    # empty at the primary block, so its buffers double from 1 row to 128.
     factors = []
 
     def spy(M, tol, factor):
@@ -348,8 +346,8 @@ def test_grown_factor_spans_phi_and_inverts_its_r(monkeypatch):
         result = run(problem, 1e-6)
         factor = factors[-1][0]
         assert all(f is factor for f, _ in factors)
-        assert 3 <= len({capacity for _, capacity in factors}) <= 4
-        basis, rows = result.carried_basis, result.phi.rows
+        assert {capacity for _, capacity in factors} == {2**j for j in range(8)}
+        basis, rows = result.row_basis, result.phi.rows
         assert result.codim == 100 and basis.shape == (201, 100)
         assert np.abs(basis.T @ basis - np.eye(100)).max() <= 1e-14
         reference = Subspace(np.linalg.qr(rows.T)[0])
@@ -429,6 +427,86 @@ def test_row_filter_replays_the_stacked_rank_decisions(monkeypatch):
         assert max_principal_angle(Subspace(basis), reference) <= 1e-12
     assert levels >= 700
     assert sum(rank is not None for rank in projected) >= 100
+
+
+def _greedy_reference(rows, tol):
+    """Plain greedy pass: keep a row iff the kept rows stacked on it rank higher."""
+    kept = rows[:0]
+    for row in rows:
+        candidate = np.vstack([kept, row])
+        if np.count_nonzero(np.linalg.svd(candidate, compute_uv=False) > tol) > kept.shape[0]:
+            kept = candidate
+    return kept
+
+
+def test_row_filter_matches_a_plain_greedy_reference(monkeypatch):
+    # About 60 rows of width 200 fed level by level to a filter that starts
+    # from zero rows: fresh rows, exact combinations of earlier fresh rows,
+    # and combinations moved 1e-7 (kept) or 1e-12 (dropped) off them, at
+    # tol 1e-9, with two zero-row levels. The last level is one row whose
+    # stacked s_min is about 1.2e-9 while the certificate's lower bound is
+    # about 0.85e-9, so the stacked SVD decides and the factor is rebuilt.
+    rng = np.random.default_rng(101)
+    tol, width = 1e-9, 200
+    fresh, blocks = np.zeros((0, width)), []
+    for k in (6, 1, 0, 4, 1, 1, 8, 1, 3, 0, 1, 10, 2, 1, 1, 12, 1, 5):
+        block = np.empty((k, width))
+        for i in range(k):
+            kind = int(rng.integers(4)) if fresh.shape[0] else 0
+            if kind == 0:
+                block[i] = rng.standard_normal(width)
+                fresh = np.vstack([fresh, block[i]])
+            else:
+                block[i] = rng.standard_normal(fresh.shape[0]) @ fresh / np.sqrt(fresh.shape[0])
+                block[i] += (0.0, 0.0, 1e-7, 1e-12)[kind] * rng.standard_normal(width)
+        blocks.append(block)
+    # x' phi + s u with x and u unit, u orthogonal to phi's rows: G = x, so
+    # the bound is about s / 2 and the stacked s_min about s / sqrt(2).
+    kept = _greedy_reference(np.vstack(blocks), tol)
+    basis = np.linalg.qr(kept.T)[0]
+    u = rng.standard_normal(width)
+    for _ in range(2):
+        u -= basis @ (basis.T @ u)
+    x = rng.standard_normal(kept.shape[0])
+    blocks.append(((x / np.linalg.norm(x)) @ kept + 1.7e-9 * u / np.linalg.norm(u))[None, :])
+    rows = np.vstack(blocks)
+    reference = _greedy_reference(rows, tol)
+
+    calls = []
+
+    def spy(M, tol, factor):
+        c = factor.rows.shape[0]
+        out = _projected_rank(M, tol, factor)
+        calls.append((c, out))
+        return out
+
+    monkeypatch.setattr("singular_lq.algorithm._projected_rank", spy)
+    factor, partial = None, 0
+    for block in blocks:
+        before = factor
+        c = 0 if before is None else before.rows.shape[0]
+        factor = _independent_rows_array(block, tol, before)
+        gained = factor.rows.shape[0] - c
+        if block.shape[0] == 0:
+            assert factor is before
+        elif 0 < gained < block.shape[0]:
+            assert factor is not before
+            partial += 1
+    monkeypatch.undo()
+    assert len(calls) == sum(block.shape[0] > 0 for block in blocks)
+    assert calls[0][0] == 0
+    assert partial >= 3
+    assert calls[-1] == (kept.shape[0], None) and factor.rows.shape[0] == kept.shape[0] + 1
+    assert 20 <= reference.shape[0] < rows.shape[0] and np.array_equal(factor.rows, reference)
+
+    phi = ConstraintMatrix(rows=rows, n=50, m=100)
+    once = independent_rows(phi, tol)
+    assert np.array_equal(once.rows, reference)
+    assert np.array_equal(independent_rows(once, tol).rows, once.rows)
+    basis = factor.qt.T
+    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-14
+    span = Subspace(np.linalg.qr(reference.T)[0])
+    assert max_principal_angle(Subspace(basis.copy()), span) <= 1e-12
 
 
 # ---------------------------------------------------------------- run
@@ -526,8 +604,19 @@ def test_run_no_effective_constraints():
 
 
 def test_run_rejects_bad_tol():
-    with pytest.raises(ValueError):
-        run(gen_experiment2(2), tol=-1e-6)
+    # NaN fails every comparison, so a bare tol <= 0 check would let it through.
+    problem = gen_experiment2(2)
+    result = run(problem, tol=1e-6)
+    for tol in (-1e-6, np.nan, np.inf, -np.inf):
+        for call in (
+            lambda: run(problem, tol=tol),
+            lambda: svd_split(np.eye(2), tol),
+            lambda: independent_rows(result.phi, tol),
+            lambda: final_submanifold(result, tol),
+            lambda: regular_feedback(problem, tol),
+        ):
+            with pytest.raises(ValueError):
+                call()
 
 
 def test_run_splits_one_derivative_per_level():
@@ -627,6 +716,29 @@ def test_run_output_invariant_under_control_rotation():
         mapped = np.linalg.qr(T @ final_submanifold(base))[0]
         angle = max_principal_angle(Subspace(mapped), Subspace(final_submanifold(other)))
         assert angle <= 1e-8
+
+
+def test_run_invariant_under_state_rotation():
+    # x -> Tx (and p -> Tp) maps (A, B, Q, N) to (TAT', TB, TQT', TN), phi's
+    # rows by blkdiag(T', T', I) and ker(phi) by blkdiag(T, T, I).
+    rng = np.random.default_rng(107)
+    problems = [make(rng, n_max=6, m_max=4) for make in
+                (_uniform_problem, _halves_problem, _rank_one_problem) for _ in range(12)]
+    problems += [_exact_problem(family, n, 0) for family, n in ((1, 5), (2, 6), (3, 8))]
+    for problem in problems:
+        n, m = problem.n, problem.m
+        T, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        sym = lambda M: (M + M.T) / 2.0
+        rotated = validate(T @ problem.A @ T.T, T @ problem.B, sym(T @ problem.Q @ T.T),
+                           T @ problem.N, problem.R)
+        for tol in (1e-6, 1e-9):
+            base, other = run(problem, tol), run(rotated, tol)
+            assert other.rank_history == base.rank_history
+            assert (other.steps, other.codim) == (base.steps, base.codim)
+            lift = np.eye(2 * n + m)
+            lift[:n, :n] = lift[n:2 * n, n:2 * n] = T
+            mapped = Subspace(lift @ final_submanifold(base))
+            assert max_principal_angle(mapped, Subspace(final_submanifold(other))) <= 1e-8
 
 
 def test_run_constraint_stability_on_kernel():

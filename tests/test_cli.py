@@ -89,11 +89,23 @@ def test_solve_input_errors(tmp_path, capsys):
     assert main(["solve", str(notint)]) == 2
     assert "'n'" in capsys.readouterr().err
 
+    # JSON true is an int to isinstance, but not a size.
+    boolean = tmp_path / "boolean.json"
+    payload.update(n=True, m=1, A=[[1.0]], B=[[1.0]], Q=[[1.0]], N=[[0.0]])
+    boolean.write_text(json.dumps(payload))
+    assert main(["solve", str(boolean)]) == 2
+    assert "'n'" in capsys.readouterr().err
+
 
 def test_usage_errors(tmp_path, capsys):
     path = _write_problem(tmp_path / "p.json", gen_experiment2(2))
     assert main(["solve", path, "--tol", "0"]) == 1
     assert main(["solve", path, "--tol", "-1e-6"]) == 1
+    for bad in ("nan", "inf"):
+        assert main(["solve", path, "--tol", bad]) == 1
+        assert main(["dae", path, "--tol", bad]) == 1
+        assert main(["sweep", "--family", "2", "--n", "3", "--deltas", bad]) == 1
+        assert main(["sweep", "--family", "2", "--n", "3", "--deltas", f"1e-8..{bad}"]) == 1
     assert main([]) == 1
     assert main(["frobnicate"]) == 1
     assert main(["sweep", "--family", "2", "--n", "3", "--deltas", ""]) == 1

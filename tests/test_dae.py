@@ -44,8 +44,9 @@ def test_linear_dae_validation():
         LinearDAE(A=np.zeros((2, 3)), B=np.zeros((2, 3)))
     with pytest.raises(ValueError, match="match"):
         LinearDAE(A=np.eye(2), B=np.eye(3))
-    with pytest.raises(ValueError):
-        dae_constraint_chain(LinearDAE(A=np.eye(2), B=np.eye(2)), tol=0.0)
+    for tol in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            dae_constraint_chain(LinearDAE(A=np.eye(2), B=np.eye(2)), tol=tol)
 
 
 def test_weierstrass_assembly_round_trip():
@@ -137,8 +138,9 @@ def test_pencil_regularity_examples():
     assert not pencil_is_regular(
         LinearDAE(A=np.diag([1.0, 0.0]), B=np.zeros((2, 2)))
     )
-    with pytest.raises(ValueError):
-        pencil_is_regular(LinearDAE(A=np.eye(2), B=np.eye(2)), tol=-1.0)
+    for tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            pencil_is_regular(LinearDAE(A=np.eye(2), B=np.eye(2)), tol=tol)
     with pytest.raises(ValueError):
         pencil_is_regular(LinearDAE(A=np.eye(2), B=np.eye(2)), trials=0)
 

@@ -148,12 +148,14 @@ def test_run_sweep_validation():
         run_sweep(2, [], [1e-8], 1e-9)
     with pytest.raises(ValueError, match="non-empty"):
         run_sweep(2, [4], [], 1e-9)
-    with pytest.raises(ValueError, match="non-negative"):
-        run_sweep(2, [4], [-1e-8], 1e-9)
+    for delta in (-1e-8, np.nan, np.inf):
+        with pytest.raises(ValueError, match="non-negative"):
+            run_sweep(2, [4], [delta], 1e-9)
     with pytest.raises(ValueError, match="trials"):
         run_sweep(2, [4], [1e-8], 1e-9, trials=0)
-    with pytest.raises(ValueError, match="tol"):
-        run_sweep(2, [4], [1e-8], -1.0)
+    for tol in (-1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="tol"):
+            run_sweep(2, [4], [1e-8], tol)
 
 
 def test_large_perturbation_is_marked_mismatch():

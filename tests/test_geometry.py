@@ -213,8 +213,9 @@ def test_perturb_deterministic_and_validating():
     a = perturb(M, 1e-3, np.random.default_rng(7))
     b = perturb(M, 1e-3, np.random.default_rng(7))
     assert np.array_equal(a, b)
-    with pytest.raises(ValueError):
-        perturb(M, -1e-3, np.random.default_rng(7))
+    for delta in (-1e-3, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            perturb(M, delta, np.random.default_rng(7))
 
 
 def test_perturbations_take_no_svd(monkeypatch):
