@@ -22,14 +22,17 @@ rank-deficient while its norm stays below tol). :func:`numerical_rank` and
 :func:`svd_split` expose both rules via the ``relative`` flag. Every rank
 decision, here and in the DAE chain, is one SVD whose singular values are
 counted against the cut in one place, ``_svd_rank``. From the primary
-block on, the row filter carries phi's rows and a QR factor of them, grown
-in place from level to level, and ranks each new block projected off its
+block on, the row filter carries phi's rows and a QR factor of them, which
+starts empty and only grows: each new block is ranked projected off phi's
 basis, from one small R factor (a scalar, with no LAPACK call, for a
-one-row block); the stacked SVD of [phi; block] decides instead whenever a
-derived bound cannot certify the rank. Bases that decide no rank are not
-SVDs: the row filter leaves phi with full row rank at the run's tolerance,
-so the final submanifold there is the orthogonal complement of phi's
-carried row basis (``row_basis``), from QR alone.
+one-row block), and the stacked SVD of [phi; block] decides instead
+whenever a derived bound cannot certify the rank. A block whose rows all
+add rank is appended by Gram-Schmidt with reorthogonalisation; a block
+that adds part of its rows, or whose rank only the stacked SVD could tell,
+is ranked and appended the same way one row at a time. Bases that decide
+no rank are not SVDs: the row filter leaves phi with full row rank at the
+run's tolerance, so the final submanifold there is the orthogonal
+complement of phi's carried row basis (``row_basis``), from QR alone.
 """
 
 from __future__ import annotations
@@ -184,21 +187,18 @@ def step(block: ConstraintMatrix, split: SvdSplit, problem: LQProblem) -> Constr
 class _RowFactor:
     """Rows of full row rank with Q' and R^-1 of their thin QR rows' = Q R.
 
-    ``rows``, ``qt`` and ``inv_r`` are views of buffers whose capacity at
-    least doubles (up to the width) when full, so appending k rows writes
-    only them and k new columns of Q and R^-1. The rows' and R^-1's squared
-    Frobenius norms are carried along, so the certificate re-reads neither.
+    The factor starts with no rows for a given width and grows only by
+    :meth:`extend`. ``rows``, ``qt`` and ``inv_r`` are views of buffers
+    whose capacity at least doubles (up to the width) when full, so
+    appending k rows writes only them and k new columns of Q and R^-1. The
+    rows' and R^-1's squared Frobenius norms are carried along, so the
+    certificate re-reads neither.
     """
 
-    def __init__(self, rows: np.ndarray):
-        # Adopted, not copied: the buffers start full, so extend never writes
-        # them. Zero rows need no LAPACK call: their Q' is empty too.
-        qt, inv_r = rows, np.zeros((0, 0))
-        if rows.shape[0]:
-            q, upper = np.linalg.qr(rows.T)
-            qt, inv_r = q.T, np.linalg.inv(upper)
-        self.rows, self.qt, self.inv_r = self._rows, self._qt, self._inv_r = rows, qt, inv_r
-        self.sq_norm, self.inv_sq_norm = float(np.vdot(rows, rows)), float(np.vdot(inv_r, inv_r))
+    def __init__(self, width: int):
+        self.rows = self.qt = self._rows = self._qt = np.empty((0, width))
+        self.inv_r = self._inv_r = np.empty((0, 0))
+        self.sq_norm = self.inv_sq_norm = 0.0
 
     def extend(self, rows: np.ndarray, qt: np.ndarray, off: np.ndarray, tail: np.ndarray) -> None:
         """Append rows whose Q' rows are qt; R^-1 gains the columns [off; tail]."""
@@ -215,14 +215,14 @@ class _RowFactor:
         self.inv_sq_norm += float(np.vdot(off, off) + np.vdot(tail, tail))
 
 
-def _projected_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int | None:
-    """Rank of stacked = [kept; M] certified from M projected off kept's rows.
+def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
+    """SVD rank of stacked = [kept; M], appending M to ``factor`` when it is c + k.
 
     ``factor`` holds kept, of full row rank c, with Q' and R^-1 of kept' =
-    Q R. P is M projected off Q twice (classical Gram-Schmidt with
-    reorthogonalisation); the R factor of a thin QR of P' gives its
-    singular values s_j, and a = #{s_j > tol}. A one-row P needs no
-    factorisation: its R is the scalar beta = -sign(p_1) ||P|| that
+    Q R; M has k >= 1 rows. P is M projected off Q twice (classical
+    Gram-Schmidt with reorthogonalisation); the R factor of a thin QR of P'
+    gives its singular values s_j, and a = #{s_j > tol}. A one-row P needs
+    no factorisation: its R is the scalar beta = -sign(p_1) ||P|| that
     LAPACK's Householder reflector gives (p_1 itself when p_2..p_w are
     zero), so q = P / beta and s_1 = |beta|. The count c + a is the
     stacked SVD's rank when two bounds clear tol by the SVD's rounding
@@ -239,8 +239,12 @@ def _projected_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int | None
     The lower side is where a projected count alone goes wrong: an
     ill-conditioned kept (large ||R^-1||) or a block with a large
     component along it (large ||G||) pulls the stacked values below P's.
-    Returns the rank, and appends M to ``factor`` when every row of M adds
-    rank, or returns None when the bounds do not certify.
+    When the bounds do not certify, the stacked SVD decides. M enters the
+    factor when every row adds rank and the bounds certified it or M is one
+    row (the caller ranks other blocks one row at a time). A row the SVD
+    kept takes one more pass first, and adds no rank if that keeps under
+    1/sqrt(2) of ||P|| (Kahan's "twice is enough"): P is then noise along
+    Q, counted only because tol is below the SVD's rounding.
     """
     c, (k, width) = factor.rows.shape[0], M.shape
     basis_t = factor.qt
@@ -261,10 +265,19 @@ def _projected_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int | None
     if added:
         g = factor.inv_r @ coef.T
         inv_low += (1.0 + math.sqrt(np.vdot(g, g))) / s[added - 1]
+    total = c + added
     if (added < len(s) and s[added] > tol - slack) or inv_low * (tol + slack) >= 1.0:
-        return None
-    if added < k:
-        return c + added
+        total = _svd_rank(np.vstack([factor.rows, M]), tol)[0]
+        if k > 1 or total == c:
+            return total
+        projected -= (projected @ basis_t.T) @ basis_t
+        if not np.vdot(projected, projected) > 0.5 * beta * beta:
+            return c
+        beta = math.sqrt(np.vdot(projected, projected))
+        if not added:
+            g = factor.inv_r @ coef.T
+    elif added < k:
+        return total
     if k == 1:
         # q = P / beta is orthogonal to Q to about eps, since s_1 = ||P||.
         q, tail = projected / beta, np.array([[1.0 / beta]])
@@ -281,7 +294,7 @@ def _projected_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int | None
             upper = again @ upper
         q, tail = q.T, np.linalg.inv(upper)
     factor.extend(M, q, -g @ tail, tail)
-    return c + k
+    return total
 
 
 def _independent_rows_array(
@@ -291,44 +304,26 @@ def _independent_rows_array(
 
     Keeps each row iff appending it raises the numerical rank of the rows
     kept so far, so the kept count always equals the numerical rank of the
-    result. ``factor`` holds a previous output of this filter (none: zero
-    rows): the greedy pass over its rows would keep every one, so only M's
-    rows are tested. Rank-0 or empty input yields the empty (void) matrix.
+    result. ``factor`` holds a previous output of this filter (none: an
+    empty factor): the greedy pass over its rows would keep every one, so
+    only M's rows are tested, and the factor grows in place and is
+    returned. Rank-0 or empty input yields the empty (void) matrix.
 
-    :func:`_projected_rank` certifies the rank of the stacked [kept; M] from
-    M projected off the factor's Q, and the stacked SVD decides when its
-    bounds come within rounding of tol; either way the rank is the stacked
-    SVD's. A full-rank block extends the factor in place, or rebuilds it by
-    one QR after the SVD decided. A partial block takes the greedy pass,
-    and the factor is rebuilt only when that pass keeps rows. The returned
-    factor's rows are views of its buffers.
+    :func:`_stacked_rank` gives the SVD rank of [kept; M] and appends M
+    when every row adds rank and M is one row or its bounds certify it; a
+    block it leaves is ranked the same way one row at a time, until the
+    kept count reaches that rank: by singular value interlacing no subset
+    of the rows ranks above the stacked matrix, so no later row can be
+    kept. The returned factor's rows are views of its buffers.
     """
     if factor is None:
-        factor = _RowFactor(M[:0])
-    c, k = factor.rows.shape[0], M.shape[0]
-    if k == 0:
-        return factor
-    total = _projected_rank(M, tol, factor)
-    if total is None:
-        stacked = np.vstack([factor.rows, M])
-        total = _svd_rank(stacked, tol)[0]
-        if total == c + k:
-            # Full row rank: by singular value interlacing every prefix is
-            # full rank too, so the greedy pass keeps every row.
-            return _RowFactor(stacked)
-    if total == c + k:
-        return factor
-    kept, kept_rank = factor.rows, c
-    for i in range(k):
-        if kept_rank == total:
-            # No subset of the rows ranks above the stacked matrix
-            # (interlacing again), so no later row can be kept.
+        factor = _RowFactor(M.shape[1])
+    total = _stacked_rank(M, tol, factor) if M.shape[0] else 0
+    for row in M:
+        if factor.rows.shape[0] == total:
             break
-        candidate = np.vstack([kept, M[i : i + 1]])
-        r = _svd_rank(candidate, tol)[0]
-        if r > kept_rank:
-            kept, kept_rank = candidate, r
-    return factor if kept_rank == c else _RowFactor(kept)
+        _stacked_rank(row[None, :], tol, factor)
+    return factor
 
 
 def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:

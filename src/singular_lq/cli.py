@@ -118,9 +118,16 @@ def _read_json(path: str) -> dict:
     return data
 
 
+def _has_bool(value) -> bool:
+    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+
+
 def _matrix_field(data: dict, name: str, rows: int, cols: int, path: str) -> np.ndarray:
     if name not in data:
         raise InputError(f"{path}: missing field {name!r}")
+    # float() reads JSON true as 1.0, so booleans are caught before it.
+    if _has_bool(data[name]):
+        raise InputError(f"{path}: field {name!r} contains a boolean entry")
     try:
         arr = np.asarray(data[name], dtype=float)
     except (TypeError, ValueError) as exc:
@@ -128,8 +135,9 @@ def _matrix_field(data: dict, name: str, rows: int, cols: int, path: str) -> np.
     if arr.ndim == 1 and arr.size == rows * cols:
         arr = arr.reshape(rows, cols)  # flat row-major
     if arr.shape != (rows, cols):
+        square = " square" if rows == cols else ""
         raise InputError(
-            f"{path}: field {name!r} must be {rows}x{cols}, got shape {arr.shape}"
+            f"{path}: field {name!r} must be a{square} {rows}x{cols} matrix, got shape {arr.shape}"
         )
     if not np.isfinite(arr).all():
         raise InputError(f"{path}: field {name!r} contains non-finite entries")
@@ -157,18 +165,12 @@ def _load_problem(path: str):
 
 def _load_dae(path: str) -> LinearDAE:
     data = _read_json(path)
-    if "A" not in data:
-        raise InputError(f"{path}: missing field 'A'")
-    try:
-        A = np.asarray(data["A"], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: field 'A' is not numeric: {exc}") from exc
-    if A.ndim != 2 or A.shape[0] != A.shape[1] or A.shape[0] < 1:
+    # n is A's row count, so A must be a list of rows; _matrix_field reports a missing A.
+    rows = data.get("A", [[]])
+    if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)):
         raise InputError(f"{path}: field 'A' must be a square matrix")
-    n = A.shape[0]
-    B = _matrix_field(data, "B", n, n, path)
-    if not np.isfinite(A).all():
-        raise InputError(f"{path}: field 'A' contains non-finite entries")
+    A = _matrix_field(data, "A", len(rows), len(rows), path)
+    B = _matrix_field(data, "B", len(rows), len(rows), path)
     return LinearDAE(A=A, B=B)
 
 

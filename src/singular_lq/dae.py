@@ -16,6 +16,7 @@ from math import inf
 import numpy as np
 
 from .algorithm import _null_basis, _svd_rank
+from .problem import _as_matrix
 
 __all__ = [
     "LinearDAE",
@@ -35,9 +36,8 @@ class LinearDAE:
     B: np.ndarray
 
     def __post_init__(self):
-        A = np.asarray(self.A, dtype=float)
-        B = np.asarray(self.B, dtype=float)
-        if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        A, B = _as_matrix(self.A, "A"), _as_matrix(self.B, "B")
+        if A.shape[0] != A.shape[1]:
             raise ValueError(f"A must be square, got shape {A.shape}")
         if B.shape != A.shape:
             raise ValueError(f"B must match A, got {B.shape} vs {A.shape}")

@@ -43,8 +43,9 @@ class Subspace:
         if basis.ndim != 2:
             raise ValueError(f"basis must be a matrix, got shape {basis.shape}")
         d = basis.shape[1]
-        gram_dev = np.abs(basis.T @ basis - np.eye(d)).max() if d else 0.0
-        if gram_dev > 1e-12 * max(d, 1):
+        with np.errstate(invalid="ignore"):  # inf * 0: a NaN deviation, rejected below
+            gram_dev = np.abs(basis.T @ basis - np.eye(d)).max() if d else 0.0
+        if not gram_dev <= 1e-12 * max(d, 1):
             raise ValueError(f"basis columns not orthonormal (deviation {gram_dev:.3e})")
         object.__setattr__(self, "basis", basis)
 

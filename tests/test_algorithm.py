@@ -31,8 +31,7 @@ from singular_lq import (
 from singular_lq.algorithm import (
     _independent_rows_array,
     _null_basis,
-    _RowFactor,
-    _projected_rank,
+    _stacked_rank,
     _svd_rank,
 )
 from singular_lq.experiments import _cell_rng, _exact_problem, _perturbed_problem
@@ -260,17 +259,34 @@ _PROJECTION_TRAPS = [
 ]
 
 
+def _svd_shapes(monkeypatch):
+    """Shapes of the matrices that _svd_rank factorises from here on."""
+    shapes = []
+
+    def spy(M, *args, **kwargs):
+        shapes.append(M.shape)
+        return _svd_rank(M, *args, **kwargs)
+
+    monkeypatch.setattr("singular_lq.algorithm._svd_rank", spy)
+    return shapes
+
+
 @pytest.mark.parametrize("phi, block", _PROJECTION_TRAPS)
-def test_projected_rank_declines_when_the_stacked_rank_differs(phi, block):
+def test_projected_rank_declines_when_the_stacked_rank_differs(monkeypatch, phi, block):
     phi, block = np.array(phi), np.array([block])
     stacked = np.vstack([phi, block])
     assert _svd_rank(stacked, 1e-6)[0] == 2
     projected = block - (block @ np.eye(3)[:, :2]) @ np.eye(3)[:2]
     assert 2 + _svd_rank(projected, 1e-6)[0] == 3
-    assert _projected_rank(block, 1e-6, _RowFactor(phi)) is None
+    factor = _independent_rows_array(phi, 1e-6)
+    assert np.array_equal(factor.rows, phi)
+    shapes = _svd_shapes(monkeypatch)
+    assert _stacked_rank(block, 1e-6, factor) == 2
+    assert shapes == [stacked.shape]
+    assert np.array_equal(factor.rows, phi)
 
 
-def test_row_filter_falls_back_to_the_stacked_rank():
+def test_row_filter_falls_back_to_the_stacked_rank(monkeypatch):
     # The first trap under 18 more unit rows: phi is wide and tall enough
     # for the filter to rank by projection, which declines, and the
     # stacked SVD keeps phi as it is.
@@ -279,10 +295,65 @@ def test_row_filter_falls_back_to_the_stacked_rank():
     phi[19, 19] = 1e-3
     block = np.zeros((1, width))
     block[0, 19:21] = 1e3, 1e-4
-    factor = _RowFactor(phi)
-    assert _projected_rank(block, 1e-6, factor) is None
+    factor = _independent_rows_array(phi, 1e-6)
+    assert np.array_equal(factor.rows, phi)
+    shapes = _svd_shapes(monkeypatch)
+    assert _stacked_rank(block, 1e-6, factor) == 20
+    assert shapes == [(21, width)]
     assert _independent_rows_array(block, 1e-6, factor) is factor
     assert np.array_equal(factor.rows, phi)
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_row_filter_appends_rows_that_only_the_stacked_svd_ranks(monkeypatch, k):
+    # Rows whose projected values are exactly tol, so the certificate
+    # declines and counts nothing. A stacked SVD whose cut sits just below
+    # tol keeps them: one row then enters the factor from its projection,
+    # and a block of two is left to the filter, which appends it row by row.
+    tol, width = 1e-6, 2 + k
+    factor = _independent_rows_array(np.eye(width)[:2], tol)
+    block = tol * np.eye(width)[2:]
+    shapes = []
+
+    def lower_cut(M, cut, *args, **kwargs):
+        shapes.append(M.shape)
+        return _svd_rank(M, cut * (1.0 - 1e-9), *args, **kwargs)
+
+    monkeypatch.setattr("singular_lq.algorithm._svd_rank", lower_cut)
+    assert _independent_rows_array(block, tol, factor) is factor
+    # Two rows: the SVD of their R, the stacked SVD, then one for each row.
+    assert shapes == ([(3, 3)] if k == 1 else [(2, 2), (4, 4), (3, 4), (4, 4)])
+    assert np.array_equal(factor.rows, np.vstack([np.eye(width)[:2], block]))
+    assert np.abs(factor.qt @ factor.qt.T - np.eye(width)).max() <= 1e-15
+    upper = factor.qt @ factor.rows.T
+    assert np.abs(factor.inv_r @ upper - np.eye(width)).max() <= 1e-15
+
+
+@pytest.mark.parametrize(
+    "kept, row, rank",
+    [
+        # [3, 3] projected off [1, 1] is rounding noise along it.
+        ([1.0, 1.0], [3.0, 3.0], 1),
+        # A repeated row projects to exactly zero.
+        ([1.0, 2.0, 0.5], [1.0, 2.0, 0.5], 1),
+        # [0, 1e-100, 0] is exact and orthogonal to [1, 0, 0].
+        ([1.0, 0.0, 0.0], [3.0, 1e-100, 0.0], 2),
+    ],
+)
+def test_row_filter_stays_orthonormal_when_tol_is_below_rounding(monkeypatch, kept, row, rank):
+    # At tol 1e-20 the stacked SVD can count rounding as rank, here for
+    # every row. The certificate declines, and the row enters the factor
+    # only if one more projection keeps it off the basis.
+    factor = _independent_rows_array(np.array([kept]), 1e-20)
+    monkeypatch.setattr(
+        "singular_lq.algorithm._svd_rank", lambda M, tol, *args, **kwargs: (min(M.shape),)
+    )
+    assert _stacked_rank(np.array([row]), 1e-20, factor) == rank
+    assert np.array_equal(factor.rows, np.array([kept, row])[:rank])
+    assert np.abs(factor.qt @ factor.qt.T - np.eye(rank)).max() <= 1e-15
+    upper = factor.qt @ factor.rows.T
+    assert np.isfinite(factor.inv_r).all()
+    assert np.abs(factor.inv_r @ np.triu(upper) - np.eye(rank)).max() <= 1e-15
 
 
 @pytest.mark.parametrize("gap, tol", [(1e-7, 1e-9), (1e-10, 1e-13)])
@@ -295,7 +366,9 @@ def test_row_filter_extends_an_orthonormal_factor(gap, tol):
     phi = rng.standard_normal((20, 100))
     first = rng.standard_normal(100)
     block = np.vstack([first, first + gap * rng.standard_normal(100)])
-    factor = _independent_rows_array(block, tol, _RowFactor(phi))
+    base = _independent_rows_array(phi, tol)
+    factor = _independent_rows_array(block, tol, base)
+    assert factor is base
     rows, basis, inv_r = factor.rows, factor.qt.T, factor.inv_r
     assert rows.shape[0] == 22
     assert np.array_equal(rows, np.vstack([phi, block]))
@@ -307,20 +380,21 @@ def test_row_filter_extends_an_orthonormal_factor(gap, tol):
 
 
 def test_row_filter_drops_the_factor_when_part_of_a_block_adds_rank():
-    # The projected count certifies 22 of 23 rows, so the greedy pass picks
-    # the rows, keeps block rows 0 and 2, and drops the old factor for one
-    # rebuilt from the grown phi, which the next level extends.
+    # The projected count certifies 22 of 23 rows, so the block is ranked
+    # again one row at a time: the same factor grows by block rows 0 and 2,
+    # and the next level extends it.
     rng = np.random.default_rng(89)
     tol = 1e-9
     phi = rng.standard_normal((20, 100))
     block = rng.standard_normal((3, 100))
     block[1] = rng.standard_normal(20) @ phi
     stacked = np.vstack([phi, block])
-    old = _RowFactor(phi)
-    assert _projected_rank(block, tol, _RowFactor(phi)) == 22
-    factor = _independent_rows_array(block, tol, old)
-    assert factor is not old and np.array_equal(old.rows, phi)
+    factor = _independent_rows_array(phi, tol)
+    assert _stacked_rank(block, tol, factor) == 22
+    assert np.array_equal(factor.rows, phi)
+    assert _independent_rows_array(block, tol, factor) is factor
     assert np.array_equal(factor.rows, stacked[[*range(20), 20, 22]])
+    assert np.abs(factor.qt @ factor.qt.T - np.eye(22)).max() <= 1e-14
     following = rng.standard_normal((1, 100))
     assert _independent_rows_array(following, tol, factor) is factor
     rows, basis = factor.rows, factor.qt.T
@@ -335,11 +409,11 @@ def test_grown_factor_spans_phi_and_inverts_its_r(monkeypatch):
     factors = []
 
     def spy(M, tol, factor):
-        out = _projected_rank(M, tol, factor)
+        out = _stacked_rank(M, tol, factor)
         factors.append((factor, factor._rows.shape[0]))
         return out
 
-    monkeypatch.setattr("singular_lq.algorithm._projected_rank", spy)
+    monkeypatch.setattr("singular_lq.algorithm._stacked_rank", spy)
     exact = _exact_problem(3, 100, 0)
     for problem in (exact, _perturbed_problem(3, exact, 1e-9, _cell_rng(0, 3, 100, 1e-9, 0))):
         factors.clear()
@@ -366,14 +440,14 @@ def test_one_row_projected_rank_needs_no_factorisation(monkeypatch, gap):
     rng = np.random.default_rng(97)
     phi = rng.standard_normal((20, 100))
     row = rng.standard_normal(20) @ phi + gap * rng.standard_normal(100)
-    factor = _RowFactor(phi)
+    factor = _independent_rows_array(phi, 1e-9)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a one-row block needs no QR, SVD or inverse")
 
     for name in ("qr", "svd", "inv"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    rank = _projected_rank(row[None, :], 1e-9, factor)
+    rank = _stacked_rank(row[None, :], 1e-9, factor)
     monkeypatch.undo()
     stacked = np.vstack([phi, row])
     assert rank == _svd_rank(stacked, 1e-9)[0] == factor.rows.shape[0]
@@ -404,15 +478,19 @@ def _replayed_runs():
 def test_row_filter_replays_the_stacked_rank_decisions(monkeypatch):
     # Each level's phi rank is the SVD rank of the phi kept so far stacked
     # on the level's raw block, and the carried row basis spans phi. The
-    # n = 40 and 60 cells rank most of their levels by projection.
-    projected = []
+    # n = 40 and 60 cells rank most of their levels by projection, with no
+    # stacked SVD.
+    certified = []
+    shapes = _svd_shapes(monkeypatch)
 
-    def spy(*args):
-        out = _projected_rank(*args)
-        projected.append(out)
+    def spy(M, tol, factor):
+        stacked = (factor.rows.shape[0] + M.shape[0], M.shape[1])
+        shapes.clear()
+        out = _stacked_rank(M, tol, factor)
+        certified.append(stacked not in shapes)
         return out
 
-    monkeypatch.setattr("singular_lq.algorithm._projected_rank", spy)
+    monkeypatch.setattr("singular_lq.algorithm._stacked_rank", spy)
     levels = 0
     for result in _replayed_runs():
         history = result.rank_history
@@ -426,7 +504,7 @@ def test_row_filter_replays_the_stacked_rank_decisions(monkeypatch):
         reference = Subspace(np.linalg.qr(result.phi.rows.T)[0])
         assert max_principal_angle(Subspace(basis), reference) <= 1e-12
     assert levels >= 700
-    assert sum(rank is not None for rank in projected) >= 100
+    assert sum(certified) >= 100
 
 
 def _greedy_reference(rows, tol):
@@ -443,9 +521,11 @@ def test_row_filter_matches_a_plain_greedy_reference(monkeypatch):
     # About 60 rows of width 200 fed level by level to a filter that starts
     # from zero rows: fresh rows, exact combinations of earlier fresh rows,
     # and combinations moved 1e-7 (kept) or 1e-12 (dropped) off them, at
-    # tol 1e-9, with two zero-row levels. The last level is one row whose
-    # stacked s_min is about 1.2e-9 while the certificate's lower bound is
-    # about 0.85e-9, so the stacked SVD decides and the factor is rebuilt.
+    # tol 1e-9, with two zero-row levels. Blocks that add part of their
+    # rows are ranked again one row at a time. The last level is one row
+    # whose stacked s_min is about 1.2e-9 while the certificate's lower
+    # bound is about 0.85e-9, so the stacked SVD decides, and the row still
+    # enters the factor by projection.
     rng = np.random.default_rng(101)
     tol, width = 1e-9, 200
     fresh, blocks = np.zeros((0, width)), []
@@ -473,30 +553,36 @@ def test_row_filter_matches_a_plain_greedy_reference(monkeypatch):
     reference = _greedy_reference(rows, tol)
 
     calls = []
+    shapes = _svd_shapes(monkeypatch)
 
     def spy(M, tol, factor):
         c = factor.rows.shape[0]
-        out = _projected_rank(M, tol, factor)
-        calls.append((c, out))
+        shapes.clear()
+        out = _stacked_rank(M, tol, factor)
+        calls.append((c, M.shape[0], out, (c + M.shape[0], M.shape[1]) in shapes))
         return out
 
-    monkeypatch.setattr("singular_lq.algorithm._projected_rank", spy)
-    factor, partial = None, 0
+    monkeypatch.setattr("singular_lq.algorithm._stacked_rank", spy)
+    factor, partial = _independent_rows_array(np.zeros((0, width)), tol), 0
     for block in blocks:
-        before = factor
-        c = 0 if before is None else before.rows.shape[0]
+        before, c, first = factor, factor.rows.shape[0], len(calls)
         factor = _independent_rows_array(block, tol, before)
+        assert factor is before
         gained = factor.rows.shape[0] - c
+        level = calls[first:]
         if block.shape[0] == 0:
-            assert factor is before
+            assert not level
         elif 0 < gained < block.shape[0]:
-            assert factor is not before
+            # The whole block, then its rows one at a time until the rank is kept.
+            assert level[0][:3] == (c, block.shape[0], c + gained)
+            assert all(k == 1 for _, k, _, _ in level[1:]) and len(level) <= block.shape[0] + 1
             partial += 1
+        else:
+            assert len(level) == 1 and level[0][:3] == (c, block.shape[0], c + gained)
     monkeypatch.undo()
-    assert len(calls) == sum(block.shape[0] > 0 for block in blocks)
-    assert calls[0][0] == 0
-    assert partial >= 3
-    assert calls[-1] == (kept.shape[0], None) and factor.rows.shape[0] == kept.shape[0] + 1
+    assert calls[0][0] == 0 and partial >= 3
+    assert calls[-1] == (kept.shape[0], 1, kept.shape[0] + 1, True)
+    assert factor.rows.shape[0] == kept.shape[0] + 1
     assert 20 <= reference.shape[0] < rows.shape[0] and np.array_equal(factor.rows, reference)
 
     phi = ConstraintMatrix(rows=rows, n=50, m=100)
@@ -505,8 +591,23 @@ def test_row_filter_matches_a_plain_greedy_reference(monkeypatch):
     assert np.array_equal(independent_rows(once, tol).rows, once.rows)
     basis = factor.qt.T
     assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max() <= 1e-14
-    span = Subspace(np.linalg.qr(reference.T)[0])
-    assert max_principal_angle(Subspace(basis.copy()), span) <= 1e-12
+    # The basis holds every kept row to rounding.
+    held = (reference @ basis) @ basis.T
+    assert np.abs(reference - held).max() <= 1e-14 * np.abs(reference).max()
+    # phi's rows are near dependent (cond about 3e10), so no basis or R^-1
+    # computed from them in double is within 1e-12 of another: LAPACK's QR
+    # and SVD bases of these rows are 3.5e-6 apart, and LAPACK's inverse of
+    # the carried R misses the identity by 6.4e-4. The carried factor is
+    # held to those: its basis is 2.9e-6 from the QR's, and its R^-1 leaves
+    # a residual of 6.2e-7.
+    qr = Subspace(np.linalg.qr(reference.T)[0])
+    spread = max_principal_angle(qr, Subspace(np.linalg.svd(reference, full_matrices=False)[2].T))
+    assert spread > 1e-12
+    assert max_principal_angle(Subspace(basis.copy()), qr) <= 2.0 * spread
+    upper = basis.T @ reference.T
+    direct = np.abs(np.linalg.inv(np.triu(upper)) @ upper - np.eye(basis.shape[1])).max()
+    assert 1e-12 < direct
+    assert np.abs(factor.inv_r @ upper - np.eye(basis.shape[1])).max() <= direct
 
 
 # ---------------------------------------------------------------- run

@@ -96,6 +96,15 @@ def test_solve_input_errors(tmp_path, capsys):
     assert main(["solve", str(boolean)]) == 2
     assert "'n'" in capsys.readouterr().err
 
+    # Nor is it a matrix entry, alone or among numbers.
+    for name, entries, m in (("A", [[True]], 1), ("B", [[1, True]], 2)):
+        payload.update(n=1, m=m, A=[[1.0]], B=[[1.0] * m], N=[[0.0] * m],
+                       R=np.zeros((m, m)).tolist())
+        payload[name] = entries
+        boolean.write_text(json.dumps(payload))
+        assert main(["solve", str(boolean)]) == 2
+        assert f"field {name!r} contains a boolean entry" in capsys.readouterr().err
+
 
 def test_usage_errors(tmp_path, capsys):
     path = _write_problem(tmp_path / "p.json", gen_experiment2(2))
@@ -134,6 +143,23 @@ def test_dae_command(tmp_path, capsys):
     bad.write_text(json.dumps({"A": [[1.0, 0.0]], "B": [[1.0, 0.0]]}))
     assert main(["dae", str(bad)]) == 2
     assert "square" in capsys.readouterr().err
+
+    for payload in ({"A": [[True]], "B": [[1.0]]}, {"A": [[1, True]], "B": [[1.0, 0.0]]},
+                    {"A": [[1.0]], "B": [[True]]}):
+        bad.write_text(json.dumps(payload))
+        assert main(["dae", str(bad)]) == 2
+        assert "contains a boolean entry" in capsys.readouterr().err
+    # A's row count sizes both fields, so A must be a non-empty list of rows:
+    # flat entries are rejected at every size.
+    for payload, name in (({"A": np.eye(2).tolist(), "B": np.eye(3, 2).tolist()}, "'B'"),
+                          ({"A": [], "B": []}, "'A'"), ({"A": 1.0, "B": [[1.0]]}, "'A'"),
+                          ({"A": [5.0], "B": [[1.0]]}, "'A' must be a square matrix"),
+                          ({"A": [1.0, 0.0, 0.0, 1.0], "B": np.eye(2).tolist()},
+                           "'A' must be a square matrix"),
+                          ({"B": [[1.0]]}, "missing field 'A'")):
+        bad.write_text(json.dumps(payload))
+        assert main(["dae", str(bad)]) == 2
+        assert name in capsys.readouterr().err
 
 
 def test_sweep_wide_delta_table(tmp_path, capsys):

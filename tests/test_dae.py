@@ -44,6 +44,11 @@ def test_linear_dae_validation():
         LinearDAE(A=np.zeros((2, 3)), B=np.zeros((2, 3)))
     with pytest.raises(ValueError, match="match"):
         LinearDAE(A=np.eye(2), B=np.eye(3))
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="non-finite"):
+            LinearDAE(A=np.array([[1.0, bad], [0.0, 1.0]]), B=np.eye(2))
+        with pytest.raises(ValueError, match="non-finite"):
+            LinearDAE(A=np.eye(2), B=np.full((2, 2), bad))
     for tol in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             dae_constraint_chain(LinearDAE(A=np.eye(2), B=np.eye(2)), tol=tol)
