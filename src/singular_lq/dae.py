@@ -6,6 +6,14 @@ conditions. For a regular pencil brought to Weierstrass form
 (E A F = blkdiag(I, Nnil), E B F = blkdiag(W, I)) the number of steps is
 nu + 1, where nu is the nilpotency index of Nnil normalized so that
 Nnil^nu != 0 and Nnil^(nu+1) = 0 (nu = 0 for Nnil = 0).
+
+The chain deflates the pencil, as the staircase reduction does (Van Dooren
+1979). Each step holds the pair (A_k, B_k) = (P' A M, P' B M), M the
+current basis and P orthonormal columns whose span holds A M and B M, from
+(A, B) and M = I. An SVD of A_k splits its column space U1 from its left
+null space Y; the kernel K of Y' B_k gives M K, and the pair shrinks to
+(U1' A_k K, U1' B_k K). Conditions already met are deflated away, never
+imposed again on a basis that has drifted.
 """
 
 from __future__ import annotations
@@ -95,23 +103,6 @@ class WeierstrassSpec:
         return self.Nnil.shape[0]
 
 
-def _refine(dae: LinearDAE, basis: np.ndarray, cut_a: float, cut_b: float) -> np.ndarray:
-    """One chain step: basis of { x in span(basis) : B x in Im(A basis) }.
-
-    The cuts are absolute and anchored to the scale of the original system
-    matrices, not of the products factorised here: deep in the chain those
-    products can be pure roundoff, and a relative threshold would read such
-    noise as full rank.
-    """
-    restricted = dae.A @ basis
-    left_null = _null_basis(restricted.T, cut_a)  # z with z' A basis = 0
-    if left_null.shape[1] == 0:
-        return basis
-    conditions = left_null.T @ dae.B @ basis
-    kernel = _null_basis(conditions, cut_b)
-    return basis @ kernel
-
-
 def dae_constraint_chain(dae: LinearDAE, tol: float = 1e-9) -> tuple[list[np.ndarray], int]:
     """Subspace chain M1 >= M2 >= ... and the step count.
 
@@ -120,6 +111,10 @@ def dae_constraint_chain(dae: LinearDAE, tol: float = 1e-9) -> tuple[list[np.nda
     one), and chain ends at M_r, the consistent initial conditions.
     Subspaces are compared by dimension, which suffices because each step
     refines the previous subspace.
+
+    The cuts are ``tol`` times the original ||A|| and ||B||, never the
+    shrinking pair's norms: deep in the chain its entries can be pure
+    roundoff, which a relative cut would read as full rank.
     """
     if not 0 < tol < inf:
         raise ValueError("tol must be positive and finite")
@@ -127,17 +122,19 @@ def dae_constraint_chain(dae: LinearDAE, tol: float = 1e-9) -> tuple[list[np.nda
     norm_b = np.linalg.norm(dae.B, 2)
     cut_a = tol * (norm_a if norm_a > 0 else 1.0)
     cut_b = tol * (norm_b if norm_b > 0 else 1.0)
-    basis = np.eye(dae.n)
+    A, B, basis = dae.A, dae.B, np.eye(dae.n)
     chain: list[np.ndarray] = []
     while True:
-        refined = _refine(dae, basis, cut_a, cut_b)
-        if refined.shape[1] == basis.shape[1]:
+        rank, _, u, _ = _svd_rank(A, cut_a, full=True)
+        kernel = _null_basis(u[:, rank:].T @ B, cut_b)  # B_k y in Im A_k
+        if kernel.shape[1] == basis.shape[1]:
             # The chain stabilized at its last entry; with none, M1 = M0 = R^n
             # and r = 1. Dimensions strictly decrease until here, so the loop
             # ends within n + 1 steps.
-            return (chain, len(chain)) if chain else ([refined], 1)
-        chain.append(refined)
-        basis = refined
+            return (chain, len(chain)) if chain else ([basis], 1)
+        kept = u[:, :rank].T
+        A, B, basis = kept @ A @ kernel, kept @ B @ kernel, basis @ kernel
+        chain.append(basis)
 
 
 def build_weierstrass(spec: WeierstrassSpec) -> LinearDAE:

@@ -14,11 +14,9 @@ import numpy as np
 
 __all__ = [
     "LQProblem",
-    "CostateTriple",
     "ConstraintMatrix",
     "validate",
     "hamiltonian",
-    "dynamics_rhs",
     "primary_constraint",
 ]
 
@@ -53,15 +51,6 @@ class LQProblem:
     R: np.ndarray
     n: int
     m: int
-
-
-@dataclass(frozen=True)
-class CostateTriple:
-    """A point (x, p, u) in the extended state-costate-control space."""
-
-    x: np.ndarray
-    p: np.ndarray
-    u: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -140,36 +129,16 @@ def validate(A, B, Q, N, R, symmetry_tol: float = 1e-12) -> LQProblem:
     )
 
 
-def _check_point(problem: LQProblem, s: CostateTriple) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    x = np.asarray(s.x, dtype=float).reshape(-1)
-    p = np.asarray(s.p, dtype=float).reshape(-1)
-    u = np.asarray(s.u, dtype=float).reshape(-1)
+def hamiltonian(problem: LQProblem, x, p, u) -> float:
+    """Pontryagin Hamiltonian p'(Ax + Bu) - L(x, u) at the point (x, p, u)."""
+    x, p, u = (np.asarray(v, dtype=float).reshape(-1) for v in (x, p, u))
     if x.shape != (problem.n,) or p.shape != (problem.n,):
         raise ValueError(f"x and p must have length n = {problem.n}")
     if u.shape != (problem.m,):
         raise ValueError(f"u must have length m = {problem.m}")
-    return x, p, u
-
-
-def hamiltonian(problem: LQProblem, s: CostateTriple) -> float:
-    """Pontryagin Hamiltonian p'(Ax + Bu) - L(x, u)."""
-    x, p, u = _check_point(problem, s)
     kinetic = p @ (problem.A @ x) + p @ (problem.B @ u)
     cost = 0.5 * x @ (problem.Q @ x) + x @ (problem.N @ u) + 0.5 * u @ (problem.R @ u)
     return float(kinetic - cost)
-
-
-def dynamics_rhs(problem: LQProblem, s: CostateTriple) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand sides (xdot, pdot) of the state and costate equations.
-
-    xdot = A x + B u and pdot = -A'p + Q x + N u; these are dH/dp and
-    -dH/dx of :func:`hamiltonian`, which the tests verify by finite
-    differences.
-    """
-    x, p, u = _check_point(problem, s)
-    xdot = problem.A @ x + problem.B @ u
-    pdot = -problem.A.T @ p + problem.Q @ x + problem.N @ u
-    return xdot, pdot
 
 
 def primary_constraint(problem: LQProblem) -> ConstraintMatrix:
@@ -184,7 +153,9 @@ def _derivative(block: ConstraintMatrix, problem: LQProblem):
     Returns (sigma A + beta Q, -beta A', sigma B + beta N): one application
     of the level map shared by the recursion, its partial feedback and the
     unprojected tilde blocks. The rho u term contributes rho udot, which the
-    caller splits off.
+    caller splits off. The dynamics are xdot = A x + B u and
+    pdot = -A'p + Q x + N u, the gradients dH/dp and -dH/dx of
+    :func:`hamiltonian`, which the tests check by central differences.
     """
     A, B, Q, N = problem.A, problem.B, problem.Q, problem.N
     sigma, beta = block.sigma, block.beta

@@ -13,7 +13,9 @@ from singular_lq import (
     FEEDBACK,
     STAGNATION,
     ConstraintMatrix,
+    LinearDAE,
     Subspace,
+    dae_constraint_chain,
     feedback_rate_map,
     final_submanifold,
     gen_experiment2,
@@ -1004,3 +1006,19 @@ def test_extended_system_chain_contains_recursion_kernel():
         if dim_chain < dim_recursion:
             strict.append((seed, halt_e))
     assert strict == [(26, "feedback")]
+
+
+def test_float_chain_matches_exact_chain_on_extended_system():
+    # The same 50 extended pairs as above: dae_constraint_chain in floats
+    # against rational_chain in exact arithmetic, step by step.
+    for seed in range(50):
+        rng = np.random.default_rng(np.random.SeedSequence([20250813, seed]))
+        abig, bbig = ro.extended_pair(*_exact_matrices(_halves_problem(rng)))
+        dims, basis, steps = ro.rational_chain(abig, bbig)
+        dae = LinearDAE(A=ro.to_float(abig), B=ro.to_float(bbig))
+        chain, float_steps = dae_constraint_chain(dae)
+        assert [c.shape[1] for c in chain] == dims
+        assert float_steps == steps
+        if dims[-1]:
+            exact = np.linalg.qr(ro.to_float(basis))[0]
+            assert max_principal_angle(Subspace(chain[-1]), Subspace(exact)) <= 1e-10

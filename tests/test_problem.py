@@ -5,8 +5,7 @@ import pytest
 
 from rational_oracle import Fraction, from_float, matmul, transpose
 from singular_lq import (
-    CostateTriple,
-    dynamics_rhs,
+    ConstraintMatrix,
     gen_experiment2,
     gen_experiment3,
     hamiltonian,
@@ -14,6 +13,7 @@ from singular_lq import (
     regular_feedback,
     validate,
 )
+from singular_lq.problem import _derivative
 
 
 def test_validate_accepts_zero_1x1():
@@ -73,39 +73,40 @@ def test_problem_arrays_are_frozen():
 
 def test_hamiltonian_zero_triple_is_zero():
     problem = gen_experiment2(3)
-    s = CostateTriple(x=np.zeros(3), p=np.zeros(3), u=np.zeros(1))
-    assert hamiltonian(problem, s) == 0.0
+    assert hamiltonian(problem, np.zeros(3), np.zeros(3), np.zeros(1)) == 0.0
 
 
 def test_hamiltonian_scalar_example():
     one = [[1.0]]
     zero = [[0.0]]
     problem = validate(one, one, zero, zero, zero)
-    s = CostateTriple(x=[1.0], p=[1.0], u=[1.0])
     # p A x + p B u = 1 + 1 with no cost terms
-    assert hamiltonian(problem, s) == 2.0
+    assert hamiltonian(problem, [1.0], [1.0], [1.0]) == 2.0
 
 
-def test_dynamics_zero_triple():
-    problem = gen_experiment2(2)
-    xdot, pdot = dynamics_rhs(problem, CostateTriple(np.zeros(2), np.zeros(2), np.zeros(1)))
-    assert np.array_equal(xdot, np.zeros(2))
-    assert np.array_equal(pdot, np.zeros(2))
+def _dynamics(problem, x, p, u):
+    """(xdot, pdot) from the derivative of the coordinate rows x and p."""
+    n, m = problem.n, problem.m
+    part = _derivative(ConstraintMatrix(np.eye(2 * n, 2 * n + m), n, m), problem)
+    rates = part[0] @ x + part[1] @ p + part[2] @ u
+    return rates[:n], rates[n:]
 
 
 def test_dynamics_scalar_example():
     problem = validate([[2.0]], [[1.0]], [[3.0]], [[0.0]], [[0.0]])
-    xdot, pdot = dynamics_rhs(problem, CostateTriple([1.0], [1.0], [1.0]))
+    xdot, pdot = _dynamics(problem, [1.0], [1.0], [1.0])
     assert xdot[0] == 3.0  # 2*1 + 1*1
     assert pdot[0] == 1.0  # -2*1 + 3*1 + 0
 
 
-def test_dynamics_rejects_wrong_lengths():
+def test_hamiltonian_rejects_wrong_lengths():
     problem = gen_experiment2(3)
-    with pytest.raises(ValueError):
-        dynamics_rhs(problem, CostateTriple(np.zeros(2), np.zeros(3), np.zeros(1)))
-    with pytest.raises(ValueError):
-        dynamics_rhs(problem, CostateTriple(np.zeros(3), np.zeros(3), np.zeros(2)))
+    with pytest.raises(ValueError, match="x and p"):
+        hamiltonian(problem, np.zeros(2), np.zeros(3), np.zeros(1))
+    with pytest.raises(ValueError, match="x and p"):
+        hamiltonian(problem, np.zeros(3), np.zeros(4), np.zeros(1))
+    with pytest.raises(ValueError, match="u must"):
+        hamiltonian(problem, np.zeros(3), np.zeros(3), np.zeros(2))
 
 
 def _random_halves_problem(rng, n, m):
@@ -131,10 +132,10 @@ def test_values_match_exact_rational_evaluation():
             - dot(xc, matmul(N, uc))
             - Fraction(1, 2) * dot(uc, matmul(R, uc))
         )
-        h = hamiltonian(problem, CostateTriple(x, p, u))
+        h = hamiltonian(problem, x, p, u)
         assert abs(h - float(h_exact)) <= 1e-15 * max(1.0, abs(h))
 
-        xdot, pdot = dynamics_rhs(problem, CostateTriple(x, p, u))
+        xdot, pdot = _dynamics(problem, x, p, u)
         xdot_exact = [r[0] + s[0] for r, s in zip(matmul(A, xc), matmul(B, uc))]
         at = transpose(A)
         pdot_exact = [
@@ -146,8 +147,10 @@ def test_values_match_exact_rational_evaluation():
 
 
 def test_dynamics_are_gradients_of_hamiltonian():
-    # H is quadratic, so central differences are exact up to roundoff;
-    # the h^2 bound is far looser than what must hold
+    # Along xdot = dH/dp and pdot = -dH/dx, d/dt (sigma x + beta p) must be
+    # what _derivative says, for any rows; dH/du must be the primary
+    # constraint. H is quadratic, so central differences are exact up to
+    # roundoff; the h^2 bound is far looser than what must hold.
     rng = np.random.default_rng(7)
     for _ in range(10):
         n, m = int(rng.integers(1, 4)), int(rng.integers(1, 4))
@@ -155,25 +158,27 @@ def test_dynamics_are_gradients_of_hamiltonian():
         sym = lambda k: (lambda M: (M + M.T) / 2.0)(g(k, k))
         problem = validate(g(n, n), g(n, m), sym(n), g(n, m), sym(m))
         x, p, u = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)
-        xdot, pdot = dynamics_rhs(problem, CostateTriple(x, p, u))
+        rows = ConstraintMatrix(g(3, 2 * n + m), n, m)
+        part = _derivative(rows, problem)
+        rates = part[0] @ x + part[1] @ p + part[2] @ u
+        weight = np.abs(rows.sigma).sum(axis=1) + np.abs(rows.beta).sum(axis=1)
         block = primary_constraint(problem)
         dh_du = block.sigma @ x + block.beta @ p + block.rho @ u
 
         for h in (1e-4, 1e-5):
+            def gradient(shift, size):
+                steps = h * np.eye(size)
+                return np.array([
+                    hamiltonian(problem, *shift(e)) - hamiltonian(problem, *shift(-e))
+                    for e in steps
+                ]) / (2 * h)
+
             bound = 2.0 * h * h
-            for i in range(n):
-                e = np.zeros(n); e[i] = h
-                dp = (hamiltonian(problem, CostateTriple(x, p + e, u))
-                      - hamiltonian(problem, CostateTriple(x, p - e, u))) / (2 * h)
-                assert abs(dp - xdot[i]) <= bound
-                dx = (hamiltonian(problem, CostateTriple(x + e, p, u))
-                      - hamiltonian(problem, CostateTriple(x - e, p, u))) / (2 * h)
-                assert abs(-dx - pdot[i]) <= bound
-            for a in range(m):
-                e = np.zeros(m); e[a] = h
-                du = (hamiltonian(problem, CostateTriple(x, p, u + e))
-                      - hamiltonian(problem, CostateTriple(x, p, u - e))) / (2 * h)
-                assert abs(du - dh_du[a]) <= bound
+            xdot = gradient(lambda e: (x, p + e, u), n)
+            pdot = -gradient(lambda e: (x + e, p, u), n)
+            assert np.all(np.abs(rows.sigma @ xdot + rows.beta @ pdot - rates) <= bound * weight)
+            du = gradient(lambda e: (x, p, u + e), m)
+            assert np.all(np.abs(du - dh_du) <= bound)
 
 
 def test_primary_constraint_blocks():
