@@ -38,7 +38,7 @@ complement of phi's carried row basis (``row_basis``), from QR alone.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -53,7 +53,6 @@ __all__ = [
     "AlgorithmResult",
     "numerical_rank",
     "svd_split",
-    "step",
     "independent_rows",
     "run",
     "regular_feedback",
@@ -108,7 +107,7 @@ class AlgorithmResult:
     split; blocks the raw per-level rows before independence filtering,
     blocks[k - 1] at level k. row_basis is an orthonormal basis of phi's
     row space, shape (2n + m, codim): the Q factor of phi' that the row
-    filter carried to the last level.
+    filter carried to the last level. tol is the tolerance the run used.
     """
 
     phi: ConstraintMatrix
@@ -116,11 +115,11 @@ class AlgorithmResult:
     codim: int
     halt_reason: str
     row_basis: np.ndarray
-    rank_history: list[tuple[int, int]] = field(default_factory=list)
-    partial_feedback: list[PartialFeedback] = field(default_factory=list)
-    selectors: list[np.ndarray] = field(default_factory=list)
-    blocks: list[ConstraintMatrix] = field(default_factory=list)
-    tol: float = 1e-6
+    rank_history: list[tuple[int, int]]
+    partial_feedback: list[PartialFeedback]
+    selectors: list[np.ndarray]
+    blocks: list[ConstraintMatrix]
+    tol: float
 
 
 def _svd_rank(
@@ -168,20 +167,6 @@ def svd_split(rho, tol: float, relative: bool = True) -> SvdSplit:
         u_top=ut[:rank],
         u_bottom=ut[rank:],
     )
-
-
-def step(block: ConstraintMatrix, split: SvdSplit, problem: LQProblem) -> ConstraintMatrix:
-    """Propagate the undetermined rows of a block one level.
-
-    sigma_next = Ub (sigma A + beta Q), beta_next = Ub (-beta A'),
-    rho_next = Ub (sigma B + beta N), with Ub the u_bottom selector.
-    Raises if the split has nothing to propagate (rho full row rank); the
-    caller halts with FEEDBACK in that case.
-    """
-    if split.u_bottom.shape[0] == 0:
-        raise ValueError("rho has full row rank at this tolerance; nothing to propagate")
-    part = _derivative(block, problem)
-    return ConstraintMatrix(np.hstack([split.u_bottom @ d for d in part]), problem.n, problem.m)
 
 
 class _RowFactor:

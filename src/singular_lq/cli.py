@@ -132,8 +132,6 @@ def _matrix_field(data: dict, name: str, rows: int, cols: int, path: str) -> np.
         arr = np.asarray(data[name], dtype=float)
     except (TypeError, ValueError) as exc:
         raise InputError(f"{path}: field {name!r} is not numeric: {exc}") from exc
-    if arr.ndim == 1 and arr.size == rows * cols:
-        arr = arr.reshape(rows, cols)  # flat row-major
     if arr.shape != (rows, cols):
         square = " square" if rows == cols else ""
         raise InputError(

@@ -152,28 +152,22 @@ def build_weierstrass(spec: WeierstrassSpec) -> LinearDAE:
     return LinearDAE(A=A, B=B)
 
 
-def pencil_is_regular(
-    dae: LinearDAE, trials: int = 16, tol: float = 1e-12, rng=None
-) -> bool:
+def pencil_is_regular(dae: LinearDAE) -> bool:
     """Probabilistic regularity test: lambda A - B nonsingular somewhere.
 
-    Samples ``trials`` random real lambda and asks the shared rank
-    primitive whether lambda A - B has full rank, ``tol`` being the
-    relative cut: every singular value must exceed ``tol`` times the
+    Samples 16 random real lambda from ``np.random.default_rng(0)`` and asks
+    the shared rank primitive whether lambda A - B has full rank at the
+    relative cut 1e-12: every singular value must exceed 1e-12 times the
     largest. An irregular pencil is singular for every lambda, so any
     single full-rank sample certifies regularity; a regular pencil fails
     all trials only if every sampled lambda lands near a generalized
     eigenvalue, which has probability zero under a continuous sampling
     distribution.
     """
-    if not 0 < tol < inf:
-        raise ValueError("tol must be positive and finite")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
-    rng = np.random.default_rng(0) if rng is None else rng
-    for _ in range(trials):
+    rng = np.random.default_rng(0)
+    for _ in range(16):
         lam = rng.standard_normal()
-        if _svd_rank(lam * dae.A - dae.B, tol, relative=True)[0] == dae.n:
+        if _svd_rank(lam * dae.A - dae.B, 1e-12, relative=True)[0] == dae.n:
             return True
     return False
 

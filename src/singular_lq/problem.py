@@ -83,22 +83,22 @@ class ConstraintMatrix:
         return self.rows[:, 2 * self.n :]
 
 
-def _check_symmetry(M: np.ndarray, name: str, symmetry_tol: float) -> None:
+def _check_symmetry(M: np.ndarray, name: str) -> None:
     diff = M - M.T  # the only full-size temporary
     dev = np.abs(diff, out=diff).max(initial=0.0)
     scale = max(1.0, M.max(initial=0.0), -M.min(initial=0.0))
-    if dev > symmetry_tol * scale:
+    if dev > 1e-12 * scale:
         raise ValueError(
             f"{name} is not symmetric: max |{name} - {name}'| = {dev:.3e} "
-            f"exceeds {symmetry_tol:.1e} * max(1, |{name}|)"
+            f"exceeds 1.0e-12 * max(1, |{name}|)"
         )
 
 
-def validate(A, B, Q, N, R, symmetry_tol: float = 1e-12) -> LQProblem:
+def validate(A, B, Q, N, R) -> LQProblem:
     """Check shapes and symmetry and return an immutable LQProblem.
 
-    Q and R must be symmetric up to ``symmetry_tol`` relative to
-    max(1, max-abs entry); asymmetric input is rejected, never symmetrized.
+    Q and R must be symmetric up to 1e-12 relative to max(1, max-abs
+    entry); asymmetric input is rejected, never symmetrized.
     """
     A = _as_matrix(A, "A")
     B = _as_matrix(B, "B")
@@ -120,8 +120,8 @@ def validate(A, B, Q, N, R, symmetry_tol: float = 1e-12) -> LQProblem:
         raise ValueError(f"N must be {n}x{m}, got shape {N.shape}")
     if R.shape != (m, m):
         raise ValueError(f"R must be {m}x{m}, got shape {R.shape}")
-    _check_symmetry(Q, "Q", symmetry_tol)
-    _check_symmetry(R, "R", symmetry_tol)
+    _check_symmetry(Q, "Q")
+    _check_symmetry(R, "R")
 
     return LQProblem(
         A=_frozen(A), B=_frozen(B), Q=_frozen(Q), N=_frozen(N), R=_frozen(R),

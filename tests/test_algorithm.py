@@ -26,7 +26,6 @@ from singular_lq import (
     primary_constraint,
     regular_feedback,
     run,
-    step,
     svd_split,
     validate,
 )
@@ -142,14 +141,12 @@ def test_svd_split_left_null_and_orthogonality():
             assert np.abs(split.u_bottom @ rho).max() <= 1e-9 * max(s1, 1e-300)
 
 
-# ---------------------------------------------------------------- step
+# ---------------------------------------------------------------- levels
 
 
 def test_step_experiment2_levels():
-    problem = gen_experiment2(4)
-    level1 = primary_constraint(problem)
-    split1 = svd_split(level1.rho, 1e-6)
-    level2 = step(level1, split1, problem)
+    blocks = run(gen_experiment2(4), tol=1e-6).blocks
+    level2 = blocks[1]
     ones = np.ones((1, 4))
     # SVD leaves a sign ambiguity in u_bottom; compare up to one global sign
     sign = np.sign(level2.sigma[0, 0]) or 1.0
@@ -157,26 +154,19 @@ def test_step_experiment2_levels():
     assert np.allclose(sign * level2.beta, -ones, atol=1e-14)
     assert np.allclose(level2.rho, 0.0, atol=1e-14)
 
-    level3 = step(level2, svd_split(level2.rho, 1e-6), problem)
+    level3 = blocks[2]
     assert level3.rho.shape == (1, 1)
     assert np.isclose(abs(level3.rho[0, 0]), 4.0)  # sigma(2) B = n
-
-
-def test_step_rejects_full_rank_split():
-    problem = validate(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)), np.eye(2))
-    block = primary_constraint(problem)
-    with pytest.raises(ValueError):
-        step(block, svd_split(block.rho, 1e-6), problem)
 
 
 def test_step_experiment3_power_formula():
     n = 5
     problem = gen_experiment3(n)
     bt, at = problem.B.T, problem.A.T
-    block = primary_constraint(problem)
+    blocks = run(problem, tol=1e-9).blocks
+    assert len(blocks) >= n
     power = np.eye(n)
-    for k in range(1, n):
-        block = step(block, svd_split(block.rho, 1e-9), problem)
+    for k, block in enumerate(blocks[1:n], start=1):
         power = power @ at
         expected = (-1.0) ** k * bt @ power
         # each level's 1x1 u_bottom factor is +-1; fix the sign per level
@@ -675,6 +665,8 @@ def test_run_regular_r_is_single_step():
     assert result.steps == 1
     assert result.halt_reason == FEEDBACK
     assert np.array_equal(result.phi.rows, primary_constraint(problem).rows)
+    # rho is full rank: nothing is propagated past the primary block.
+    assert len(result.blocks) == 1 and result.selectors == []
 
 
 def test_regular_feedback_decides_the_rank_of_r_in_the_shared_helper(monkeypatch):
@@ -738,9 +730,11 @@ def test_run_splits_one_derivative_per_level():
             assert np.array_equal(pf.rate, split.u_top @ block.rho)
             assert np.array_equal(pf.drift, np.hstack([split.u_top @ d for d in part]))
             checked += 1
-        for block, following in zip(result.blocks, result.blocks[1:]):
-            expected = step(block, svd_split(block.rho, tol, relative=False), problem)
-            assert np.array_equal(following.rows, expected.rows)
+        for block, following, selector in zip(result.blocks, result.blocks[1:], result.selectors):
+            split = svd_split(block.rho, tol, relative=False)
+            part = _derivative(block, problem)
+            assert np.array_equal(selector, split.u_bottom)
+            assert np.array_equal(following.rows, np.hstack([split.u_bottom @ d for d in part]))
     assert checked >= 30
 
 
@@ -760,7 +754,9 @@ def _manual_trace(problem, tol):
         split = svd_split(block.rho, tol, relative=False)
         if split.rank == l:
             break
-        block = step(block, split, problem)
+        part = _derivative(block, problem)
+        rows = np.hstack([split.u_bottom @ d for d in part])
+        block = ConstraintMatrix(rows=rows, n=problem.n, m=problem.m)
         phi = independent_rows(
             ConstraintMatrix(rows=np.vstack([phi.rows, block.rows]),
                              n=problem.n, m=problem.m), tol,
@@ -868,6 +864,15 @@ def test_run_constraint_stability_on_kernel():
                     *(np.abs(M).max() for M in (A, B, Q, N)))
         assert np.abs(residual).max() <= 1e-8 * scale
     assert checked >= 40
+
+
+def test_feedback_rate_map_is_zero_without_determined_directions():
+    # Unperturbed family 3 has a zero rho at every level: udot is pure gauge.
+    problem = gen_experiment3(6)
+    result = run(problem, tol=1e-9)
+    assert result.partial_feedback == []
+    width = 2 * problem.n + problem.m
+    assert np.array_equal(feedback_rate_map(result), np.zeros((problem.m, width)))
 
 
 def _dependent_feedback_problem():

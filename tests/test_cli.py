@@ -106,6 +106,44 @@ def test_solve_input_errors(tmp_path, capsys):
         assert f"field {name!r} contains a boolean entry" in capsys.readouterr().err
 
 
+_ONE = {"n": 1, "m": 1, "A": [[1.0]], "B": [[1.0]], "Q": [[1.0]], "N": [[0.0]], "R": [[0.0]]}
+_SWEEP = ["sweep", "--family", "2", "--n", "3", "--deltas"]
+
+
+@pytest.mark.parametrize(
+    "args, payload, code, stream, text",
+    [
+        (_SWEEP + ["1e-9", "--trials", "0"], None, 1, "err", "error: trials must be at least 1"),
+        (["sweep", "--family", "2", "--n", "0", "--deltas", "1e-9"], None, 1, "err",
+         "size 0 is not positive"),
+        (["sweep", "--family", "2", "--n", ",", "--deltas", "1e-9"], None, 1, "err",
+         "empty size list"),
+        (_SWEEP + ["1e-3..x"], None, 1, "err", "bad delta range '1e-3..x'"),
+        (_SWEEP + ["2e-3..1e-1"], None, 1, "err", "range endpoints must be powers of ten"),
+        (_SWEEP + ["abc"], None, 1, "err", "bad delta 'abc'"),
+        (_SWEEP + ["0,1e-9"], None, 0, "out", "slope axis=delta: not available ("),
+        (["solve"], [_ONE], 2, "err", "top level must be an object"),
+        (["solve"], {k: v for k, v in _ONE.items() if k != "n"}, 2, "err", "missing field 'n'"),
+        (["solve"], {**_ONE, "B": [["x"]]}, 2, "err", "field 'B' is not numeric"),
+        (["solve"], {**_ONE, "Q": [[float("nan")]]}, 2, "err",
+         "field 'Q' contains non-finite entries"),
+        # Fields are lists of rows, as for dae: a flat row-major list is rejected.
+        (["solve"], {**_ONE, "A": [1.0]}, 2, "err",
+         "field 'A' must be a square 1x1 matrix, got shape (1,)"),
+    ],
+    ids=["trials-0", "size-0", "no-sizes", "bad-range", "range-not-decades", "bad-delta",
+         "no-delta-slope", "array-top-level", "missing-n", "non-numeric", "nan-entry",
+         "flat-field"],
+)
+def test_error_paths(tmp_path, capsys, args, payload, code, stream, text):
+    if payload is not None:
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(payload))  # NaN is written as the literal, which json reads
+        args = args + [str(path)]
+    assert main(args) == code
+    assert text in getattr(capsys.readouterr(), stream)
+
+
 def test_usage_errors(tmp_path, capsys):
     path = _write_problem(tmp_path / "p.json", gen_experiment2(2))
     assert main(["solve", path, "--tol", "0"]) == 1

@@ -143,11 +143,6 @@ def test_pencil_regularity_examples():
     assert not pencil_is_regular(
         LinearDAE(A=np.diag([1.0, 0.0]), B=np.zeros((2, 2)))
     )
-    for tol in (-1.0, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            pencil_is_regular(LinearDAE(A=np.eye(2), B=np.eye(2)), tol=tol)
-    with pytest.raises(ValueError):
-        pencil_is_regular(LinearDAE(A=np.eye(2), B=np.eye(2)), trials=0)
 
 
 def test_pencil_regularity_against_exact_determinants():

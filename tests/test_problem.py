@@ -24,7 +24,9 @@ def test_validate_accepts_zero_1x1():
 
 def test_validate_rejects_asymmetric_q():
     ok = np.eye(2)
-    with pytest.raises(ValueError, match="Q"):
+    message = (r"^Q is not symmetric: max \|Q - Q'\| = 1\.000e\+00 "
+               r"exceeds 1\.0e-12 \* max\(1, \|Q\|\)$")
+    with pytest.raises(ValueError, match=message):
         validate(ok, ok, [[0.0, 1.0], [0.0, 0.0]], ok, ok)
 
 
