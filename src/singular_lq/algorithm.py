@@ -20,8 +20,9 @@ reproduces degrade at perturbation sizes that cross ``tol`` itself, which
 only an absolute cut reproduces (a perturbed zero R must read as
 rank-deficient while its norm stays below tol). :func:`numerical_rank` and
 :func:`svd_split` expose both rules via the ``relative`` flag. Every rank
-decision, here and in the DAE chain, is one SVD whose singular values are
-counted against the cut in one place, ``_svd_rank``. From the primary
+decision, here and in the DAE chain, counts singular values against the
+cut in one place, ``_svd_rank``: those of one SVD, or for a one-row matrix
+its Householder norm, which needs no LAPACK call. From the primary
 block on, the row filter carries phi's rows and a QR factor of them, which
 starts empty and only grows: each new block is ranked projected off phi's
 basis, from one small R factor (a scalar, with no LAPACK call, for a
@@ -43,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _complement
-from .problem import ConstraintMatrix, LQProblem, _derivative, primary_constraint
+from .problem import ConstraintMatrix, LQProblem, _as_matrix, _derivative, primary_constraint
 
 __all__ = [
     "FEEDBACK",
@@ -62,6 +63,7 @@ __all__ = [
 
 FEEDBACK = "feedback"
 STAGNATION = "stagnation"
+_EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SvdSplit:
@@ -122,22 +124,46 @@ class AlgorithmResult:
     tol: float
 
 
+def _householder_beta(p: np.ndarray) -> float:
+    """beta of LAPACK's Householder reflector taking the row p to beta e_1.
+
+    beta = -sign(p_1) ||p||, or p_1 when p_2.. are zero (Golub & Van Loan
+    5.1); ``math.hypot`` redoes a sum of squares that under- or overflows.
+    """
+    first, rest = float(p[0]), math.sqrt(np.vdot(p[1:], p[1:]))
+    if not 1e-150 < rest < 1e150 and len(p) > 1:
+        rest = math.hypot(*p[1:])
+    return first if rest == 0.0 else -math.copysign(math.hypot(first, rest), first)
+
+
 def _svd_rank(
-    M: np.ndarray, tol: float, relative: bool = False, full: bool = False
+    M: np.ndarray, tol: float, relative: bool = False, full: str = ""
 ) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """SVD of M and the count of its singular values above the cut.
+    """SVD of the matrix M and the count of its singular values above the cut.
 
     The cut is ``tol``, or ``tol * s_1`` with ``relative``. Returns
-    ``(rank, s, u, vh)``; u and vh are the ``full_matrices=True`` factors
-    with ``full``, None otherwise. Empty and zero matrices have rank 0.
+    ``(rank, s, u, vh)``, u and vh the ``full_matrices=True`` factors or
+    None; LAPACK computes both when ``full`` is "u" or "uvh". Unless it is
+    "uvh", a one-row M takes no LAPACK call: s = [|beta|], u = [[sign(beta)]]
+    (LAPACK's own factors) and vh None. Empty and zero matrices have rank 0.
     """
-    if full:
+    if len(M) == 1 and M.size and full != "uvh":
+        beta = _householder_beta(M[0])
+        s, u, vh = np.array([abs(beta)]), np.array([[math.copysign(1.0, beta)]]), None
+    elif full:
         u, s, vh = np.linalg.svd(M, full_matrices=True)
     else:
         s = np.linalg.svd(M, compute_uv=False)
         u = vh = None
     cut = tol * s[0] if relative and s.size else tol
     return int(np.count_nonzero(s > cut)), s, u, vh
+
+
+def _checked(M, tol: float, name: str) -> np.ndarray:
+    """M as a finite float matrix, after the checks the public rank functions share."""
+    if not 0 < tol < math.inf:
+        raise ValueError("tol must be positive and finite")
+    return _as_matrix(M, name)
 
 
 def numerical_rank(M, tol: float, relative: bool = True) -> int:
@@ -147,26 +173,22 @@ def numerical_rank(M, tol: float, relative: bool = True) -> int:
     ``relative=False`` it is ``tol`` itself, matching the rank calls the
     recursion makes. Empty and zero matrices have rank 0.
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    return _svd_rank(np.asarray(M, dtype=float), tol, relative)[0]
+    return _svd_rank(_checked(M, tol, "M"), tol, relative)[0]
 
 
 def svd_split(rho, tol: float, relative: bool = True) -> SvdSplit:
     """Full SVD of rho with the left factor split at the numerical rank."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    rho = np.asarray(rho, dtype=float)
-    if rho.ndim != 2 or rho.shape[0] < 1:
+    rho = _checked(rho, tol, "rho")
+    if rho.shape[0] < 1:
         raise ValueError(f"rho must be a matrix with at least one row, got shape {rho.shape}")
-    rank, svals, u, _ = _svd_rank(rho, tol, relative, full=True)
+    return _split(rho, tol, relative)
+
+
+def _split(rho: np.ndarray, tol: float, relative: bool) -> SvdSplit:
+    """:func:`svd_split` without its input checks, for the recursion's rho blocks."""
+    rank, svals, u, _ = _svd_rank(rho, tol, relative, full="u")
     ut = u.T
-    return SvdSplit(
-        singular_values=svals,
-        rank=rank,
-        u_top=ut[:rank],
-        u_bottom=ut[rank:],
-    )
+    return SvdSplit(singular_values=svals, rank=rank, u_top=ut[:rank], u_bottom=ut[rank:])
 
 
 class _RowFactor:
@@ -207,11 +229,10 @@ def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
     Q R; M has k >= 1 rows. P is M projected off Q twice (classical
     Gram-Schmidt with reorthogonalisation); the R factor of a thin QR of P'
     gives its singular values s_j, and a = #{s_j > tol}. A one-row P needs
-    no factorisation: its R is the scalar beta = -sign(p_1) ||P|| that
-    LAPACK's Householder reflector gives (p_1 itself when p_2..p_w are
-    zero), so q = P / beta and s_1 = |beta|. The count c + a is the
-    stacked SVD's rank when two bounds clear tol by the SVD's rounding
-    slack, e = eps * max(shape) * ||stacked||_F:
+    no factorisation: its R is the scalar beta of LAPACK's Householder
+    reflector (:func:`_householder_beta`), so q = P / beta and s_1 = |beta|.
+    The count c + a is the stacked SVD's rank when two bounds clear tol by
+    the SVD's rounding slack, e = eps * max(shape) * ||stacked||_F:
 
     * upper: column interlacing gives s_(c+a+1)(stacked) <= s_(a+1)(P);
     * lower: on the span of Q and P's top a right singular vectors the
@@ -237,14 +258,12 @@ def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
     projected = M - coef @ basis_t
     projected -= (projected @ basis_t.T) @ basis_t
     if k == 1:
-        p = projected[0]
-        first, rest = float(p[0]), math.sqrt(p[1:] @ p[1:])
-        beta = first if rest == 0.0 else -math.copysign(math.hypot(first, rest), first)
+        beta = _householder_beta(projected[0])
         added, s = int(abs(beta) > tol), [abs(beta)]
     else:
         q, upper = np.linalg.qr(projected.T)
         added, s, _, _ = _svd_rank(upper, tol)
-    slack = np.finfo(float).eps * max(c + k, width) * math.sqrt(factor.sq_norm + np.vdot(M, M))
+    slack = _EPS * max(c + k, width) * math.sqrt(factor.sq_norm + np.vdot(M, M))
     inv_norm = math.sqrt(factor.inv_sq_norm)
     inv_low = inv_norm * (1.0 + slack * inv_norm)  # 1 / lower bound of s_(c+a)
     if added:
@@ -274,7 +293,7 @@ def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
         # T = (M Q)' up to rounding, and the new R^-1 follows blockwise.
         drift = basis_t @ q
         q -= basis_t.T @ drift
-        if np.vdot(drift, drift) > np.finfo(float).eps:
+        if np.vdot(drift, drift) > _EPS:
             q, again = np.linalg.qr(q)
             upper = again @ upper
         q, tail = q.T, np.linalg.inv(upper)
@@ -313,28 +332,16 @@ def _independent_rows_array(
 
 def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:
     """Filter phi to its greedily selected independent rows (idempotent)."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-    rows = _independent_rows_array(np.asarray(phi.rows, dtype=float), tol).rows
+    rows = _independent_rows_array(_checked(phi.rows, tol, "phi"), tol).rows
     return ConstraintMatrix(rows=rows.copy(), n=phi.n, m=phi.m)
 
 
 def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
-    """Run the constraint recursion to the final submanifold.
+    """Run the constraint recursion on a validated problem.
 
-    Parameters
-    ----------
-    problem : LQProblem
-        Validated problem data.
-    tol : float
-        Rank tolerance. All rank decisions inside the loop use the
-        absolute rule (``s > tol``); see the module docstring.
-
-    Returns
-    -------
-    AlgorithmResult
-        Filtered constraint matrix, step count, codimension, halt reason
-        and the per-level trace.
+    Returns the filtered constraint matrix, step count, codimension, halt
+    reason and the per-level trace. Every rank decision inside the loop uses
+    the absolute rule ``s > tol``; see the module docstring.
 
     The loop mirrors the reference pseudocode: while rho is rank
     deficient and phi gained rank last level, split rho, peel off the
@@ -351,7 +358,7 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     l = block.rho.shape[0]
     factor = _independent_rows_array(block.rows, tol)
     phi_rank = factor.rows.shape[0]
-    split = svd_split(block.rho, tol, relative=False)
+    split = _split(block.rho, tol, False)
     p = 0
     k = 1
     rank_history = [(split.rank, phi_rank)]
@@ -384,13 +391,18 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
             break
         selectors.append(split.u_bottom)
         # One product per part, as in the drift: a single u_bottom @
-        # hstack(part) rounds differently in the last bit.
-        rows = np.hstack([split.u_bottom @ d for d in part])
+        # hstack(part) rounds differently in the last bit. A 1x1 u_bottom is
+        # [[+-1]]: its product is +-d, but with -0.0 turned into +0.0, as the
+        # + 0.0 turns it.
+        if split.u_bottom.shape == (1, 1):
+            rows = np.concatenate(part, axis=1) * split.u_bottom[0, 0] + 0.0
+        else:
+            rows = np.concatenate([split.u_bottom @ d for d in part], axis=1)
         block = ConstraintMatrix(rows, problem.n, problem.m)
         blocks.append(block)
         factor = _independent_rows_array(rows, tol, factor)
         phi_rank = factor.rows.shape[0]
-        split = svd_split(block.rho, tol, relative=False)
+        split = _split(block.rho, tol, False)
         rank_history.append((split.rank, phi_rank))
 
     if phi_rank <= p:
@@ -448,7 +460,7 @@ def final_submanifold(result: AlgorithmResult, tol: float | None = None) -> np.n
 
 def _null_basis(M: np.ndarray, cut: float) -> np.ndarray:
     """Orthonormal null-space basis of M; singular values <= cut count as zero."""
-    rank, _, _, vh = _svd_rank(M, cut, full=True)
+    rank, _, _, vh = _svd_rank(M, cut, full="uvh")
     return vh[rank:].T
 
 

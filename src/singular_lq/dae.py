@@ -125,7 +125,7 @@ def dae_constraint_chain(dae: LinearDAE, tol: float = 1e-9) -> tuple[list[np.nda
     A, B, basis = dae.A, dae.B, np.eye(dae.n)
     chain: list[np.ndarray] = []
     while True:
-        rank, _, u, _ = _svd_rank(A, cut_a, full=True)
+        rank, _, u, _ = _svd_rank(A, cut_a, full="u")
         kernel = _null_basis(u[:, rank:].T @ B, cut_b)  # B_k y in Im A_k
         if kernel.shape[1] == basis.shape[1]:
             # The chain stabilized at its last entry; with none, M1 = M0 = R^n

@@ -91,6 +91,21 @@ def test_numerical_rank_rejects_bad_tol():
             numerical_rank(np.eye(2), tol)
 
 
+@pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
+@pytest.mark.parametrize("call", ["numerical_rank", "svd_split", "independent_rows"])
+def test_rank_functions_reject_non_finite_input(call, entry):
+    # An inf read as rank 0 and a NaN raised LinAlgError; a one-row matrix
+    # would pass either to its Householder norm without a word.
+    M = np.array([[entry, 1.0, 0.0]])
+    calls = {
+        "numerical_rank": lambda: numerical_rank(M, 1e-6),
+        "svd_split": lambda: svd_split(M, 1e-6),
+        "independent_rows": lambda: independent_rows(ConstraintMatrix(rows=M, n=1, m=1), 1e-6),
+    }
+    with pytest.raises(ValueError, match="non-finite"):
+        calls[call]()
+
+
 def test_numerical_rank_matches_exact_rank():
     rng = np.random.default_rng(23)
     for _ in range(40):
@@ -139,6 +154,34 @@ def test_svd_split_left_null_and_orthogonality():
         assert np.abs(gram).max() <= 1e-12 * l
         if split.u_bottom.shape[0]:
             assert np.abs(split.u_bottom @ rho).max() <= 1e-9 * max(s1, 1e-300)
+
+
+def _one_row_rhos():
+    rng = np.random.default_rng(43)
+    rows = [[v] for v in (2.5, -3.0, 0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300)]
+    for m in range(2, 9):
+        row = rng.uniform(-1.0, 1.0, m)
+        rows += [row, np.zeros(m)] + [np.full(m, v) for v in (5e-324, -1e300, 1e-160)]
+        for lead in (0.0, -0.0):
+            rows += [np.r_[lead, row[1:]], np.r_[lead, np.zeros(m - 1)]]
+    return [np.reshape(row, (1, -1)) for row in rows] + [np.zeros((1, 0))]
+
+
+def test_one_row_split_matches_lapack():
+    # A one-row rho is split by its Householder scalar without LAPACK, into
+    # the bytes of LAPACK's own U. Only the singular value of a 1 x m row,
+    # its norm summed in another order, may move, by a few ulp.
+    for rho in _one_row_rhos():
+        u, s, _ = np.linalg.svd(rho, full_matrices=True)
+        for relative in (False, True):
+            cut = 1e-6 * s[0] if relative and s.size else 1e-6
+            split = svd_split(rho, 1e-6, relative)
+            assert split.rank == np.count_nonzero(s > cut), rho
+            assert np.vstack([split.u_top, split.u_bottom]).tobytes() == u.T.tobytes(), rho
+            if rho.shape[1] == 1:
+                assert split.singular_values.tobytes() == s.tobytes(), rho
+            else:
+                assert np.all(np.abs(split.singular_values - s) <= 4 * np.spacing(s)), rho
 
 
 # ---------------------------------------------------------------- levels
@@ -637,8 +680,8 @@ def test_run_experiment3_index_growth():
 
 
 def test_run_factorises_each_matrix_once(monkeypatch):
-    # Family 3 at n = 40: 40 levels of one-row blocks, each needing one SVD
-    # of rho and one rank check of the grown phi, plus the final null space.
+    # Family 3 at n = 40: 40 levels of one-row blocks, each with a 1 x 1 rho
+    # and one rank check of the grown phi, plus the final null space.
     n = 40
     problem = gen_experiment3(n)
     svd = np.linalg.svd
@@ -653,6 +696,25 @@ def test_run_factorises_each_matrix_once(monkeypatch):
     final_submanifold(result)
     assert result.steps == n
     assert len(calls) <= 2 * n + 4
+
+
+def test_family3_run_takes_no_svd(monkeypatch):
+    # Hold regime: the perturbed R stays under tol and all n levels run. Each
+    # 1 x 1 rho is ranked by its Householder norm and each one-row block by
+    # its projection off phi, so no level reaches LAPACK's SVD.
+    n, delta = 40, 1e-9
+    problem = _perturbed_problem(3, gen_experiment3(n), delta, _cell_rng(1, 3, n, delta, 0))
+
+    def no_svd(*args, **kwargs):
+        raise AssertionError("a one-row level needs no SVD")
+
+    monkeypatch.setattr(np.linalg, "svd", no_svd)
+    if hasattr(np.linalg, "_linalg"):  # numpy >= 2: the module behind np.linalg
+        monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)
+    result = run(problem, tol=1e-6)
+    # The last of the n + 1 levels adds no rank, and the recursion stagnates.
+    assert (result.steps, result.codim, result.halt_reason) == (n, n, STAGNATION)
+    assert [rho_rank for rho_rank, _ in result.rank_history] == [0] * (n + 1)
 
 
 def test_run_regular_r_is_single_step():
