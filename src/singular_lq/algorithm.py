@@ -21,19 +21,20 @@ only an absolute cut reproduces (a perturbed zero R must read as
 rank-deficient while its norm stays below tol). :func:`numerical_rank` and
 :func:`svd_split` expose both rules via the ``relative`` flag. Every rank
 decision, here and in the DAE chain, counts singular values against the
-cut in one place, ``_svd_rank``: those of one SVD, or for a one-row matrix
-its Householder norm, which needs no LAPACK call. From the primary
-block on, the row filter carries phi's rows and a QR factor of them, which
-starts empty and only grows: each new block is ranked projected off phi's
-basis, from one small R factor (a scalar, with no LAPACK call, for a
-one-row block), and the stacked SVD of [phi; block] decides instead
-whenever a derived bound cannot certify the rank. A block whose rows all
-add rank is appended by Gram-Schmidt with reorthogonalisation; a block
-that adds part of its rows, or whose rank only the stacked SVD could tell,
-is ranked and appended the same way one row at a time. Bases that decide
-no rank are not SVDs: the row filter leaves phi with full row rank at the
-run's tolerance, so the final submanifold there is the orthogonal
-complement of phi's carried row basis (``row_basis``), from QR alone.
+cut in one place, ``_svd_rank``: those of one SVD, or for the left factor
+of a one-row matrix its Householder norm, which needs no LAPACK call.
+From the primary block on, the row filter carries phi's rows and a QR
+factor of them, which starts empty and only grows: each new block is
+ranked projected off phi's basis, from one small R factor (a scalar,
+with no LAPACK call, for a one-row block), and the stacked SVD of [phi;
+block] decides instead whenever a derived bound cannot certify the rank.
+A block whose rows all add rank is appended by Gram-Schmidt with
+reorthogonalisation; a block that adds part of its rows, or whose rank
+only the stacked SVD could tell, is ranked and appended the same way one
+row at a time. Bases that decide no rank are not SVDs: the row filter
+leaves phi with full row rank at the run's tolerance, so the final
+submanifold there is the orthogonal complement of phi's carried row
+basis (``row_basis``), from QR alone.
 """
 
 from __future__ import annotations
@@ -143,11 +144,13 @@ def _svd_rank(
 
     The cut is ``tol``, or ``tol * s_1`` with ``relative``. Returns
     ``(rank, s, u, vh)``, u and vh the ``full_matrices=True`` factors or
-    None; LAPACK computes both when ``full`` is "u" or "uvh". Unless it is
-    "uvh", a one-row M takes no LAPACK call: s = [|beta|], u = [[sign(beta)]]
-    (LAPACK's own factors) and vh None. Empty and zero matrices have rank 0.
+    None; LAPACK computes both when ``full`` is "u" or "uvh". With "u", a
+    one-row M takes no LAPACK call: s = [|beta|], u = [[sign(beta)]]
+    (LAPACK's own factors) and vh None. Values alone always come from
+    LAPACK, so the row filter's stacked SVD never repeats the Householder
+    norm its certificate declined. Empty and zero matrices have rank 0.
     """
-    if len(M) == 1 and M.size and full != "uvh":
+    if len(M) == 1 and M.size and full == "u":
         beta = _householder_beta(M[0])
         s, u, vh = np.array([abs(beta)]), np.array([[math.copysign(1.0, beta)]]), None
     elif full:
@@ -391,13 +394,8 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
             break
         selectors.append(split.u_bottom)
         # One product per part, as in the drift: a single u_bottom @
-        # hstack(part) rounds differently in the last bit. A 1x1 u_bottom is
-        # [[+-1]]: its product is +-d, but with -0.0 turned into +0.0, as the
-        # + 0.0 turns it.
-        if split.u_bottom.shape == (1, 1):
-            rows = np.concatenate(part, axis=1) * split.u_bottom[0, 0] + 0.0
-        else:
-            rows = np.concatenate([split.u_bottom @ d for d in part], axis=1)
+        # hstack(part) rounds differently in the last bit.
+        rows = np.hstack([split.u_bottom @ d for d in part])
         block = ConstraintMatrix(rows, problem.n, problem.m)
         blocks.append(block)
         factor = _independent_rows_array(rows, tol, factor)

@@ -4,8 +4,9 @@ Usage, from the root of a checkout:
 
     python3 tools/run_digest.py [SIZE]
 
-The package is imported from ``src/`` next to this script. Two SHA-256
-digests are printed, each with the number of calls it covers:
+The package is imported from ``src/`` and the benchmark's workloads from
+``perfbench/`` of the same checkout. Two SHA-256 digests are printed,
+each with the number of calls it covers:
 
 * ``run``: every ``run`` output on random problems (SIZE each of uniform,
   half-integer and rank-one data, n <= 6, m <= 5, at tol 1e-6, 1e-9 and
@@ -30,15 +31,17 @@ from __future__ import annotations
 
 import hashlib
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
-sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import singular_lq as slq  # noqa: E402
-from singular_lq.dae import _random_orthogonal  # noqa: E402
 from singular_lq.experiments import _cell_rng, _exact_problem, _perturbed_problem  # noqa: E402
+from workloads import DaeWorkload  # noqa: E402
 
 TOLS = (1e-6, 1e-9, 1e-12)
 FAMILY_SIZES = {
@@ -106,17 +109,11 @@ def run_digest(size: int) -> tuple[str, int]:
 
 
 def _pencils(seed: int):
-    """The ``dae-chains`` workload's pencil pool at one seed."""
-    structure = np.random.default_rng(20121)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 4]))
-    for _ in range(480):
-        shape = slq.random_weierstrass_spec(structure, d_max=30, q_max=60, nu_max=59)
-        size = shape.d + shape.q
-        spec = slq.WeierstrassSpec(
-            W=shape.W, Nnil=shape.Nnil, nu=shape.nu,
-            E=_random_orthogonal(size, rng), F=_random_orthogonal(size, rng),
-        )
-        yield slq.build_weierstrass(spec)
+    """The ``dae-chains`` workload's pencil pool at one seed, as it builds it."""
+    workload = DaeWorkload()
+    with tempfile.TemporaryDirectory() as workdir:
+        workload.prepare(seed, Path(workdir))
+    return [dae for _, dae in workload.inputs]
 
 
 def dae_digest() -> tuple[str, int]:
