@@ -11,18 +11,20 @@ regular (full row rank: the remaining control derivatives are all
 determined) or when the stacked constraint matrix stops gaining rank
 (gauge directions remain).
 
-Rank conventions. :func:`numerical_rank` defaults to the relative rule
-``s_i > tol * s_1``, which is scale invariant and what the split residual
-bound is stated against. The recursion itself (:func:`run`,
-:func:`independent_rows`, :func:`final_submanifold`) counts ``s_i > tol``
-with an absolute threshold: the published index tables this code
-reproduces degrade at perturbation sizes that cross ``tol`` itself, which
-only an absolute cut reproduces (a perturbed zero R must read as
-rank-deficient while its norm stays below tol). :func:`numerical_rank` and
-:func:`svd_split` expose both rules via the ``relative`` flag. Every rank
-decision, here and in the DAE chain, counts singular values against the
-cut in one place, ``_svd_rank``: those of one SVD, or for the left factor
-of a one-row matrix its Householder norm, which needs no LAPACK call.
+Rank conventions. The standalone :func:`numerical_rank` and
+:func:`svd_split` use the relative rule ``s_i > tol * s_1``, which is scale
+invariant and what the split residual bound is stated against, and so
+does :func:`regular_feedback`, at the fixed cut 1e-12. The recursion itself
+(:func:`run`, :func:`independent_rows`, :func:`final_submanifold`) counts
+``s_i > tol`` with an absolute threshold: the published index tables this
+code reproduces degrade at perturbation sizes that cross ``tol`` itself,
+which only an absolute cut reproduces (a perturbed zero R must read as
+rank-deficient while its norm stays below tol). Every rank decision, here
+and in the DAE chain, counts singular values against the cut in one
+place, ``_svd_rank``: those of one SVD, or for the left factor of a
+one-row matrix its Householder norm, which needs no LAPACK call. One
+split, ``_split``, divides rho for :func:`run` and :func:`svd_split` and
+the reduced A_k for the DAE chain.
 From the primary block on, the row filter carries phi's rows and a QR
 factor of them, which starts empty and only grows: each new block is
 ranked projected off phi's basis, from one small R factor (a scalar,
@@ -169,26 +171,24 @@ def _checked(M, tol: float, name: str) -> np.ndarray:
     return _as_matrix(M, name)
 
 
-def numerical_rank(M, tol: float, relative: bool = True) -> int:
-    """Number of singular values above the tolerance threshold.
+def numerical_rank(M, tol: float) -> int:
+    """Number of singular values above the relative threshold ``tol * s_1``.
 
-    With ``relative=True`` (default) the threshold is ``tol * s_1``; with
-    ``relative=False`` it is ``tol`` itself, matching the rank calls the
-    recursion makes. Empty and zero matrices have rank 0.
+    Empty and zero matrices have rank 0.
     """
-    return _svd_rank(_checked(M, tol, "M"), tol, relative)[0]
+    return _svd_rank(_checked(M, tol, "M"), tol, True)[0]
 
 
-def svd_split(rho, tol: float, relative: bool = True) -> SvdSplit:
-    """Full SVD of rho with the left factor split at the numerical rank."""
+def svd_split(rho, tol: float) -> SvdSplit:
+    """Full SVD of rho with the left factor split at the relative rank, ``s > tol * s_1``."""
     rho = _checked(rho, tol, "rho")
     if rho.shape[0] < 1:
         raise ValueError(f"rho must be a matrix with at least one row, got shape {rho.shape}")
-    return _split(rho, tol, relative)
+    return _split(rho, tol, True)
 
 
 def _split(rho: np.ndarray, tol: float, relative: bool) -> SvdSplit:
-    """:func:`svd_split` without its input checks, for the recursion's rho blocks."""
+    """:func:`svd_split` without its input checks, for rho blocks and the DAE chain's A_k."""
     rank, svals, u, _ = _svd_rank(rho, tol, relative, full="u")
     ut = u.T
     return SvdSplit(singular_values=svals, rank=rank, u_top=ut[:rank], u_bottom=ut[rank:])
@@ -371,12 +371,12 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     while True:
         # The level's derivative, split by U': its u_top rows determine part
         # of udot, its u_bottom rows are the next constraint block.
-        part = _derivative(block, problem)
+        deriv = _derivative(block, problem)
         if split.rank >= 1:
             feedbacks.append(PartialFeedback(
                 level=len(blocks),
                 rate=split.u_top @ block.rho,
-                drift=np.hstack([split.u_top @ d for d in part]),
+                drift=split.u_top @ deriv,
             ))
         # rho regular (the equation-of-motion feedback determines the rest)
         # or phi stopped gaining rank; l is still the previous block's count.
@@ -393,9 +393,7 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
             halt = FEEDBACK
             break
         selectors.append(split.u_bottom)
-        # One product per part, as in the drift: a single u_bottom @
-        # hstack(part) rounds differently in the last bit.
-        rows = np.hstack([split.u_bottom @ d for d in part])
+        rows = split.u_bottom @ deriv
         block = ConstraintMatrix(rows, problem.n, problem.m)
         blocks.append(block)
         factor = _independent_rows_array(rows, tol, factor)
@@ -421,17 +419,16 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     )
 
 
-def regular_feedback(problem: LQProblem, rank_tol: float = 1e-12):
+def regular_feedback(problem: LQProblem):
     """Control law u = R^-1 (B'p - N'x) when R is numerically invertible.
 
     Returns the m x 2n matrix K with u = K [x; p], or None when R is
-    singular at ``rank_tol`` (smallest singular value <= rank_tol times the
-    largest; a zero R is always singular). A None result is the signal to
+    singular: its smallest singular value is at most 1e-12 times the
+    largest, the relative cut :func:`singular_lq.dae.pencil_is_regular`
+    uses (a zero R is always singular). A None result is the signal to
     hand the problem to the constraint recursion instead.
     """
-    if not 0 < rank_tol < math.inf:
-        raise ValueError("rank_tol must be positive and finite")
-    if _svd_rank(problem.R, rank_tol, relative=True)[0] < problem.m:
+    if _svd_rank(problem.R, 1e-12, relative=True)[0] < problem.m:
         return None
     rinv_bt = np.linalg.solve(problem.R, problem.B.T)
     rinv_nt = np.linalg.solve(problem.R, problem.N.T)

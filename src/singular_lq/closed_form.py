@@ -23,8 +23,7 @@ def tilde_recurrence(problem: LQProblem, k_max: int) -> list[ConstraintMatrix]:
         raise ValueError("k_max must be at least 1")
     out = [primary_constraint(problem)]
     for _ in range(1, k_max):
-        rows = np.hstack(_derivative(out[-1], problem))
-        out.append(ConstraintMatrix(rows, problem.n, problem.m))
+        out.append(ConstraintMatrix(_derivative(out[-1], problem), problem.n, problem.m))
     return out
 
 
@@ -36,15 +35,21 @@ def _powers(M: np.ndarray, top: int) -> list[np.ndarray]:
     return out
 
 
+def _alternating(pow_at: list[np.ndarray], Q: np.ndarray, pow_a: list[np.ndarray], j: int):
+    """S_j = sum_{i=0}^{j-1} (-1)^i (A')^i Q A^(j-1-i); S_0 = 0."""
+    acc = np.zeros_like(Q)
+    for i in range(j):
+        acc += (-1.0) ** i * pow_at[i] @ Q @ pow_a[j - 1 - i]
+    return acc
+
+
 def tilde_closed_form(problem: LQProblem, k: int) -> ConstraintMatrix:
     """Level-k tilde block straight from powers of A.
 
-    For j = k - 1 >= 1:
+    For j = k - 1 >= 1, with S_j from :func:`_alternating` (S_0 = 0):
       beta~(k)  = (-1)^j B' (A')^j
-      sigma~(k) = -N' A^j + B' sum_{i=0}^{j-1} (-1)^i (A')^i Q A^(j-1-i)
-      rho~(2)   = -N'B + B'N
-      rho~(k)   = -N' A^(j-1) B + (-1)^(j-1) B' (A')^(j-1) N
-                  + B' [sum_{i=0}^{j-2} (-1)^i (A')^i Q A^(j-2-i)] B   (k >= 3)
+      sigma~(k) = -N' A^j + B' S_j
+      rho~(k)   = -N' A^(j-1) B + (-1)^(j-1) B' (A')^(j-1) N + B' S_(j-1) B
     """
     if k < 1:
         raise ValueError("k must be at least 1")
@@ -58,23 +63,12 @@ def tilde_closed_form(problem: LQProblem, k: int) -> ConstraintMatrix:
     bt = B.T
 
     beta = (-1.0) ** j * bt @ pow_at[j]
-
-    acc = np.zeros((problem.n, problem.n))
-    for i in range(j):
-        acc += (-1.0) ** i * pow_at[i] @ Q @ pow_a[j - 1 - i]
-    sigma = -N.T @ pow_a[j] + bt @ acc
-
-    if k == 2:
-        rho = -N.T @ B + bt @ N
-    else:
-        acc2 = np.zeros((problem.n, problem.n))
-        for i in range(j - 1):
-            acc2 += (-1.0) ** i * pow_at[i] @ Q @ pow_a[j - 2 - i]
-        rho = (
-            -N.T @ pow_a[j - 1] @ B
-            + (-1.0) ** (j - 1) * bt @ pow_at[j - 1] @ N
-            + bt @ acc2 @ B
-        )
+    sigma = -N.T @ pow_a[j] + bt @ _alternating(pow_at, Q, pow_a, j)
+    rho = (
+        -N.T @ pow_a[j - 1] @ B
+        + (-1.0) ** (j - 1) * bt @ pow_at[j - 1] @ N
+        + bt @ _alternating(pow_at, Q, pow_a, j - 1) @ B
+    )
     return ConstraintMatrix(np.hstack([sigma, beta, rho]), problem.n, problem.m)
 
 

@@ -23,7 +23,7 @@ from math import inf
 
 import numpy as np
 
-from .algorithm import _null_basis, _svd_rank
+from .algorithm import _null_basis, _split, _svd_rank
 from .problem import _as_matrix
 
 __all__ = [
@@ -125,14 +125,14 @@ def dae_constraint_chain(dae: LinearDAE, tol: float = 1e-9) -> tuple[list[np.nda
     A, B, basis = dae.A, dae.B, np.eye(dae.n)
     chain: list[np.ndarray] = []
     while True:
-        rank, _, u, _ = _svd_rank(A, cut_a, full="u")
-        kernel = _null_basis(u[:, rank:].T @ B, cut_b)  # B_k y in Im A_k
+        split = _split(A, cut_a, False)
+        kernel = _null_basis(split.u_bottom @ B, cut_b)  # B_k y in Im A_k
         if kernel.shape[1] == basis.shape[1]:
             # The chain stabilized at its last entry; with none, M1 = M0 = R^n
             # and r = 1. Dimensions strictly decrease until here, so the loop
             # ends within n + 1 steps.
             return (chain, len(chain)) if chain else ([basis], 1)
-        kept = u[:, :rank].T
+        kept = split.u_top
         A, B, basis = kept @ A @ kernel, kept @ B @ kernel, basis @ kernel
         chain.append(basis)
 

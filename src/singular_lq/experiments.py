@@ -45,7 +45,6 @@ __all__ = [
     "slope_summary",
     "records_to_csv",
     "write_records_csv",
-    "slopes_to_csv",
     "write_slopes_csv",
     "RECORD_HEADER",
     "SLOPE_HEADER",
@@ -331,10 +330,6 @@ def records_to_csv(records) -> str:
 
 def write_records_csv(records, path) -> None:
     _csv(RECORD_HEADER, records, path)
-
-
-def slopes_to_csv(summaries) -> str:
-    return _csv(SLOPE_HEADER, summaries)
 
 
 def write_slopes_csv(summaries, path) -> None:

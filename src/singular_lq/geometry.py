@@ -146,19 +146,17 @@ def _spectral_norm(M: np.ndarray) -> float:
 def perturb(M, delta: float, rng) -> np.ndarray:
     """M plus a dense random matrix of spectral norm uniform on (0, delta).
 
-    delta = 0 returns M unchanged. The draw is deterministic for a given
-    generator state: the direction first, then the magnitude.
+    delta = 0 and an empty M return a copy of M, drawing nothing. The draw
+    is deterministic for a given generator state: the direction first, then
+    the magnitude.
     """
     M = np.asarray(M, dtype=float)
     if not 0 <= delta < inf:
         raise ValueError("delta must be non-negative and finite")
-    if delta == 0.0:
+    if delta == 0.0 or M.size == 0:
         return M.copy()
     direction = rng.standard_normal(M.shape)
     norm = _spectral_norm(direction)
-    if norm == 0.0:  # astronomically unlikely; retry once keeps the contract
-        direction = rng.standard_normal(M.shape)
-        norm = _spectral_norm(direction)
     magnitude = rng.uniform(0.0, delta)
     direction *= magnitude / norm
     return np.add(direction, M, out=direction)

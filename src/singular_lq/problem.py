@@ -147,16 +147,17 @@ def primary_constraint(problem: LQProblem) -> ConstraintMatrix:
     return ConstraintMatrix(rows=rows, n=problem.n, m=problem.m)
 
 
-def _derivative(block: ConstraintMatrix, problem: LQProblem):
+def _derivative(block: ConstraintMatrix, problem: LQProblem) -> np.ndarray:
     """(x, p, u) coefficients of d/dt (sigma x + beta p) along the dynamics.
 
-    Returns (sigma A + beta Q, -beta A', sigma B + beta N): one application
-    of the level map shared by the recursion, its partial feedback and the
-    unprojected tilde blocks. The rho u term contributes rho udot, which the
-    caller splits off. The dynamics are xdot = A x + B u and
-    pdot = -A'p + Q x + N u, the gradients dH/dp and -dH/dx of
-    :func:`hamiltonian`, which the tests check by central differences.
+    Returns the (c, 2n + m) matrix [sigma A + beta Q, -beta A', sigma B +
+    beta N]: the one place the level map is written, shared by the
+    recursion, its partial feedback and the unprojected tilde blocks. The
+    rho u term contributes rho udot, which the caller splits off. The
+    dynamics are xdot = A x + B u and pdot = -A'p + Q x + N u, the
+    gradients dH/dp and -dH/dx of :func:`hamiltonian`, which the tests
+    check by central differences.
     """
     A, B, Q, N = problem.A, problem.B, problem.Q, problem.N
     sigma, beta = block.sigma, block.beta
-    return sigma @ A + beta @ Q, -beta @ A.T, sigma @ B + beta @ N
+    return np.hstack([sigma @ A + beta @ Q, -beta @ A.T, sigma @ B + beta @ N])

@@ -32,6 +32,7 @@ from singular_lq import (
 from singular_lq.algorithm import (
     _independent_rows_array,
     _null_basis,
+    _split,
     _stacked_rank,
     _svd_rank,
 )
@@ -80,9 +81,11 @@ def test_numerical_rank_relative_examples():
 
 
 def test_numerical_rank_absolute_mode_differs():
+    # The public rank is relative; the recursion's absolute cut, s > tol,
+    # ranks the same matrix 0.
     M = np.diag([2e-7, 1e-8])
-    assert numerical_rank(M, 1e-6, relative=True) == 2
-    assert numerical_rank(M, 1e-6, relative=False) == 0
+    assert numerical_rank(M, 1e-6) == 2
+    assert _svd_rank(M, 1e-6)[0] == 0
 
 
 def test_numerical_rank_rejects_bad_tol():
@@ -180,7 +183,7 @@ def test_one_row_split_matches_lapack():
         u, s, _ = np.linalg.svd(rho, full_matrices=True)
         for relative in (False, True):
             cut = 1e-6 * s[0] if relative and s.size else 1e-6
-            split = svd_split(rho, 1e-6, relative)
+            split = svd_split(rho, 1e-6) if relative else _split(rho, 1e-6, False)
             near_cut = s.size and abs(s[0] - cut) <= 4 * np.spacing(cut)
             if rho.shape[1] == 1 or not near_cut:
                 assert split.rank == np.count_nonzero(s > cut), rho
@@ -739,21 +742,20 @@ def test_run_regular_r_is_single_step():
 
 
 def test_regular_feedback_decides_the_rank_of_r_in_the_shared_helper(monkeypatch):
-    # One relative-rank call per verdict, agreeing with s_min <= tol * s_max
-    # on both sides of the cut; a zero R reads as rank 0.
+    # One relative-rank call per verdict at the fixed cut 1e-12, agreeing
+    # with s_min <= 1e-12 s_max on both sides of it; a zero R reads as rank 0.
     calls = []
 
-    def spy(M, tol, relative=False, full=False):
-        calls.append(relative)
+    def spy(M, tol, relative=False, full=""):
+        calls.append((tol, relative))
         return _svd_rank(M, tol, relative, full)
 
     monkeypatch.setattr("singular_lq.algorithm._svd_rank", spy)
     eye = np.eye(2)
     for small in (0.0, 1e-13, 1e-11, 1e-7, 1e-5, 1.0):
         problem = validate(eye, eye, eye, np.zeros((2, 2)), np.diag([3.0, 3.0 * small]))
-        for rank_tol in (1e-12, 1e-6):
-            assert (regular_feedback(problem, rank_tol) is None) == (small <= rank_tol)
-    assert calls == [True] * 12
+        assert (regular_feedback(problem) is None) == (small <= 1e-12)
+    assert calls == [(1e-12, True)] * 6
 
 
 def test_run_no_effective_constraints():
@@ -777,15 +779,15 @@ def test_run_rejects_bad_tol():
             lambda: svd_split(np.eye(2), tol),
             lambda: independent_rows(result.phi, tol),
             lambda: final_submanifold(result, tol),
-            lambda: regular_feedback(problem, tol),
         ):
             with pytest.raises(ValueError):
                 call()
 
 
 def test_run_splits_one_derivative_per_level():
-    # Each level's derivative is split by U': the u_top rows are the
-    # recorded partial feedback, the u_bottom rows the next block.
+    # Each level's derivative, one (c, 2n + m) matrix, is split by U': the
+    # u_top rows are the recorded partial feedback, the u_bottom rows the
+    # next block, to the byte.
     rng = np.random.default_rng(59)
     tol = 1e-9
     checked = 0
@@ -794,46 +796,38 @@ def test_run_splits_one_derivative_per_level():
         result = run(problem, tol)
         for pf in result.partial_feedback:
             block = result.blocks[pf.level - 1]
-            split = svd_split(block.rho, tol, relative=False)
-            part = _derivative(block, problem)
-            assert np.array_equal(pf.rate, split.u_top @ block.rho)
-            assert np.array_equal(pf.drift, np.hstack([split.u_top @ d for d in part]))
+            split = _split(block.rho, tol, False)
+            assert pf.rate.tobytes() == (split.u_top @ block.rho).tobytes()
+            assert pf.drift.tobytes() == (split.u_top @ _derivative(block, problem)).tobytes()
             checked += 1
         for block, following, selector in zip(result.blocks, result.blocks[1:], result.selectors):
-            split = svd_split(block.rho, tol, relative=False)
-            part = _derivative(block, problem)
-            assert np.array_equal(selector, split.u_bottom)
-            assert np.array_equal(following.rows, np.hstack([split.u_bottom @ d for d in part]))
+            assert selector.tobytes() == _split(block.rho, tol, False).u_bottom.tobytes()
+            expected = selector @ _derivative(block, problem)
+            assert following.rows.shape == expected.shape
+            assert following.rows.tobytes() == expected.tobytes()
     assert checked >= 30
 
 
 def _manual_trace(problem, tol):
-    """The loop replayed through the public pieces, there is no shortcut."""
+    """The loop replayed piece by piece, with the absolute rank and split that run calls."""
     block = primary_constraint(problem)
     phi = independent_rows(block, tol)
-    history = [(
-        numerical_rank(block.rho, tol, relative=False),
-        numerical_rank(phi.rows, tol, relative=False),
-    )]
+    history = [(_svd_rank(block.rho, tol)[0], _svd_rank(phi.rows, tol)[0])]
     l, p, k = problem.m, 0, 1
     while history[-1][0] < l and history[-1][1] > p:
         k += 1
         p = history[-1][1]
         l = block.rho.shape[0]
-        split = svd_split(block.rho, tol, relative=False)
+        split = _split(block.rho, tol, False)
         if split.rank == l:
             break
-        part = _derivative(block, problem)
-        rows = np.hstack([split.u_bottom @ d for d in part])
+        rows = split.u_bottom @ _derivative(block, problem)
         block = ConstraintMatrix(rows=rows, n=problem.n, m=problem.m)
         phi = independent_rows(
             ConstraintMatrix(rows=np.vstack([phi.rows, block.rows]),
                              n=problem.n, m=problem.m), tol,
         )
-        history.append((
-            numerical_rank(block.rho, tol, relative=False),
-            numerical_rank(phi.rows, tol, relative=False),
-        ))
+        history.append((_svd_rank(block.rho, tol)[0], _svd_rank(phi.rows, tol)[0]))
     if history[-1][1] <= p:
         k -= 1
     return history, max(k, 1)
@@ -858,7 +852,7 @@ def test_run_monotonicity_bounds():
         assert all(b >= a for a, b in zip(phi_ranks, phi_ranks[1:]))
         assert 1 <= result.steps <= 2 * problem.n + problem.m + 1
         assert result.codim == result.phi.rows.shape[0]
-        assert result.codim == numerical_rank(result.phi.rows, 1e-9, relative=False)
+        assert result.codim == _svd_rank(result.phi.rows, 1e-9)[0]
 
 
 def test_run_output_invariant_under_control_rotation():

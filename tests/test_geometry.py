@@ -223,13 +223,26 @@ def test_perturb_deterministic_and_validating():
             perturb(M, delta, np.random.default_rng(7))
 
 
+@pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
+def test_perturb_of_an_empty_matrix_is_a_copy(shape):
+    # An empty direction has norm 0 and cannot be scaled to a drawn
+    # magnitude, so an empty M comes back as a copy and nothing is drawn.
+    M = np.zeros(shape)
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    out = perturb(M, 1e-3, rng)
+    assert out.shape == shape and out is not M
+    assert rng.bit_generator.state == state
+
+
 def test_perturbations_take_no_svd(monkeypatch):
     # np.linalg.norm(M, 2) reaches svd through numpy's private module.
     def no_svd(*args, **kwargs):
         raise AssertionError("perturbation norms need no SVD")
 
     monkeypatch.setattr(np.linalg, "svd", no_svd)
-    monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)
+    if hasattr(np.linalg, "_linalg"):  # numpy >= 2: the module behind np.linalg
+        monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)
     rng = np.random.default_rng(17)
     assert perturb(np.eye(4), 1e-6, rng).shape == (4, 4)
     assert _symmetric_noise(4, 1e-6, rng).shape == (4, 4)

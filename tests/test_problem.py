@@ -89,8 +89,9 @@ def test_hamiltonian_scalar_example():
 def _dynamics(problem, x, p, u):
     """(xdot, pdot) from the derivative of the coordinate rows x and p."""
     n, m = problem.n, problem.m
-    part = _derivative(ConstraintMatrix(np.eye(2 * n, 2 * n + m), n, m), problem)
-    rates = part[0] @ x + part[1] @ p + part[2] @ u
+    deriv = _derivative(ConstraintMatrix(np.eye(2 * n, 2 * n + m), n, m), problem)
+    assert deriv.shape == (2 * n, 2 * n + m)
+    rates = deriv @ np.concatenate([x, p, u])
     return rates[:n], rates[n:]
 
 
@@ -161,8 +162,7 @@ def test_dynamics_are_gradients_of_hamiltonian():
         problem = validate(g(n, n), g(n, m), sym(n), g(n, m), sym(m))
         x, p, u = rng.uniform(-1, 1, n), rng.uniform(-1, 1, n), rng.uniform(-1, 1, m)
         rows = ConstraintMatrix(g(3, 2 * n + m), n, m)
-        part = _derivative(rows, problem)
-        rates = part[0] @ x + part[1] @ p + part[2] @ u
+        rates = _derivative(rows, problem) @ np.concatenate([x, p, u])
         weight = np.abs(rows.sigma).sum(axis=1) + np.abs(rows.beta).sum(axis=1)
         block = primary_constraint(problem)
         dh_du = block.sigma @ x + block.beta @ p + block.rho @ u
@@ -223,12 +223,11 @@ def test_regular_feedback_identity_r():
 def test_regular_feedback_singular_signals():
     problem = gen_experiment2(2)  # R = 0
     assert regular_feedback(problem) is None
-    near = validate(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)),
-                    np.diag([1.0, 1e-10]))
-    assert regular_feedback(near, rank_tol=1e-6) is None
-    assert regular_feedback(near, rank_tol=1e-12) is not None
-    with pytest.raises(ValueError):
-        regular_feedback(near, rank_tol=0.0)
+    # The cut is fixed at 1e-12 relative: s_min 1e-10 is regular, 1e-13 is not.
+    for small, singular in ((1e-10, False), (1e-13, True)):
+        near = validate(np.eye(2), np.eye(2), np.eye(2), np.zeros((2, 2)),
+                        np.diag([1.0, small]))
+        assert (regular_feedback(near) is None) == singular
 
 
 def test_regular_feedback_satisfies_primary_constraint():

@@ -5,7 +5,7 @@ Usage, from the root of a checkout:
     python3 tools/run_digest.py [SIZE]
 
 The package is imported from ``src/`` and the benchmark's workloads from
-``perfbench/`` of the same checkout. Two SHA-256 digests are printed,
+``perfbench/`` of the same checkout. Three SHA-256 digests are printed,
 each with the number of calls it covers:
 
 * ``run``: every ``run`` output on random problems (SIZE each of uniform,
@@ -15,6 +15,10 @@ each with the number of calls it covers:
   ``rank_history``, ``steps``, ``codim``, ``halt_reason`` and the shapes
   and bytes of ``phi.rows``, ``row_basis``, every block, every selector and
   every partial feedback.
+* ``decisions``: the same ``run`` calls, over ``rank_history``, ``steps``,
+  ``codim`` and ``halt_reason`` alone. A change that moves the low bits of
+  the outputs, and so the ``run`` digest, keeps this one when it keeps
+  every rank decision.
 * ``dae``: ``dae_constraint_chain`` (every basis of the chain and the step
   count) and the ``pencil_is_regular`` verdict on the 480-item pencil pools
   of the ``dae-chains`` benchmark workload at seeds 1 and 11, plus each of
@@ -93,19 +97,21 @@ def _problems(size: int):
                     yield problem, tol
 
 
-def run_digest(size: int) -> tuple[str, int]:
-    digest, count = hashlib.sha256(), 0
+def run_digests(size: int) -> tuple[str, str, int]:
+    """The ``run`` and ``decisions`` digests and the number of runs they cover."""
+    digest, decided, count = hashlib.sha256(), hashlib.sha256(), 0
     for problem, tol in _problems(size):
         result = slq.run(problem, tol)
-        decisions = (result.rank_history, result.steps, result.codim, result.halt_reason)
-        digest.update(repr(decisions).encode())
+        decisions = repr((result.rank_history, result.steps, result.codim, result.halt_reason))
+        digest.update(decisions.encode())
+        decided.update(decisions.encode())
         _feed(digest, result.phi.rows, result.row_basis, *(b.rows for b in result.blocks))
         _feed(digest, *result.selectors)
         for pf in result.partial_feedback:
             digest.update(repr(pf.level).encode())
             _feed(digest, pf.rate, pf.drift)
         count += 1
-    return digest.hexdigest(), count
+    return digest.hexdigest(), decided.hexdigest(), count
 
 
 def _pencils(seed: int):
@@ -134,7 +140,11 @@ def dae_digest() -> tuple[str, int]:
 
 def main(argv: list[str]) -> int:
     size = int(argv[0]) if argv else 400
-    for name, (hexdigest, count) in (("run", run_digest(size)), ("dae", dae_digest())):
+    run_hex, decisions_hex, runs = run_digests(size)
+    dae_hex, chains = dae_digest()
+    for name, hexdigest, count in (
+        ("run", run_hex, runs), ("decisions", decisions_hex, runs), ("dae", dae_hex, chains)
+    ):
         print(f"{name} {hexdigest} {count}")
     return 0
 
