@@ -6,10 +6,17 @@ by the left factor U' of the SVD of its control coefficient rho, as in the
 Gotay-Nester algorithm: the rows along rho's range determine part of the
 control derivative (the level's partial feedback), and the rows along its
 left null space carry no udot term and form the next block of constraint
-rows. The recursion halts when rho becomes
-regular (full row rank: the remaining control derivatives are all
-determined) or when the stacked constraint matrix stops gaining rank
-(gauge directions remain).
+rows. Every level, the primary one included, filters its rows into phi,
+splits rho, records its ranks and partial feedback, and then tests one
+stop rule. With r the level's split rank, rows its row count, prev_rows
+the previous level's row count (m at level 1) and phi *stalled* when it
+gained no rank over the previous level, the recursion stops at the first
+level with r >= prev_rows, stalled, or r == rows (the next block would be
+empty). It halts with STAGNATION when stalled and r < prev_rows (gauge
+directions remain), with FEEDBACK otherwise (the remaining control
+derivatives are determined), and counts max(levels - stalled, 1) steps.
+Comparing r with the previous level's row count is the published loop's
+quirk, kept as it is.
 
 Rank conventions. The standalone :func:`numerical_rank` and
 :func:`svd_split` use the relative rule ``s_i > tol * s_1``, which is scale
@@ -47,7 +54,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _complement
-from .problem import ConstraintMatrix, LQProblem, _as_matrix, _derivative, primary_constraint
+from .problem import ConstraintMatrix, LQProblem, _as_matrix, _check_tol, _derivative, primary_constraint
 
 __all__ = [
     "FEEDBACK",
@@ -67,6 +74,7 @@ __all__ = [
 FEEDBACK = "feedback"
 STAGNATION = "stagnation"
 _EPS = np.finfo(float).eps
+_NONSINGULAR_CUT = 1e-12  # relative: a square matrix with s_min <= cut * s_1 is singular
 
 @dataclass(frozen=True)
 class SvdSplit:
@@ -103,16 +111,19 @@ class AlgorithmResult:
     """Outcome of the constraint recursion.
 
     steps counts constraint levels that refined the submanifold (the
-    recursion index); codim is the row count of the filtered constraint
-    matrix phi. halt_reason is FEEDBACK (rho regular, every remaining
-    control derivative determined; this includes a split that would leave
-    an empty new block) or STAGNATION (new rows added no rank: gauge
-    directions remain). rank_history holds one (rank rho, rank phi) pair per
-    generated level; selectors the u_bottom factor of each executed
-    split; blocks the raw per-level rows before independence filtering,
-    blocks[k - 1] at level k. row_basis is an orthonormal basis of phi's
-    row space, shape (2n + m, codim): the Q factor of phi' that the row
-    filter carried to the last level. tol is the tolerance the run used.
+    recursion index): every level, less the last one when phi gained no
+    rank there, and at least 1. codim is the row count of the filtered
+    constraint matrix phi. halt_reason is STAGNATION when phi gained no
+    rank at the last level and its split rank stayed below the previous
+    level's row count (gauge directions remain), FEEDBACK otherwise (every
+    remaining control derivative determined; this includes a split that
+    would leave an empty new block). rank_history holds one (rank rho,
+    rank phi) pair per generated level; selectors the u_bottom factor of
+    each executed split; blocks the raw per-level rows before independence
+    filtering, blocks[k - 1] at level k. row_basis is an orthonormal basis
+    of phi's row space, shape (2n + m, codim): the Q factor of phi' that
+    the row filter carried to the last level. tol is the tolerance the run
+    used.
     """
 
     phi: ConstraintMatrix
@@ -166,8 +177,7 @@ def _svd_rank(
 
 def _checked(M, tol: float, name: str) -> np.ndarray:
     """M as a finite float matrix, after the checks the public rank functions share."""
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_tol(tol)
     return _as_matrix(M, name)
 
 
@@ -194,6 +204,15 @@ def _split(rho: np.ndarray, tol: float, relative: bool) -> SvdSplit:
     return SvdSplit(singular_values=svals, rank=rank, u_top=ut[:rank], u_bottom=ut[rank:])
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F, rescaled by the largest entry when its sum of squares under- or overflows."""
+    sq = float(np.vdot(M, M))
+    if 1e-290 < sq < math.inf:
+        return math.sqrt(sq)
+    scale = float(np.abs(M).max(initial=0.0))
+    return scale * math.sqrt(np.vdot(M / scale, M / scale)) if scale else 0.0
+
+
 class _RowFactor:
     """Rows of full row rank with Q' and R^-1 of their thin QR rows' = Q R.
 
@@ -201,14 +220,14 @@ class _RowFactor:
     :meth:`extend`. ``rows``, ``qt`` and ``inv_r`` are views of buffers
     whose capacity at least doubles (up to the width) when full, so
     appending k rows writes only them and k new columns of Q and R^-1. The
-    rows' and R^-1's squared Frobenius norms are carried along, so the
-    certificate re-reads neither.
+    rows' and R^-1's Frobenius norms are carried along, so the certificate
+    re-reads neither.
     """
 
     def __init__(self, width: int):
         self.rows = self.qt = self._rows = self._qt = np.empty((0, width))
         self.inv_r = self._inv_r = np.empty((0, 0))
-        self.sq_norm = self.inv_sq_norm = 0.0
+        self.norm = self.inv_norm = 0.0
 
     def extend(self, rows: np.ndarray, qt: np.ndarray, off: np.ndarray, tail: np.ndarray) -> None:
         """Append rows whose Q' rows are qt; R^-1 gains the columns [off; tail]."""
@@ -221,8 +240,8 @@ class _RowFactor:
         self._rows[c : c + k], self._qt[c : c + k] = rows, qt
         self._inv_r[:c, c : c + k], self._inv_r[c : c + k, c : c + k] = off, tail
         self.rows, self.qt, self.inv_r = self._rows[: c + k], self._qt[: c + k], self._inv_r[: c + k, : c + k]
-        self.sq_norm += float(np.vdot(rows, rows))
-        self.inv_sq_norm += float(np.vdot(off, off) + np.vdot(tail, tail))
+        self.norm = math.hypot(self.norm, _frobenius(rows))
+        self.inv_norm = math.hypot(self.inv_norm, _frobenius(off), _frobenius(tail))
 
 
 def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
@@ -266,21 +285,21 @@ def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
     else:
         q, upper = np.linalg.qr(projected.T)
         added, s, _, _ = _svd_rank(upper, tol)
-    slack = _EPS * max(c + k, width) * math.sqrt(factor.sq_norm + np.vdot(M, M))
-    inv_norm = math.sqrt(factor.inv_sq_norm)
-    inv_low = inv_norm * (1.0 + slack * inv_norm)  # 1 / lower bound of s_(c+a)
+    slack = _EPS * max(c + k, width) * math.hypot(factor.norm, _frobenius(M))
+    inv_low = factor.inv_norm * (1.0 + slack * factor.inv_norm)  # 1 / lower bound of s_(c+a)
     if added:
         g = factor.inv_r @ coef.T
-        inv_low += (1.0 + math.sqrt(np.vdot(g, g))) / s[added - 1]
+        inv_low += (1.0 + _frobenius(g)) / s[added - 1]
     total = c + added
-    if (added < len(s) and s[added] > tol - slack) or inv_low * (tol + slack) >= 1.0:
+    if (added < len(s) and s[added] > tol - slack) or inv_low >= 1.0 / (tol + slack):
         total = _svd_rank(np.vstack([factor.rows, M]), tol)[0]
         if k > 1 or total == c:
             return total
         projected -= (projected @ basis_t.T) @ basis_t
-        if not np.vdot(projected, projected) > 0.5 * beta * beta:
+        again = _frobenius(projected)
+        if not again > math.sqrt(0.5) * abs(beta):
             return c
-        beta = math.sqrt(np.vdot(projected, projected))
+        beta = again
         if not added:
             g = factor.inv_r @ coef.T
     elif added < k:
@@ -304,17 +323,15 @@ def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
     return total
 
 
-def _independent_rows_array(
-    M: np.ndarray, tol: float, factor: _RowFactor | None = None
-) -> _RowFactor:
+def _independent_rows_array(M: np.ndarray, tol: float, factor: _RowFactor) -> _RowFactor:
     """Greedy top-down row filter at tolerance tol; returns the kept rows' factor.
 
     Keeps each row iff appending it raises the numerical rank of the rows
     kept so far, so the kept count always equals the numerical rank of the
-    result. ``factor`` holds a previous output of this filter (none: an
-    empty factor): the greedy pass over its rows would keep every one, so
-    only M's rows are tested, and the factor grows in place and is
-    returned. Rank-0 or empty input yields the empty (void) matrix.
+    result. ``factor`` is empty or holds a previous output of this filter:
+    the greedy pass over its rows would keep every one, so only M's rows
+    are tested, and the factor grows in place and is returned. Rank-0 or
+    empty input adds no row.
 
     :func:`_stacked_rank` gives the SVD rank of [kept; M] and appends M
     when every row adds rank and M is one row or its bounds certify it; a
@@ -323,8 +340,6 @@ def _independent_rows_array(
     of the rows ranks above the stacked matrix, so no later row can be
     kept. The returned factor's rows are views of its buffers.
     """
-    if factor is None:
-        factor = _RowFactor(M.shape[1])
     total = _stacked_rank(M, tol, factor) if M.shape[0] else 0
     for row in M:
         if factor.rows.shape[0] == total:
@@ -335,7 +350,8 @@ def _independent_rows_array(
 
 def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:
     """Filter phi to its greedily selected independent rows (idempotent)."""
-    rows = _independent_rows_array(_checked(phi.rows, tol, "phi"), tol).rows
+    rows = _checked(phi.rows, tol, "phi")
+    rows = _independent_rows_array(rows, tol, _RowFactor(rows.shape[1])).rows
     return ConstraintMatrix(rows=rows.copy(), n=phi.n, m=phi.m)
 
 
@@ -346,29 +362,27 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     reason and the per-level trace. Every rank decision inside the loop uses
     the absolute rule ``s > tol``; see the module docstring.
 
-    The loop mirrors the reference pseudocode: while rho is rank
-    deficient and phi gained rank last level, split rho, peel off the
-    determined directions, append the propagated rows to phi and refilter.
-    The final step count drops by one when the last generated level added
-    no rank, and is clamped to at least 1 (a problem with no effective
-    constraints stabilizes at the first level).
+    Each level, from the primary block on, goes through one body: filter
+    the block into phi, split rho, record the ranks, differentiate, record
+    the partial feedback, then stop when r >= prev_rows, phi stalled or
+    r == rows, or else take u_bottom times the derivative as the next
+    block. STAGNATION is stalled with r < prev_rows; steps is the level
+    count less one when phi stalled, and at least 1 (a problem with no
+    effective constraints stabilizes at the first level).
     """
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
-
-    block = primary_constraint(problem)
-    blocks = [block]
-    l = block.rho.shape[0]
-    factor = _independent_rows_array(block.rows, tol)
-    phi_rank = factor.rows.shape[0]
-    split = _split(block.rho, tol, False)
-    p = 0
-    k = 1
-    rank_history = [(split.rank, phi_rank)]
+    _check_tol(tol)
+    block, factor = primary_constraint(problem), _RowFactor(2 * problem.n + problem.m)
+    prev_rows, prev_rank = problem.m, 0
+    blocks: list[ConstraintMatrix] = []
+    rank_history: list[tuple[int, int]] = []
     feedbacks: list[PartialFeedback] = []
     selectors: list[np.ndarray] = []
-
     while True:
+        blocks.append(block)
+        rows = block.rows.shape[0]
+        phi_rank = _independent_rows_array(block.rows, tol, factor).rows.shape[0]
+        split = _split(block.rho, tol, False)
+        rank_history.append((split.rank, phi_rank))
         # The level's derivative, split by U': its u_top rows determine part
         # of udot, its u_bottom rows are the next constraint block.
         deriv = _derivative(block, problem)
@@ -378,38 +392,19 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
                 rate=split.u_top @ block.rho,
                 drift=split.u_top @ deriv,
             ))
-        # rho regular (the equation-of-motion feedback determines the rest)
-        # or phi stopped gaining rank; l is still the previous block's count.
-        if split.rank >= l or phi_rank <= p:
-            halt = FEEDBACK if split.rank >= l else STAGNATION
+        stalled = phi_rank <= prev_rank
+        if split.rank >= prev_rows or stalled or split.rank == rows:
             break
-        k += 1
-        p = phi_rank
-        l = block.rho.shape[0]
-        if split.rank == l:
-            # New block would be empty: all of rho's rows are independent,
-            # so the feedback determines everything. The pseudocode appends
-            # nothing and the final rank check undoes the k increment below.
-            halt = FEEDBACK
-            break
+        prev_rows, prev_rank = rows, phi_rank
         selectors.append(split.u_bottom)
-        rows = split.u_bottom @ deriv
-        block = ConstraintMatrix(rows, problem.n, problem.m)
-        blocks.append(block)
-        factor = _independent_rows_array(rows, tol, factor)
-        phi_rank = factor.rows.shape[0]
-        split = _split(block.rho, tol, False)
-        rank_history.append((split.rank, phi_rank))
+        block = ConstraintMatrix(split.u_bottom @ deriv, problem.n, problem.m)
 
-    if phi_rank <= p:
-        k -= 1
-    k = max(k, 1)
     # phi and its basis are views of the factor's buffers: keep compact copies.
     return AlgorithmResult(
         phi=ConstraintMatrix(rows=factor.rows.copy(), n=problem.n, m=problem.m),
-        steps=k,
+        steps=max(len(blocks) - stalled, 1),
         codim=phi_rank,
-        halt_reason=halt,
+        halt_reason=STAGNATION if stalled and split.rank < prev_rows else FEEDBACK,
         rank_history=rank_history,
         partial_feedback=feedbacks,
         selectors=selectors,
@@ -428,11 +423,9 @@ def regular_feedback(problem: LQProblem):
     uses (a zero R is always singular). A None result is the signal to
     hand the problem to the constraint recursion instead.
     """
-    if _svd_rank(problem.R, 1e-12, relative=True)[0] < problem.m:
+    if _svd_rank(problem.R, _NONSINGULAR_CUT, relative=True)[0] < problem.m:
         return None
-    rinv_bt = np.linalg.solve(problem.R, problem.B.T)
-    rinv_nt = np.linalg.solve(problem.R, problem.N.T)
-    return np.hstack([-rinv_nt, rinv_bt])
+    return np.linalg.solve(problem.R, np.hstack([-problem.N.T, problem.B.T]))
 
 
 def final_submanifold(result: AlgorithmResult, tol: float | None = None) -> np.ndarray:
@@ -446,8 +439,7 @@ def final_submanifold(result: AlgorithmResult, tol: float | None = None) -> np.n
     tolerance an SVD decides phi's rank there.
     """
     tol = result.tol if tol is None else tol
-    if not 0 < tol < math.inf:
-        raise ValueError("tol must be positive and finite")
+    _check_tol(tol)
     if tol == result.tol:
         return _complement(result.row_basis)
     return _null_basis(result.phi.rows, tol)

@@ -19,12 +19,11 @@ imposed again on a basis that has drifted.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 
 import numpy as np
 
-from .algorithm import _null_basis, _split, _svd_rank
-from .problem import _as_matrix
+from .algorithm import _NONSINGULAR_CUT, _null_basis, _split, _svd_rank
+from .problem import _as_matrix, _check_tol
 
 __all__ = [
     "LinearDAE",
@@ -116,8 +115,7 @@ def dae_constraint_chain(dae: LinearDAE, tol: float = 1e-9) -> tuple[list[np.nda
     shrinking pair's norms: deep in the chain its entries can be pure
     roundoff, which a relative cut would read as full rank.
     """
-    if not 0 < tol < inf:
-        raise ValueError("tol must be positive and finite")
+    _check_tol(tol)
     norm_a = np.linalg.norm(dae.A, 2)
     norm_b = np.linalg.norm(dae.B, 2)
     cut_a = tol * (norm_a if norm_a > 0 else 1.0)
@@ -167,7 +165,7 @@ def pencil_is_regular(dae: LinearDAE) -> bool:
     rng = np.random.default_rng(0)
     for _ in range(16):
         lam = rng.standard_normal()
-        if _svd_rank(lam * dae.A - dae.B, 1e-12, relative=True)[0] == dae.n:
+        if _svd_rank(lam * dae.A - dae.B, _NONSINGULAR_CUT, relative=True)[0] == dae.n:
             return True
     return False
 

@@ -33,7 +33,7 @@ from .geometry import (
     max_principal_angle,
     perturb,
 )
-from .problem import LQProblem, validate
+from .problem import LQProblem, _check_tol, validate
 
 __all__ = [
     "ExperimentRecord",
@@ -221,8 +221,7 @@ def run_sweep(
         raise ValueError("deltas must be non-negative and finite")
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if not 0 < tol < inf:
-        raise ValueError("tol must be positive and finite")
+    _check_tol(tol)
 
     records = []
     for n in sizes:

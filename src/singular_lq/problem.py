@@ -9,6 +9,7 @@ geometry lives in the constraint recursion (see :mod:`singular_lq.algorithm`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -28,6 +29,12 @@ def _as_matrix(value, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
+
+
+def _check_tol(tol: float) -> None:
+    """Reject a rank tolerance that is not positive and finite (NaN included)."""
+    if not 0 < tol < inf:
+        raise ValueError("tol must be positive and finite")
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

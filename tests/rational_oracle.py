@@ -235,11 +235,12 @@ def exact_recursion(
 ) -> tuple[Matrix, int, str, list[tuple[int, int]]]:
     """Exact-rational mirror of the floating-point constraint recursion.
 
-    Same control flow as singular_lq.algorithm.run, with exact ranks in
-    place of tolerance rank calls and an exact left-null row basis of rho
-    in place of the SVD's u_bottom factor. The constraint rows differ from
-    the float path by an invertible row transform per level, so the final
-    kernel and the rank trace are directly comparable.
+    The published loop, whose halting singular_lq.algorithm.run states as
+    one stop rule, with exact ranks in place of tolerance rank calls and
+    an exact left-null row basis of rho in place of the SVD's u_bottom
+    factor. The constraint rows differ from the float path by an
+    invertible row transform per level, so the final kernel and the rank
+    trace are directly comparable.
 
     Returns (phi, steps, halt, history): phi the filtered constraint
     matrix, steps the recursion index, halt "feedback" or "stagnation",

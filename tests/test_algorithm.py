@@ -5,6 +5,8 @@ the recursion in exact Fraction arithmetic, so agreement cannot come from a
 shared rounding artifact.
 """
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -32,6 +34,7 @@ from singular_lq import (
 from singular_lq.algorithm import (
     _independent_rows_array,
     _null_basis,
+    _RowFactor,
     _split,
     _stacked_rank,
     _svd_rank,
@@ -292,6 +295,28 @@ def test_independent_rows_against_exact_row_space():
         assert positions == sorted(positions)
 
 
+def test_independent_rows_keeps_the_same_rows_when_squares_overflow():
+    # Above about 1e154 a sum of squares overflows: the certificate's slack
+    # read inf times the empty factor's zero ||R^-1|| as NaN and skipped the
+    # stacked SVD. Rows and tol scaled alike keep the same rows, silently.
+    rng = np.random.default_rng(109)
+    block = rng.standard_normal((4, 7))
+    block[2] = block[0] - 0.5 * block[1]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for scale in (1.0, 1e150, 1e200, 3.3e299):
+            rows = scale * block
+            kept = independent_rows(ConstraintMatrix(rows=rows, n=3, m=1), 1e-6 * scale)
+            assert np.array_equal(kept.rows, rows[[0, 1, 3]])
+        row = np.array([[1e300, 1e300, 0.0]])
+        assert np.array_equal(independent_rows(ConstraintMatrix(rows=row, n=1, m=1), 1e-6).rows, row)
+        # A row appended to a factor of [1e100, 0, 0] projects to 1e100 >
+        # tol, but the stacked s_2 is 2e-101: the certificate must decline
+        # without overflowing.
+        factor = _filtered(np.array([[1e100, 0.0, 0.0]]), 1e94)
+        assert _stacked_rank(np.array([[5e300, 1e100, 0.0]]), 1e94, factor) == 1
+
+
 # Blocks whose rows, projected off the rows of an ill-conditioned phi,
 # rank 1 at tol 1e-6 while phi stacked on them ranks 2: (phi, block).
 _PROJECTION_TRAPS = [
@@ -302,6 +327,11 @@ _PROJECTION_TRAPS = [
     # P = [0, 0, 1] is far from tol, yet the stacked s_3 is 9.0e-7.
     ([[1.0, 0.0, 0.0], [0.0, 1.01e-6, 0.0]], [0.0, 0.5, 1.0]),
 ]
+
+
+def _filtered(rows, tol):
+    """The row filter's factor of rows, grown from an empty one."""
+    return _independent_rows_array(rows, tol, _RowFactor(rows.shape[1]))
 
 
 def _svd_shapes(monkeypatch):
@@ -323,7 +353,7 @@ def test_projected_rank_declines_when_the_stacked_rank_differs(monkeypatch, phi,
     assert _svd_rank(stacked, 1e-6)[0] == 2
     projected = block - (block @ np.eye(3)[:, :2]) @ np.eye(3)[:2]
     assert 2 + _svd_rank(projected, 1e-6)[0] == 3
-    factor = _independent_rows_array(phi, 1e-6)
+    factor = _filtered(phi, 1e-6)
     assert np.array_equal(factor.rows, phi)
     shapes = _svd_shapes(monkeypatch)
     assert _stacked_rank(block, 1e-6, factor) == 2
@@ -340,7 +370,7 @@ def test_row_filter_falls_back_to_the_stacked_rank(monkeypatch):
     phi[19, 19] = 1e-3
     block = np.zeros((1, width))
     block[0, 19:21] = 1e3, 1e-4
-    factor = _independent_rows_array(phi, 1e-6)
+    factor = _filtered(phi, 1e-6)
     assert np.array_equal(factor.rows, phi)
     shapes = _svd_shapes(monkeypatch)
     assert _stacked_rank(block, 1e-6, factor) == 20
@@ -356,7 +386,7 @@ def test_row_filter_appends_rows_that_only_the_stacked_svd_ranks(monkeypatch, k)
     # tol keeps them: one row then enters the factor from its projection,
     # and a block of two is left to the filter, which appends it row by row.
     tol, width = 1e-6, 2 + k
-    factor = _independent_rows_array(np.eye(width)[:2], tol)
+    factor = _filtered(np.eye(width)[:2], tol)
     block = tol * np.eye(width)[2:]
     shapes = []
 
@@ -389,7 +419,7 @@ def test_row_filter_stays_orthonormal_when_tol_is_below_rounding(monkeypatch, ke
     # At tol 1e-20 the stacked SVD can count rounding as rank, here for
     # every row. The certificate declines, and the row enters the factor
     # only if one more projection keeps it off the basis.
-    factor = _independent_rows_array(np.array([kept]), 1e-20)
+    factor = _filtered(np.array([kept]), 1e-20)
     monkeypatch.setattr(
         "singular_lq.algorithm._svd_rank", lambda M, tol, *args, **kwargs: (min(M.shape),)
     )
@@ -399,6 +429,20 @@ def test_row_filter_stays_orthonormal_when_tol_is_below_rounding(monkeypatch, ke
     upper = factor.qt @ factor.rows.T
     assert np.isfinite(factor.inv_r).all()
     assert np.abs(factor.inv_r @ np.triu(upper) - np.eye(rank)).max() <= 1e-15
+
+
+def test_row_filter_second_projection_survives_overflowing_squares(monkeypatch):
+    # The last case above scaled by 1e300. After the stacked SVD keeps the
+    # row, its second projection [0, 1e200, 0] squares to inf, and inf > inf
+    # once read as no gain and dropped the row.
+    factor = _filtered(np.array([[1e300, 0.0, 0.0]]), 1e280)
+    monkeypatch.setattr(
+        "singular_lq.algorithm._svd_rank", lambda M, tol, *args, **kwargs: (min(M.shape),)
+    )
+    row = np.array([[3e300, 1e200, 0.0]])
+    assert _stacked_rank(row, 1e280, factor) == 2
+    assert np.array_equal(factor.rows, np.array([[1e300, 0.0, 0.0], row[0]]))
+    assert np.array_equal(factor.qt, np.eye(3)[:2])
 
 
 @pytest.mark.parametrize("gap, tol", [(1e-7, 1e-9), (1e-10, 1e-13)])
@@ -411,7 +455,7 @@ def test_row_filter_extends_an_orthonormal_factor(gap, tol):
     phi = rng.standard_normal((20, 100))
     first = rng.standard_normal(100)
     block = np.vstack([first, first + gap * rng.standard_normal(100)])
-    base = _independent_rows_array(phi, tol)
+    base = _filtered(phi, tol)
     factor = _independent_rows_array(block, tol, base)
     assert factor is base
     rows, basis, inv_r = factor.rows, factor.qt.T, factor.inv_r
@@ -434,7 +478,7 @@ def test_row_filter_drops_the_factor_when_part_of_a_block_adds_rank():
     block = rng.standard_normal((3, 100))
     block[1] = rng.standard_normal(20) @ phi
     stacked = np.vstack([phi, block])
-    factor = _independent_rows_array(phi, tol)
+    factor = _filtered(phi, tol)
     assert _stacked_rank(block, tol, factor) == 22
     assert np.array_equal(factor.rows, phi)
     assert _independent_rows_array(block, tol, factor) is factor
@@ -485,7 +529,7 @@ def test_one_row_projected_rank_needs_no_factorisation(monkeypatch, gap):
     rng = np.random.default_rng(97)
     phi = rng.standard_normal((20, 100))
     row = rng.standard_normal(20) @ phi + gap * rng.standard_normal(100)
-    factor = _independent_rows_array(phi, 1e-9)
+    factor = _filtered(phi, 1e-9)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("a one-row block needs no QR, SVD or inverse")
@@ -499,8 +543,8 @@ def test_one_row_projected_rank_needs_no_factorisation(monkeypatch, gap):
     basis = factor.qt.T
     assert np.abs(basis.T @ basis - np.eye(rank)).max() <= 1e-14
     assert np.abs(factor.inv_r @ (basis.T @ factor.rows.T) - np.eye(rank)).max() <= 1e-12
-    assert np.isclose(factor.sq_norm, np.vdot(factor.rows, factor.rows), rtol=1e-14)
-    assert np.isclose(factor.inv_sq_norm, np.vdot(factor.inv_r, factor.inv_r), rtol=1e-14)
+    assert np.isclose(factor.norm, np.linalg.norm(factor.rows), rtol=1e-14)
+    assert np.isclose(factor.inv_norm, np.linalg.norm(factor.inv_r), rtol=1e-14)
 
 
 def _replayed_runs():
@@ -608,7 +652,7 @@ def test_row_filter_matches_a_plain_greedy_reference(monkeypatch):
         return out
 
     monkeypatch.setattr("singular_lq.algorithm._stacked_rank", spy)
-    factor, partial = _independent_rows_array(np.zeros((0, width)), tol), 0
+    factor, partial = _RowFactor(width), 0
     for block in blocks:
         before, c, first = factor, factor.rows.shape[0], len(calls)
         factor = _independent_rows_array(block, tol, before)
@@ -809,7 +853,8 @@ def test_run_splits_one_derivative_per_level():
 
 
 def _manual_trace(problem, tol):
-    """The loop replayed piece by piece, with the absolute rank and split that run calls."""
+    """The published loop replayed piece by piece, with the absolute rank and
+    split that run calls: (rank_history, steps, halt_reason)."""
     block = primary_constraint(problem)
     phi = independent_rows(block, tol)
     history = [(_svd_rank(block.rho, tol)[0], _svd_rank(phi.rows, tol)[0])]
@@ -820,6 +865,7 @@ def _manual_trace(problem, tol):
         l = block.rho.shape[0]
         split = _split(block.rho, tol, False)
         if split.rank == l:
+            halt = FEEDBACK  # the new block would be empty
             break
         rows = split.u_bottom @ _derivative(block, problem)
         block = ConstraintMatrix(rows=rows, n=problem.n, m=problem.m)
@@ -828,19 +874,36 @@ def _manual_trace(problem, tol):
                              n=problem.n, m=problem.m), tol,
         )
         history.append((_svd_rank(block.rho, tol)[0], _svd_rank(phi.rows, tol)[0]))
+    else:
+        halt = FEEDBACK if history[-1][0] >= l else STAGNATION
     if history[-1][1] <= p:
         k -= 1
-    return history, max(k, 1)
+    return history, max(k, 1), halt
+
+
+def _stalled_full_split_problem():
+    """n = 1, m = 3 with half-integer data: the second level's one row is
+    split fully while phi gains no rank, rank_history [(2, 3), (1, 3)]."""
+    return validate([[0.0]], [[0.0, -0.5, -0.5]], [[2.0]], [[-0.5, -1.0, -0.5]],
+                    [[0.0, 0.5, 0.5], [0.5, -2.0, -1.0], [0.5, -1.0, 0.0]])
 
 
 def test_run_matches_manual_pseudocode_trace():
     rng = np.random.default_rng(37)
-    for _ in range(30):
-        problem = _uniform_problem(rng)
+    problems = [make(rng) for make in (_uniform_problem, _halves_problem, _rank_one_problem)
+                for _ in range(30)]
+    exits = set()
+    for problem in problems + [_stalled_full_split_problem()]:
         result = run(problem, tol=1e-9)
-        history, steps = _manual_trace(problem, 1e-9)
-        assert result.rank_history == history
-        assert result.steps == steps
+        history, steps, halt = _manual_trace(problem, 1e-9)
+        assert (result.rank_history, result.steps, result.halt_reason) == (history, steps, halt)
+        r, rows = history[-1][0], result.blocks[-1].rows.shape[0]
+        prev_rows = result.blocks[-2].rows.shape[0] if len(result.blocks) > 1 else problem.m
+        exits.add("regular" if r >= prev_rows else (halt, r == rows))
+    # Every exit: rho regular against the previous level's rows, an empty
+    # next block, and phi stalling with a partial or a full split.
+    assert exits == {"regular", (FEEDBACK, True), (STAGNATION, False), (STAGNATION, True)}
+    assert run(_stalled_full_split_problem(), 1e-9).rank_history == [(2, 3), (1, 3)]
 
 
 def test_run_monotonicity_bounds():

@@ -5,8 +5,8 @@ Usage, from the root of a checkout:
     python3 tools/run_digest.py [SIZE]
 
 The package is imported from ``src/`` and the benchmark's workloads from
-``perfbench/`` of the same checkout. Three SHA-256 digests are printed,
-each with the number of calls it covers:
+``perfbench/`` of the same checkout. Three SHA-256 digests and one line
+of counts are printed, each with the number of calls it covers:
 
 * ``run``: every ``run`` output on random problems (SIZE each of uniform,
   half-integer and rank-one data, n <= 6, m <= 5, at tol 1e-6, 1e-9 and
@@ -19,6 +19,12 @@ each with the number of calls it covers:
   ``codim`` and ``halt_reason`` alone. A change that moves the low bits of
   the outputs, and so the ``run`` digest, keeps this one when it keeps
   every rank decision.
+* ``halts``: how many of those ``run`` calls took each exit of the loop,
+  with r the last level's split rank, rows its row count and prev_rows
+  the previous level's (m at level 1): ``feedback`` (r >= prev_rows),
+  ``empty-block`` (FEEDBACK because r == rows: the next block would be
+  empty), ``stagnation`` (phi gained no rank, r < rows) and
+  ``stagnation-full-split`` (phi gained no rank, prev_rows > r == rows).
 * ``dae``: ``dae_constraint_chain`` (every basis of the chain and the step
   count) and the ``pencil_is_regular`` verdict on the 480-item pencil pools
   of the ``dae-chains`` benchmark workload at seeds 1 and 11, plus each of
@@ -26,9 +32,9 @@ each with the number of calls it covers:
 
 Run it in two checkouts, each in its own process, and compare the lines: a
 change that keeps every rank decision and every output byte prints the
-same digests. SIZE defaults to 400, which makes 4,018 ``run`` calls.
-Compare runs made with the same BLAS and thread count: the low bits of
-the results, and so the digests, depend on both.
+same digests and counts. SIZE defaults to 400, which makes 4,018 ``run``
+calls. Compare runs made with the same BLAS and thread count: the low
+bits of the results, and so the digests, depend on both.
 """
 
 from __future__ import annotations
@@ -36,6 +42,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -97,11 +104,26 @@ def _problems(size: int):
                     yield problem, tol
 
 
-def run_digests(size: int) -> tuple[str, str, int]:
-    """The ``run`` and ``decisions`` digests and the number of runs they cover."""
-    digest, decided, count = hashlib.sha256(), hashlib.sha256(), 0
+HALTS = ("feedback", "empty-block", "stagnation", "stagnation-full-split")
+
+
+def _halt(result) -> str:
+    """The exit of the loop that ``result`` took, one of HALTS."""
+    r, rows = result.rank_history[-1][0], result.blocks[-1].rows.shape[0]
+    prev_rows = result.blocks[-2].rows.shape[0] if len(result.blocks) > 1 else result.phi.m
+    if r >= prev_rows:
+        return "feedback"
+    if result.halt_reason == slq.FEEDBACK:
+        return "empty-block"
+    return "stagnation-full-split" if r == rows else "stagnation"
+
+
+def run_digests(size: int) -> tuple[str, str, int, Counter]:
+    """The ``run`` and ``decisions`` digests, the number of runs and their exits."""
+    digest, decided, count, halts = hashlib.sha256(), hashlib.sha256(), 0, Counter()
     for problem, tol in _problems(size):
         result = slq.run(problem, tol)
+        halts[_halt(result)] += 1
         decisions = repr((result.rank_history, result.steps, result.codim, result.halt_reason))
         digest.update(decisions.encode())
         decided.update(decisions.encode())
@@ -111,7 +133,7 @@ def run_digests(size: int) -> tuple[str, str, int]:
             digest.update(repr(pf.level).encode())
             _feed(digest, pf.rate, pf.drift)
         count += 1
-    return digest.hexdigest(), decided.hexdigest(), count
+    return digest.hexdigest(), decided.hexdigest(), count, halts
 
 
 def _pencils(seed: int):
@@ -140,12 +162,14 @@ def dae_digest() -> tuple[str, int]:
 
 def main(argv: list[str]) -> int:
     size = int(argv[0]) if argv else 400
-    run_hex, decisions_hex, runs = run_digests(size)
+    run_hex, decisions_hex, runs, halts = run_digests(size)
     dae_hex, chains = dae_digest()
-    for name, hexdigest, count in (
-        ("run", run_hex, runs), ("decisions", decisions_hex, runs), ("dae", dae_hex, chains)
+    exits = " ".join(f"{name}:{halts[name]}" for name in HALTS)
+    for name, value, count in (
+        ("run", run_hex, runs), ("decisions", decisions_hex, runs),
+        ("halts", exits, runs), ("dae", dae_hex, chains),
     ):
-        print(f"{name} {hexdigest} {count}")
+        print(f"{name} {value} {count}")
     return 0
 
 
