@@ -128,7 +128,6 @@ class AlgorithmResult:
 
     phi: ConstraintMatrix
     steps: int
-    codim: int
     halt_reason: str
     row_basis: np.ndarray
     rank_history: list[tuple[int, int]]
@@ -136,6 +135,10 @@ class AlgorithmResult:
     selectors: list[np.ndarray]
     blocks: list[ConstraintMatrix]
     tol: float
+
+    @property
+    def codim(self) -> int:
+        return self.phi.rows.shape[0]
 
 
 def _householder_beta(p: np.ndarray) -> float:
@@ -229,8 +232,9 @@ class _RowFactor:
         self.inv_r = self._inv_r = np.empty((0, 0))
         self.norm = self.inv_norm = 0.0
 
-    def extend(self, rows: np.ndarray, qt: np.ndarray, off: np.ndarray, tail: np.ndarray) -> None:
-        """Append rows whose Q' rows are qt; R^-1 gains the columns [off; tail]."""
+    def extend(self, rows: np.ndarray, qt: np.ndarray, off: np.ndarray, tail: np.ndarray,
+               norm: float) -> None:
+        """Append rows with Q' rows qt and grown Frobenius norm ``norm``; R^-1 gains [off; tail]."""
         c, (k, width) = self.rows.shape[0], rows.shape
         if c + k > self._rows.shape[0]:
             cap = min(max(c + k, 2 * self._rows.shape[0]), width)  # full row rank: c + k <= w
@@ -240,7 +244,7 @@ class _RowFactor:
         self._rows[c : c + k], self._qt[c : c + k] = rows, qt
         self._inv_r[:c, c : c + k], self._inv_r[c : c + k, c : c + k] = off, tail
         self.rows, self.qt, self.inv_r = self._rows[: c + k], self._qt[: c + k], self._inv_r[: c + k, : c + k]
-        self.norm = math.hypot(self.norm, _frobenius(rows))
+        self.norm = norm
         self.inv_norm = math.hypot(self.inv_norm, _frobenius(off), _frobenius(tail))
 
 
@@ -285,7 +289,8 @@ def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
     else:
         q, upper = np.linalg.qr(projected.T)
         added, s, _, _ = _svd_rank(upper, tol)
-    slack = _EPS * max(c + k, width) * math.hypot(factor.norm, _frobenius(M))
+    stacked_norm = math.hypot(factor.norm, _frobenius(M))
+    slack = _EPS * max(c + k, width) * stacked_norm
     inv_low = factor.inv_norm * (1.0 + slack * factor.inv_norm)  # 1 / lower bound of s_(c+a)
     if added:
         g = factor.inv_r @ coef.T
@@ -319,7 +324,7 @@ def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
             q, again = np.linalg.qr(q)
             upper = again @ upper
         q, tail = q.T, np.linalg.inv(upper)
-    factor.extend(M, q, -g @ tail, tail)
+    factor.extend(M, q, -g @ tail, tail, stacked_norm)
     return total
 
 
@@ -368,7 +373,8 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     r == rows, or else take u_bottom times the derivative as the next
     block. STAGNATION is stalled with r < prev_rows; steps is the level
     count less one when phi stalled, and at least 1 (a problem with no
-    effective constraints stabilizes at the first level).
+    effective constraints stabilizes at the first level). A level whose
+    arithmetic overflows or makes a NaN raises ``FloatingPointError``.
     """
     _check_tol(tol)
     block, factor = primary_constraint(problem), _RowFactor(2 * problem.n + problem.m)
@@ -377,33 +383,33 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     rank_history: list[tuple[int, int]] = []
     feedbacks: list[PartialFeedback] = []
     selectors: list[np.ndarray] = []
-    while True:
-        blocks.append(block)
-        rows = block.rows.shape[0]
-        phi_rank = _independent_rows_array(block.rows, tol, factor).rows.shape[0]
-        split = _split(block.rho, tol, False)
-        rank_history.append((split.rank, phi_rank))
-        # The level's derivative, split by U': its u_top rows determine part
-        # of udot, its u_bottom rows are the next constraint block.
-        deriv = _derivative(block, problem)
-        if split.rank >= 1:
-            feedbacks.append(PartialFeedback(
-                level=len(blocks),
-                rate=split.u_top @ block.rho,
-                drift=split.u_top @ deriv,
-            ))
-        stalled = phi_rank <= prev_rank
-        if split.rank >= prev_rows or stalled or split.rank == rows:
-            break
-        prev_rows, prev_rank = rows, phi_rank
-        selectors.append(split.u_bottom)
-        block = ConstraintMatrix(split.u_bottom @ deriv, problem.n, problem.m)
+    with np.errstate(over="raise", invalid="raise"):
+        while True:
+            blocks.append(block)
+            rows = block.rows.shape[0]
+            phi_rank = _independent_rows_array(block.rows, tol, factor).rows.shape[0]
+            split = _split(block.rho, tol, False)
+            rank_history.append((split.rank, phi_rank))
+            # The level's derivative, split by U': its u_top rows determine part
+            # of udot, its u_bottom rows are the next constraint block.
+            deriv = _derivative(block, problem)
+            if split.rank >= 1:
+                feedbacks.append(PartialFeedback(
+                    level=len(blocks),
+                    rate=split.u_top @ block.rho,
+                    drift=split.u_top @ deriv,
+                ))
+            stalled = phi_rank <= prev_rank
+            if split.rank >= prev_rows or stalled or split.rank == rows:
+                break
+            prev_rows, prev_rank = rows, phi_rank
+            selectors.append(split.u_bottom)
+            block = ConstraintMatrix(split.u_bottom @ deriv, problem.n, problem.m)
 
     # phi and its basis are views of the factor's buffers: keep compact copies.
     return AlgorithmResult(
         phi=ConstraintMatrix(rows=factor.rows.copy(), n=problem.n, m=problem.m),
         steps=max(len(blocks) - stalled, 1),
-        codim=phi_rank,
         halt_reason=STAGNATION if stalled and split.rank < prev_rows else FEEDBACK,
         rank_history=rank_history,
         partial_feedback=feedbacks,

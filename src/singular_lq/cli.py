@@ -1,7 +1,8 @@
 """Command-line front end: solve one problem, index a DAE, or sweep.
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or invalid input,
-3 numerical failure (SVD non-convergence).
+3 numerical failure (SVD non-convergence, or a recursion level whose
+arithmetic overflows).
 """
 
 from __future__ import annotations
@@ -275,7 +276,8 @@ def main(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except np.linalg.LinAlgError as exc:  # a ValueError subclass: catch it first
+    # LinAlgError is a ValueError subclass: catch it first.
+    except (np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return NUMERICAL_ERROR
     except ValueError as exc:

@@ -116,10 +116,7 @@ def dae_constraint_chain(dae: LinearDAE, tol: float = 1e-9) -> tuple[list[np.nda
     roundoff, which a relative cut would read as full rank.
     """
     _check_tol(tol)
-    norm_a = np.linalg.norm(dae.A, 2)
-    norm_b = np.linalg.norm(dae.B, 2)
-    cut_a = tol * (norm_a if norm_a > 0 else 1.0)
-    cut_b = tol * (norm_b if norm_b > 0 else 1.0)
+    cut_a, cut_b = (tol * (np.linalg.norm(M, 2) or 1.0) for M in (dae.A, dae.B))
     A, B, basis = dae.A, dae.B, np.eye(dae.n)
     chain: list[np.ndarray] = []
     while True:

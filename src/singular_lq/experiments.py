@@ -28,7 +28,7 @@ from .geometry import (
     Subspace,
     SubspaceDimensionMismatch,
     _complement,
-    _spectral_norm,
+    _scaled,
     loglog_fit,
     max_principal_angle,
     perturb,
@@ -141,10 +141,7 @@ def gen_experiment3(n: int) -> LQProblem:
 
 def _symmetric_noise(n: int, delta: float, rng) -> np.ndarray:
     direction = rng.standard_normal((n, n))
-    direction = (direction + direction.T) / 2.0
-    norm = _spectral_norm(direction)
-    magnitude = rng.uniform(0.0, delta)
-    return direction * (magnitude / norm)
+    return _scaled((direction + direction.T) / 2.0, delta, rng)
 
 
 def _perturbed_problem(family: int, problem: LQProblem, delta: float, rng) -> LQProblem:

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import acos, asin, inf, pi
+from math import acos, asin, inf
 from typing import Iterable, NamedTuple
 
 import numpy as np
@@ -65,8 +65,8 @@ def max_principal_angle(first: Subspace, second: Subspace) -> float:
     basis1' basis2. That formula alone loses half the working precision
     near zero (acos of 1 - eps), so small angles are recomputed from the
     sine: the largest singular value of basis2 projected off span(basis1).
-    Subspaces of more than half the ambient dimension are compared through
-    their orthogonal complements, which meet at the same largest angle.
+    Complements meet at the same largest angle (Bjorck & Golub 1973), so
+    callers pick the smaller side, as sweeps do with phi's two sides.
     Raises SubspaceDimensionMismatch when the subspace dimensions differ
     and ValueError when the ambient spaces do.
     """
@@ -79,11 +79,7 @@ def max_principal_angle(first: Subspace, second: Subspace) -> float:
             f"subspace dimensions differ: {first.dim} vs {second.dim}"
         )
     u, v = first.basis, second.basis
-    if 2 * first.dim > first.ambient_dim:
-        # Equal-dimension subspaces and their orthogonal complements have the
-        # same largest angle (Bjorck & Golub 1973); compare the smaller side.
-        u, v = _complement(u), _complement(v)
-    if u.shape[1] == 0:
+    if first.dim == 0:
         return 0.0
     cross = u.T @ v
     svals = np.linalg.svd(cross, compute_uv=False)
@@ -91,10 +87,8 @@ def max_principal_angle(first: Subspace, second: Subspace) -> float:
     if cos_min ** 2 > 0.5:  # angle below pi/4: sine route keeps full precision
         residual = v - u @ cross
         sin_max = float(np.linalg.svd(residual, compute_uv=False)[0])
-        angle = asin(min(max(sin_max, 0.0), 1.0))
-    else:
-        angle = acos(cos_min)
-    return min(max(angle, 0.0), pi / 2)
+        return asin(min(max(sin_max, 0.0), 1.0))
+    return acos(cos_min)  # asin and acos of [0, 1] lie in [0, pi/2]
 
 
 def _complement(basis: np.ndarray) -> np.ndarray:
@@ -155,11 +149,14 @@ def perturb(M, delta: float, rng) -> np.ndarray:
         raise ValueError("delta must be non-negative and finite")
     if delta == 0.0 or M.size == 0:
         return M.copy()
-    direction = rng.standard_normal(M.shape)
-    norm = _spectral_norm(direction)
-    magnitude = rng.uniform(0.0, delta)
-    direction *= magnitude / norm
+    direction = _scaled(rng.standard_normal(M.shape), delta, rng)
     return np.add(direction, M, out=direction)
+
+
+def _scaled(direction: np.ndarray, delta: float, rng) -> np.ndarray:
+    """direction scaled in place to a spectral norm drawn uniform on (0, delta)."""
+    direction *= rng.uniform(0.0, delta) / _spectral_norm(direction)
+    return direction
 
 
 class LogLogFit(NamedTuple):

@@ -56,8 +56,14 @@ class LQProblem:
     Q: np.ndarray
     N: np.ndarray
     R: np.ndarray
-    n: int
-    m: int
+
+    @property
+    def n(self) -> int:
+        return self.A.shape[0]
+
+    @property
+    def m(self) -> int:
+        return self.B.shape[1]
 
 
 @dataclass(frozen=True)
@@ -130,10 +136,7 @@ def validate(A, B, Q, N, R) -> LQProblem:
     _check_symmetry(Q, "Q")
     _check_symmetry(R, "R")
 
-    return LQProblem(
-        A=_frozen(A), B=_frozen(B), Q=_frozen(Q), N=_frozen(N), R=_frozen(R),
-        n=n, m=m,
-    )
+    return LQProblem(A=_frozen(A), B=_frozen(B), Q=_frozen(Q), N=_frozen(N), R=_frozen(R))
 
 
 def hamiltonian(problem: LQProblem, x, p, u) -> float:

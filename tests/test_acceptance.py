@@ -34,6 +34,7 @@ from singular_lq import (
     tilde_recurrence,
     validate,
 )
+from singular_lq.geometry import _complement
 
 
 def _report(criterion: int, ok: bool, detail: str) -> bool:
@@ -63,7 +64,10 @@ def test_criterion_1_structured_family_at_scale():
         if result.steps != 3 or result.codim != 3:
             failures.append(f"n={n}: steps={result.steps} codim={result.codim}")
             continue
-        angle = max_principal_angle(Subspace(_sum_zero_kernel(n)), Subspace(basis))
+        # Compared on the 3-dim side, as sweeps pick it: equal-dimension
+        # subspaces and their complements meet at the same largest angle.
+        rows = [Subspace(_complement(b)) for b in (_sum_zero_kernel(n), basis)]
+        angle = max_principal_angle(*rows)
         worst_angle = max(worst_angle, angle)
         if angle >= 1e-10:
             failures.append(f"n={n}: kernel angle {angle:.3e}")

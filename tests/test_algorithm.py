@@ -828,6 +828,26 @@ def test_run_rejects_bad_tol():
                 call()
 
 
+def _scaled_problem(problem, scale):
+    """The problem with B, Q, N and R multiplied by scale."""
+    return validate(problem.A, scale * problem.B, scale * problem.Q, scale * problem.N,
+                    scale * problem.R)
+
+
+def test_run_raises_when_a_level_overflows():
+    # Level 2 multiplies two entries of 1e200. Unchecked, run ranked the inf
+    # and NaN rows that follow and returned steps=1, stagnation.
+    with pytest.raises(FloatingPointError):
+        run(validate([[1e200]], [[1e200]], [[1e200]], [[0.0]], [[0.0]]))
+    with pytest.raises(FloatingPointError):
+        run(_scaled_problem(_exact_problem(1, 5, 0), 1e150), tol=1e-6 * 1e150)
+    # Family 2 at 1e100 stays finite and keeps every level.
+    base = run(gen_experiment2(5), tol=1e-6)
+    result = run(_scaled_problem(gen_experiment2(5), 1e100), tol=1e-6 * 1e100)
+    assert result.rank_history == base.rank_history == [(0, 1), (0, 2), (1, 3)]
+    assert (result.steps, result.halt_reason) == (base.steps, base.halt_reason)
+
+
 def test_run_splits_one_derivative_per_level():
     # Each level's derivative, one (c, 2n + m) matrix, is split by U': the
     # u_top rows are the recorded partial feedback, the u_bottom rows the
@@ -1153,3 +1173,35 @@ def test_float_chain_matches_exact_chain_on_extended_system():
         if dims[-1]:
             exact = np.linalg.qr(ro.to_float(basis))[0]
             assert max_principal_angle(Subspace(chain[-1]), Subspace(exact)) <= 1e-10
+
+
+def _extended_pair(problem):
+    """The pair (diag(I_2n, 0_m), K) of the extended system E zdot = K z, z = (x, p, u).
+
+    K stacks the derivative of the 2n identity rows over (x, p), which is
+    the dynamics [[A, 0, B], [Q, -A', N]], on the primary constraint rows.
+    """
+    n, m = problem.n, problem.m
+    identity = ConstraintMatrix(np.eye(2 * n, 2 * n + m), n, m)
+    K = np.vstack([_derivative(identity, problem), primary_constraint(problem).rows])
+    return LinearDAE(A=np.diag(np.r_[np.ones(2 * n), np.zeros(m)]), B=K)
+
+
+@pytest.mark.parametrize("family", [1, 2, 3])
+def test_float_chain_on_the_extended_pair_matches_run_at_scale(family):
+    # The float oracle at n = 100, exact and perturbed. The chain's cuts are
+    # 1e-7 times ||E|| = 1 and ||K||, against run's absolute 1e-6: on these
+    # families both read the same ranks. The chain ends on run's final
+    # submanifold, in as many steps as run counts.
+    n = 100
+    exact = _exact_problem(family, n, 0)
+    perturbed = _perturbed_problem(family, exact, 1e-9, _cell_rng(0, family, n, 1e-9, 0))
+    for problem in (exact, perturbed):
+        result = run(problem, tol=1e-6)
+        chain, steps = dae_constraint_chain(_extended_pair(problem), tol=1e-7)
+        basis = final_submanifold(result)
+        assert chain[-1].shape == basis.shape
+        assert steps == result.steps
+        assert max_principal_angle(Subspace(chain[-1]), Subspace(basis)) <= 1e-10
+        scale = max(1.0, np.abs(result.phi.rows).max())
+        assert np.abs(result.phi.rows @ chain[-1]).max() <= 1e-9 * scale

@@ -171,6 +171,17 @@ def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
     assert "numerical failure: SVD did not converge" in capsys.readouterr().err
 
 
+def test_solve_exits_3_when_a_level_overflows(tmp_path, capsys):
+    # The level-2 product 1e200 * 1e200 overflows; run raises instead of
+    # carrying inf and NaN rows into the rank decisions.
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({**_ONE, "A": [[1e200]], "B": [[1e200]], "Q": [[1e200]]}))
+    assert main(["solve", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: overflow" in captured.err
+
+
 def test_dae_command(tmp_path, capsys):
     path = tmp_path / "dae.json"
     path.write_text(json.dumps({"A": np.eye(3, k=1).tolist(), "B": np.eye(3).tolist()}))

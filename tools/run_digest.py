@@ -5,7 +5,7 @@ Usage, from the root of a checkout:
     python3 tools/run_digest.py [SIZE]
 
 The package is imported from ``src/`` and the benchmark's workloads from
-``perfbench/`` of the same checkout. Three SHA-256 digests and one line
+``perfbench/`` of the same checkout. Four SHA-256 digests and one line
 of counts are printed, each with the number of calls it covers:
 
 * ``run``: every ``run`` output on random problems (SIZE each of uniform,
@@ -30,6 +30,11 @@ of counts are printed, each with the number of calls it covers:
   of the ``dae-chains`` benchmark workload at seeds 1 and 11, plus each of
   those pencils given a shared null vector, which makes it singular.
 
+* ``sweeps``: ``run_sweep`` on each family at n = 4 and 8, deltas
+  1e-10..1e-6, two trials, seed 0 and tol 1e-6: the ``records_to_csv``
+  text, alpha included, and the delta and n slope summaries (or the
+  reason a slope is not available).
+
 Run it in two checkouts, each in its own process, and compare the lines: a
 change that keeps every rank decision and every output byte prints the
 same digests and counts. SIZE defaults to 400, which makes 4,018 ``run``
@@ -51,7 +56,9 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import singular_lq as slq  # noqa: E402
-from singular_lq.experiments import _cell_rng, _exact_problem, _perturbed_problem  # noqa: E402
+from singular_lq.experiments import (  # noqa: E402
+    _cell_rng, _exact_problem, _perturbed_problem, records_to_csv,
+)
 from workloads import DaeWorkload  # noqa: E402
 
 TOLS = (1e-6, 1e-9, 1e-12)
@@ -160,14 +167,35 @@ def dae_digest() -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
+SWEEP_SIZES = (4, 8)
+SWEEP_DELTAS = (1e-10, 1e-9, 1e-8, 1e-7, 1e-6)
+
+
+def sweeps_digest() -> tuple[str, int]:
+    """Digest of one small sweep per family, and the number of records."""
+    digest, count = hashlib.sha256(), 0
+    for family in (1, 2, 3):
+        records = slq.run_sweep(family, SWEEP_SIZES, SWEEP_DELTAS, 1e-6, trials=2, seed=0)
+        digest.update(records_to_csv(records).encode())
+        for axis in ("delta", "n"):
+            try:
+                summary = repr(slq.slope_summary(records, axis))
+            except ValueError as exc:
+                summary = f"{axis}: {exc}"
+            digest.update(summary.encode())
+        count += len(records)
+    return digest.hexdigest(), count
+
+
 def main(argv: list[str]) -> int:
     size = int(argv[0]) if argv else 400
     run_hex, decisions_hex, runs, halts = run_digests(size)
     dae_hex, chains = dae_digest()
+    sweeps_hex, records = sweeps_digest()
     exits = " ".join(f"{name}:{halts[name]}" for name in HALTS)
     for name, value, count in (
         ("run", run_hex, runs), ("decisions", decisions_hex, runs),
-        ("halts", exits, runs), ("dae", dae_hex, chains),
+        ("halts", exits, runs), ("dae", dae_hex, chains), ("sweeps", sweeps_hex, records),
     ):
         print(f"{name} {value} {count}")
     return 0
