@@ -27,11 +27,13 @@ does :func:`regular_feedback`, at the fixed cut 1e-12. The recursion itself
 code reproduces degrade at perturbation sizes that cross ``tol`` itself,
 which only an absolute cut reproduces (a perturbed zero R must read as
 rank-deficient while its norm stays below tol). Every rank decision, here
-and in the DAE chain, counts singular values against the cut in one
-place, ``_svd_rank``: those of one SVD, or for the left factor of a
-one-row matrix its Householder norm, which needs no LAPACK call. One
-split, ``_split``, divides rho for :func:`run` and :func:`svd_split` and
-the reduced A_k for the DAE chain.
+and in the DAE chain, counts singular values against its cut in one
+place, ``_count``. ``_svd_rank`` feeds it values alone from LAPACK, and
+``_nonsingular`` is that at the relative cut 1e-12, for R and the pencil.
+``_split`` alone forms singular vectors: LAPACK's full left factor, or a
+one-row matrix's Householder scalar, with no LAPACK call. It divides rho
+for :func:`run` and :func:`svd_split` and the DAE chain's A_k, and, on
+M', gives every SVD null basis (``_null_basis``).
 From the primary block on, the row filter carries phi's rows and a QR
 factor of them, which starts empty and only grows: each new block is
 ranked projected off phi's basis, from one small R factor (a scalar,
@@ -74,7 +76,6 @@ __all__ = [
 FEEDBACK = "feedback"
 STAGNATION = "stagnation"
 _EPS = np.finfo(float).eps
-_NONSINGULAR_CUT = 1e-12  # relative: a square matrix with s_min <= cut * s_1 is singular
 
 @dataclass(frozen=True)
 class SvdSplit:
@@ -141,41 +142,40 @@ class AlgorithmResult:
         return self.phi.rows.shape[0]
 
 
+def _frobenius(M: np.ndarray) -> float:
+    """||M||_F, rescaled by the largest entry when its sum of squares under- or overflows."""
+    sq = float(np.vdot(M, M))
+    if 1e-290 < sq < math.inf or not M.size:
+        return math.sqrt(sq)
+    scale = float(np.abs(M).max(initial=0.0))
+    return scale * math.sqrt(np.vdot(M / scale, M / scale)) if scale else 0.0
+
+
 def _householder_beta(p: np.ndarray) -> float:
     """beta of LAPACK's Householder reflector taking the row p to beta e_1.
 
     beta = -sign(p_1) ||p||, or p_1 when p_2.. are zero (Golub & Van Loan
-    5.1); ``math.hypot`` redoes a sum of squares that under- or overflows.
+    5.1), with ||p_2..|| from the overflow-safe :func:`_frobenius`.
     """
-    first, rest = float(p[0]), math.sqrt(np.vdot(p[1:], p[1:]))
-    if not 1e-150 < rest < 1e150 and len(p) > 1:
-        rest = math.hypot(*p[1:])
+    first, rest = float(p[0]), _frobenius(p[1:])
     return first if rest == 0.0 else -math.copysign(math.hypot(first, rest), first)
 
 
-def _svd_rank(
-    M: np.ndarray, tol: float, relative: bool = False, full: str = ""
-) -> tuple[int, np.ndarray, np.ndarray | None, np.ndarray | None]:
-    """SVD of the matrix M and the count of its singular values above the cut.
-
-    The cut is ``tol``, or ``tol * s_1`` with ``relative``. Returns
-    ``(rank, s, u, vh)``, u and vh the ``full_matrices=True`` factors or
-    None; LAPACK computes both when ``full`` is "u" or "uvh". With "u", a
-    one-row M takes no LAPACK call: s = [|beta|], u = [[sign(beta)]]
-    (LAPACK's own factors) and vh None. Values alone always come from
-    LAPACK, so the row filter's stacked SVD never repeats the Householder
-    norm its certificate declined. Empty and zero matrices have rank 0.
-    """
-    if len(M) == 1 and M.size and full == "u":
-        beta = _householder_beta(M[0])
-        s, u, vh = np.array([abs(beta)]), np.array([[math.copysign(1.0, beta)]]), None
-    elif full:
-        u, s, vh = np.linalg.svd(M, full_matrices=True)
-    else:
-        s = np.linalg.svd(M, compute_uv=False)
-        u = vh = None
+def _count(s: np.ndarray, tol: float, relative: bool) -> int:
+    """Number of the descending values s above ``tol``, or ``tol * s_1`` with ``relative``."""
     cut = tol * s[0] if relative and s.size else tol
-    return int(np.count_nonzero(s > cut)), s, u, vh
+    return int(np.count_nonzero(s > cut))
+
+
+def _svd_rank(M: np.ndarray, tol: float, relative: bool = False) -> tuple[int, np.ndarray]:
+    """``(rank, s)``: M's singular values, from LAPACK alone, and their count above the cut."""
+    s = np.linalg.svd(M, compute_uv=False)
+    return _count(s, tol, relative), s
+
+
+def _nonsingular(M: np.ndarray) -> bool:
+    """Whether the square M has every singular value above 1e-12 times the largest."""
+    return _svd_rank(M, 1e-12, relative=True)[0] == M.shape[0]
 
 
 def _checked(M, tol: float, name: str) -> np.ndarray:
@@ -200,20 +200,19 @@ def svd_split(rho, tol: float) -> SvdSplit:
     return _split(rho, tol, True)
 
 
-def _split(rho: np.ndarray, tol: float, relative: bool) -> SvdSplit:
-    """:func:`svd_split` without its input checks, for rho blocks and the DAE chain's A_k."""
-    rank, svals, u, _ = _svd_rank(rho, tol, relative, full="u")
-    ut = u.T
+def _split(M: np.ndarray, tol: float, relative: bool) -> SvdSplit:
+    """:func:`svd_split` without its input checks: the one place singular vectors are formed.
+
+    U is LAPACK's full left factor; a one-row M takes no LAPACK call:
+    s = [|beta|], U = [[sign(beta)]] (LAPACK's U) from :func:`_householder_beta`.
+    """
+    if len(M) == 1 and M.size:
+        beta = _householder_beta(M[0])
+        svals, u = np.array([abs(beta)]), np.array([[math.copysign(1.0, beta)]])
+    else:
+        u, svals, _ = np.linalg.svd(M, full_matrices=True)
+    rank, ut = _count(svals, tol, relative), u.T
     return SvdSplit(singular_values=svals, rank=rank, u_top=ut[:rank], u_bottom=ut[rank:])
-
-
-def _frobenius(M: np.ndarray) -> float:
-    """||M||_F, rescaled by the largest entry when its sum of squares under- or overflows."""
-    sq = float(np.vdot(M, M))
-    if 1e-290 < sq < math.inf:
-        return math.sqrt(sq)
-    scale = float(np.abs(M).max(initial=0.0))
-    return scale * math.sqrt(np.vdot(M / scale, M / scale)) if scale else 0.0
 
 
 class _RowFactor:
@@ -288,7 +287,7 @@ def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
         added, s = int(abs(beta) > tol), [abs(beta)]
     else:
         q, upper = np.linalg.qr(projected.T)
-        added, s, _, _ = _svd_rank(upper, tol)
+        added, s = _svd_rank(upper, tol)
     stacked_norm = math.hypot(factor.norm, _frobenius(M))
     slack = _EPS * max(c + k, width) * stacked_norm
     inv_low = factor.inv_norm * (1.0 + slack * factor.inv_norm)  # 1 / lower bound of s_(c+a)
@@ -429,7 +428,7 @@ def regular_feedback(problem: LQProblem):
     uses (a zero R is always singular). A None result is the signal to
     hand the problem to the constraint recursion instead.
     """
-    if _svd_rank(problem.R, _NONSINGULAR_CUT, relative=True)[0] < problem.m:
+    if not _nonsingular(problem.R):
         return None
     return np.linalg.solve(problem.R, np.hstack([-problem.N.T, problem.B.T]))
 
@@ -452,9 +451,8 @@ def final_submanifold(result: AlgorithmResult, tol: float | None = None) -> np.n
 
 
 def _null_basis(M: np.ndarray, cut: float) -> np.ndarray:
-    """Orthonormal null-space basis of M; singular values <= cut count as zero."""
-    rank, _, _, vh = _svd_rank(M, cut, full="uvh")
-    return vh[rank:].T
+    """Orthonormal null-space basis of M, M' split at the absolute cut; values <= cut are zero."""
+    return _split(M.T, cut, False).u_bottom.T
 
 
 def feedback_rate_map(result: AlgorithmResult) -> np.ndarray:

@@ -5,7 +5,9 @@ satisfying sigma~(k+1) = sigma~(k) A + beta~(k) Q, beta~(k+1) = -beta~(k) A',
 rho~(k+1) = sigma~(k) B + beta~(k) N from (-N', B', -R). These admit closed
 forms in powers of A, and the projected blocks of the recursion are exactly
 the recorded selector products applied to them. Cross-checking the two
-routes is a cheap consistency test for any run.
+routes is a cheap consistency test for any run. Like the recursion, both
+routes raise ``FloatingPointError`` when a product overflows or makes a
+NaN, and so does :func:`theorem2_blocks`, through the closed form.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from .problem import ConstraintMatrix, LQProblem, _derivative, primary_constrain
 __all__ = ["tilde_recurrence", "tilde_closed_form", "theorem2_blocks"]
 
 
+@np.errstate(over="raise", invalid="raise")
 def tilde_recurrence(problem: LQProblem, k_max: int) -> list[ConstraintMatrix]:
     """Tilde blocks for levels 1..k_max via the recurrence, level k at index k - 1."""
     if k_max < 1:
@@ -43,6 +46,7 @@ def _alternating(pow_at: list[np.ndarray], Q: np.ndarray, pow_a: list[np.ndarray
     return acc
 
 
+@np.errstate(over="raise", invalid="raise")
 def tilde_closed_form(problem: LQProblem, k: int) -> ConstraintMatrix:
     """Level-k tilde block straight from powers of A.
 

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import _NONSINGULAR_CUT, _null_basis, _split, _svd_rank
+from .algorithm import _nonsingular, _null_basis, _split
 from .problem import _as_matrix, _check_tol
 
 __all__ = [
@@ -151,18 +151,18 @@ def pencil_is_regular(dae: LinearDAE) -> bool:
     """Probabilistic regularity test: lambda A - B nonsingular somewhere.
 
     Samples 16 random real lambda from ``np.random.default_rng(0)`` and asks
-    the shared rank primitive whether lambda A - B has full rank at the
-    relative cut 1e-12: every singular value must exceed 1e-12 times the
-    largest. An irregular pencil is singular for every lambda, so any
-    single full-rank sample certifies regularity; a regular pencil fails
-    all trials only if every sampled lambda lands near a generalized
-    eigenvalue, which has probability zero under a continuous sampling
-    distribution.
+    the nonsingularity test of :func:`~singular_lq.algorithm.regular_feedback`
+    whether lambda A - B has full rank at the relative cut 1e-12: every
+    singular value must exceed 1e-12 times the largest. An irregular pencil
+    is singular for every lambda, so any single full-rank sample certifies
+    regularity; a regular pencil fails all trials only if every sampled
+    lambda lands near a generalized eigenvalue, which has probability zero
+    under a continuous sampling distribution.
     """
     rng = np.random.default_rng(0)
     for _ in range(16):
         lam = rng.standard_normal()
-        if _svd_rank(lam * dae.A - dae.B, _NONSINGULAR_CUT, relative=True)[0] == dae.n:
+        if _nonsingular(lam * dae.A - dae.B):
             return True
     return False
 

@@ -71,13 +71,21 @@ class ConstraintMatrix:
     """Constraint rows sigma x + beta p + rho u over (x, p, u), shape (c, 2n + m).
 
     sigma, beta and rho are views of ``rows``: its first n columns, the
-    next n and the last m. One level of the recursion, its unprojected
+    next n and the last m. Rows of any other shape, or a negative n or m,
+    raise ``ValueError``. One level of the recursion, its unprojected
     tilde block and the stacked, filtered phi are all of this type.
     """
 
     rows: np.ndarray
     n: int
     m: int
+
+    def __post_init__(self):
+        n, m, shape = self.n, self.m, np.shape(self.rows)
+        if len(shape) != 2 or shape[1] != 2 * n + m or n < 0 or m < 0:
+            raise ValueError(
+                f"rows must be 2-d with 2n + m columns, n, m >= 0; got {shape}, n={n}, m={m}"
+            )
 
     @property
     def width(self) -> int:

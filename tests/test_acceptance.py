@@ -261,7 +261,7 @@ def _check_independent_rows(count: int) -> int:
     for _ in range(count):
         rows, cols = int(rng.integers(1, 9)), int(rng.integers(1, 6))
         M = rng.integers(-2, 3, (rows, cols)) / 2.0
-        kept = independent_rows(ConstraintMatrix(rows=M.astype(float), n=cols, m=0), 1e-9)
+        kept = independent_rows(ConstraintMatrix(rows=M.astype(float), n=0, m=cols), 1e-9)
         exact = ro.from_float(M)
         assert kept.rows.shape[0] == ro.rank(exact)
         if kept.rows.shape[0]:

@@ -281,7 +281,7 @@ def test_independent_rows_against_exact_row_space():
         rows = int(rng.integers(1, 8))
         cols = int(rng.integers(1, 6))
         M = rng.integers(-2, 3, (rows, cols)) / 2.0
-        phi = ConstraintMatrix(rows=M.astype(float), n=cols, m=0)
+        phi = ConstraintMatrix(rows=M.astype(float), n=0, m=cols)
         kept = independent_rows(phi, 1e-9)
         exact = ro.from_float(M)
         assert kept.rows.shape[0] == ro.rank(exact)
@@ -790,9 +790,9 @@ def test_regular_feedback_decides_the_rank_of_r_in_the_shared_helper(monkeypatch
     # with s_min <= 1e-12 s_max on both sides of it; a zero R reads as rank 0.
     calls = []
 
-    def spy(M, tol, relative=False, full=""):
+    def spy(M, tol, relative=False):
         calls.append((tol, relative))
-        return _svd_rank(M, tol, relative, full)
+        return _svd_rank(M, tol, relative)
 
     monkeypatch.setattr("singular_lq.algorithm._svd_rank", spy)
     eye = np.eye(2)
@@ -1123,9 +1123,25 @@ def test_final_submanifold_decides_the_rank_at_a_foreign_tol(monkeypatch):
         with monkeypatch.context() as patch:
             shapes = _recording_svd(patch)
             basis = final_submanifold(result, 2.0 * smallest)
-        assert shapes == [result.phi.rows.shape]
+        # The null basis comes from the left factor of phi'.
+        assert shapes == [result.phi.rows.T.shape]
         assert basis.shape[1] > result.phi.width - result.codim
     assert checked >= 20
+
+
+@pytest.mark.parametrize(
+    "shape, rank", [((0, 3), 0), ((3, 0), 0), ((4, 1), 0), ((4, 1), 1), ((1, 4), 1), ((6, 4), 2)]
+)
+def test_null_basis_is_an_orthonormal_kernel_at_the_cut(shape, rank):
+    # A one-column M is split through its one-row M' by the Householder
+    # scalar; the rest through LAPACK's left factor of M'.
+    rng = np.random.default_rng(79)
+    M = rng.uniform(-1.0, 1.0, (shape[0], rank)) @ rng.uniform(-1.0, 1.0, (rank, shape[1]))
+    cut = 1e-9
+    basis = _null_basis(M, cut)
+    assert basis.shape == (shape[1], shape[1] - rank)
+    assert np.abs(basis.T @ basis - np.eye(basis.shape[1])).max(initial=0.0) <= 1e-15
+    assert np.linalg.svd(M @ basis, compute_uv=False).max(initial=0.0) <= cut
 
 
 def test_extended_system_chain_contains_recursion_kernel():

@@ -14,6 +14,7 @@ from singular_lq import (
     tilde_recurrence,
     validate,
 )
+from singular_lq.experiments import _exact_problem
 
 
 def _uniform_problem(rng, n_max=4, m_max=4):
@@ -132,6 +133,23 @@ def test_closed_form_perturbation_is_first_order():
         ).max())
     slopes = np.diff(np.log(devs)) / np.diff(np.log(deltas))
     assert all(0.8 <= s <= 1.2 for s in slopes)
+
+
+def test_tilde_blocks_raise_when_a_product_overflows():
+    # Family 1 at n = 5 with B, Q, N and R scaled by 1e150: blocks 3 and 4
+    # came back with inf and NaN rows, with only a RuntimeWarning.
+    exact = _exact_problem(1, 5, 0)
+    scale = 1e150
+    problem = validate(exact.A, scale * exact.B, scale * exact.Q, scale * exact.N,
+                       scale * exact.R)
+    for call in (
+        lambda: tilde_recurrence(problem, 4),
+        lambda: tilde_closed_form(problem, 4),
+        lambda: theorem2_blocks(problem, [np.eye(exact.m)] * 3, 4),
+    ):
+        with pytest.raises(FloatingPointError):
+            call()
+    assert np.isfinite(tilde_recurrence(exact, 4)[-1].rows).all()
 
 
 def test_theorem2_level_one_needs_no_selectors():

@@ -73,6 +73,20 @@ def test_problem_arrays_are_frozen():
         problem.A[0, 0] = 5.0
 
 
+def test_constraint_matrix_rejects_rows_that_do_not_match_n_and_m():
+    # A (2, 5) matrix read with n = m = 1 had width 3 and a 2-column rho.
+    for rows, n, m in (
+        (np.zeros((2, 5)), 1, 1),
+        (np.zeros(3), 1, 1),
+        (np.zeros((1, 2, 3)), 1, 1),
+        (np.zeros((2, 1)), 1, -1),
+        (np.zeros((2, 3)), -1, 5),
+    ):
+        with pytest.raises(ValueError, match="2n \\+ m columns"):
+            ConstraintMatrix(rows, n, m)
+    assert ConstraintMatrix(np.zeros((0, 5)), 2, 1).rho.shape == (0, 1)
+
+
 def test_hamiltonian_zero_triple_is_zero():
     problem = gen_experiment2(3)
     assert hamiltonian(problem, np.zeros(3), np.zeros(3), np.zeros(1)) == 0.0

@@ -5,7 +5,7 @@ Usage, from the root of a checkout:
     python3 tools/run_digest.py [SIZE]
 
 The package is imported from ``src/`` and the benchmark's workloads from
-``perfbench/`` of the same checkout. Four SHA-256 digests and one line
+``perfbench/`` of the same checkout. Five SHA-256 digests and one line
 of counts are printed, each with the number of calls it covers:
 
 * ``run``: every ``run`` output on random problems (SIZE each of uniform,
@@ -29,7 +29,10 @@ of counts are printed, each with the number of calls it covers:
   count) and the ``pencil_is_regular`` verdict on the 480-item pencil pools
   of the ``dae-chains`` benchmark workload at seeds 1 and 11, plus each of
   those pencils given a shared null vector, which makes it singular.
-
+* ``dae-decisions``: the same chains and pencils, over the step count,
+  the dimension of every basis of the chain and both regularity verdicts
+  alone. A change that moves the low bits of the chain's bases, and so
+  the ``dae`` digest, keeps this one when it keeps every decision.
 * ``sweeps``: ``run_sweep`` on each family at n = 4 and 8, deltas
   1e-10..1e-6, two trials, seed 0 and tol 1e-6: the ``records_to_csv``
   text, alpha included, and the delta and n slope summaries (or the
@@ -151,20 +154,25 @@ def _pencils(seed: int):
     return [dae for _, dae in workload.inputs]
 
 
-def dae_digest() -> tuple[str, int]:
-    digest, count = hashlib.sha256(), 0
+def dae_digests() -> tuple[str, str, int]:
+    """The ``dae`` and ``dae-decisions`` digests and the number of chains."""
+    digest, decided, count = hashlib.sha256(), hashlib.sha256(), 0
     for seed in (1, 11):
         for dae in _pencils(seed):
             chain, steps = slq.dae_constraint_chain(dae)
-            digest.update(repr((slq.pencil_is_regular(dae), steps)).encode())
+            regular = slq.pencil_is_regular(dae)
+            digest.update(repr((regular, steps)).encode())
             _feed(digest, *chain)
             v = np.ones(dae.n) / np.sqrt(dae.n)
             shared = slq.LinearDAE(
                 A=dae.A - np.outer(dae.A @ v, v), B=dae.B - np.outer(dae.B @ v, v)
             )
-            digest.update(repr(slq.pencil_is_regular(shared)).encode())
+            shared_regular = slq.pencil_is_regular(shared)
+            digest.update(repr(shared_regular).encode())
+            dims = [basis.shape[1] for basis in chain]
+            decided.update(repr((regular, steps, dims, shared_regular)).encode())
             count += 1
-    return digest.hexdigest(), count
+    return digest.hexdigest(), decided.hexdigest(), count
 
 
 SWEEP_SIZES = (4, 8)
@@ -190,12 +198,13 @@ def sweeps_digest() -> tuple[str, int]:
 def main(argv: list[str]) -> int:
     size = int(argv[0]) if argv else 400
     run_hex, decisions_hex, runs, halts = run_digests(size)
-    dae_hex, chains = dae_digest()
+    dae_hex, dae_decisions_hex, chains = dae_digests()
     sweeps_hex, records = sweeps_digest()
     exits = " ".join(f"{name}:{halts[name]}" for name in HALTS)
     for name, value, count in (
         ("run", run_hex, runs), ("decisions", decisions_hex, runs),
-        ("halts", exits, runs), ("dae", dae_hex, chains), ("sweeps", sweeps_hex, records),
+        ("halts", exits, runs), ("dae", dae_hex, chains),
+        ("dae-decisions", dae_decisions_hex, chains), ("sweeps", sweeps_hex, records),
     ):
         print(f"{name} {value} {count}")
     return 0
