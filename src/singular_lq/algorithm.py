@@ -6,13 +6,16 @@ by the left factor U' of the SVD of its control coefficient rho, as in the
 Gotay-Nester algorithm: the rows along rho's range determine part of the
 control derivative (the level's partial feedback), and the rows along its
 left null space carry no udot term and form the next block of constraint
-rows. Every level, the primary one included, filters its rows into phi,
-splits rho, records its ranks and partial feedback, and then tests one
-stop rule. With r the level's split rank, rows its row count, prev_rows
-the previous level's row count (m at level 1) and phi *stalled* when it
-gained no rank over the previous level, the recursion stops at the first
-level with r >= prev_rows, stalled, or r == rows (the next block would be
-empty). It halts with STAGNATION when stalled and r < prev_rows (gauge
+rows. A rho within tol in Frobenius norm has rank 0, since s_1 <= ||rho||_F,
+and is not split; a level of rank 0, so found or from its SVD, determines
+nothing, records the identity selector and passes its derivative on
+unrotated as the next block. Every level, the primary one included,
+filters its rows into phi, ranks rho, records its ranks and partial
+feedback, and then tests one stop rule. With r the level's split rank,
+rows its row count, prev_rows the previous level's row count (m at level
+1) and phi *stalled* when it gained no rank over the previous level, the
+recursion stops at the first level with r >= prev_rows, stalled, or r ==
+rows (the next block would be empty). It halts with STAGNATION when stalled and r < prev_rows (gauge
 directions remain), with FEEDBACK otherwise (the remaining control
 derivatives are determined), and counts max(levels - stalled, 1) steps.
 Comparing r with the previous level's row count is the published loop's
@@ -31,14 +34,21 @@ and in the DAE chain, counts singular values against its cut in one
 place, ``_count``. ``_svd_rank`` feeds it values alone from LAPACK, and
 ``_nonsingular`` is that at the relative cut 1e-12, for R and the pencil.
 ``_split`` alone forms singular vectors: LAPACK's full left factor, or a
-one-row matrix's Householder scalar, with no LAPACK call. It divides rho
-for :func:`run` and :func:`svd_split` and the DAE chain's A_k, and, on
-M', gives every SVD null basis (``_null_basis``).
+one-row matrix's Householder scalar, with no LAPACK call. It divides
+:func:`run`'s rho when its norm is above tol, :func:`svd_split`'s and
+the DAE chain's A_k, and, on M', gives every SVD null basis
+(``_null_basis``).
 From the primary block on, the row filter carries phi's rows and a QR
 factor of them, which starts empty and only grows: each new block is
 ranked projected off phi's basis, from one small R factor (a scalar,
 with no LAPACK call, for a one-row block), and the stacked SVD of [phi;
 block] decides instead whenever a derived bound cannot certify the rank.
+A multi-row block's R is inverted right after its QR: the factor carries
+R^-1 on once the block is appended, and ||R^-1||_F bounds 1 / s_k, so
+when the bound certifies that every row adds rank R needs no SVD. Only
+otherwise, or when R is not square, has a diagonal entry at most tol (so
+s_k <= tol) or an inverse that is not finite, do R's singular values
+count the rank.
 A block whose rows all add rank is appended by Gram-Schmidt with
 reorthogonalisation; a block that adds part of its rows, or whose rank
 only the stacked SVD could tell, is ranked and appended the same way one
@@ -119,12 +129,13 @@ class AlgorithmResult:
     level's row count (gauge directions remain), FEEDBACK otherwise (every
     remaining control derivative determined; this includes a split that
     would leave an empty new block). rank_history holds one (rank rho,
-    rank phi) pair per generated level; selectors the u_bottom factor of
-    each executed split; blocks the raw per-level rows before independence
-    filtering, blocks[k - 1] at level k. row_basis is an orthonormal basis
-    of phi's row space, shape (2n + m, codim): the Q factor of phi' that
-    the row filter carried to the last level. tol is the tolerance the run
-    used.
+    rank phi) pair per generated level; selectors, for each level that
+    passed rows on, the factor that took its derivative to the next block:
+    the u_bottom factor of its split, or the identity at a level of rank 0;
+    blocks the raw per-level rows before independence filtering,
+    blocks[k - 1] at level k. row_basis is an orthonormal basis of phi's
+    row space, shape (2n + m, codim): the Q factor of phi' that the row
+    filter carried to the last level. tol is the tolerance the run used.
     """
 
     phi: ConstraintMatrix
@@ -231,10 +242,11 @@ class _RowFactor:
         self.inv_r = self._inv_r = np.empty((0, 0))
         self.norm = self.inv_norm = 0.0
 
-    def extend(self, rows: np.ndarray, qt: np.ndarray, off: np.ndarray, tail: np.ndarray,
+    def extend(self, rows: np.ndarray, qt: np.ndarray, tail: np.ndarray, g: np.ndarray,
                norm: float) -> None:
-        """Append rows with Q' rows qt and grown Frobenius norm ``norm``; R^-1 gains [off; tail]."""
+        """Append rows with Q' rows qt and grown Frobenius norm ``norm``; R^-1 gains [-g tail; tail]."""
         c, (k, width) = self.rows.shape[0], rows.shape
+        off = -g @ tail
         if c + k > self._rows.shape[0]:
             cap = min(max(c + k, 2 * self._rows.shape[0]), width)  # full row rank: c + k <= w
             grown = np.empty((cap, width)), np.empty((cap, width)), np.zeros((cap, cap))
@@ -245,6 +257,42 @@ class _RowFactor:
         self.rows, self.qt, self.inv_r = self._rows[: c + k], self._qt[: c + k], self._inv_r[: c + k, : c + k]
         self.norm = norm
         self.inv_norm = math.hypot(self.inv_norm, _frobenius(off), _frobenius(tail))
+
+
+def _inflated(inv_norm: float, slack: float) -> float:
+    """A computed ||R^-1|| raised by its relative error, eps cond(R) <= slack ||R^-1||."""
+    return inv_norm * (1.0 + slack * inv_norm)
+
+
+def _inverse(upper: np.ndarray, tol: float) -> np.ndarray | None:
+    """R^-1 of the triangular R when it is finite and could show every s_j(R) > tol, else None.
+
+    s_min(R) <= min |r_jj|, so an R that is not square or has a diagonal
+    entry at most tol (zero when R is exactly singular) is not inverted.
+    """
+    rows, cols = upper.shape
+    if rows != cols or np.abs(upper.diagonal()).min() <= tol:
+        return None
+    inverse = np.linalg.inv(upper)
+    return inverse if np.isfinite(inverse).all() else None
+
+
+def _block_basis(basis_t: np.ndarray, q: np.ndarray, upper: np.ndarray, tail: np.ndarray | None):
+    """Q' rows and R^-1 of a block of rows whose projection off Q is P' = q R.
+
+    One QR's columns are orthogonal to Q only to about eps ||P|| / s_a.
+    Projected off Q once more they are orthogonal to it, and orthonormal
+    up to ||Q' q||^2, so they are orthonormalised again only when that
+    exceeds eps. Then [kept; M]' = [Q, q] [[R, T], [0, S]] with T = (M Q)'
+    up to rounding, and the new R^-1 follows blockwise. ``tail`` is R^-1
+    when it is already known, and is reused unless S is no longer R.
+    """
+    drift = basis_t @ q
+    q -= basis_t.T @ drift
+    if np.vdot(drift, drift) > _EPS:
+        q, again = np.linalg.qr(q)
+        upper, tail = again @ upper, None
+    return q.T, np.linalg.inv(upper) if tail is None else tail
 
 
 def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
@@ -267,6 +315,14 @@ def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
       carried R^-1 is accurate to about eps * cond(R) <= e ||R^-1||
       relative, so its norm enters inflated by that factor.
 
+    A block of k >= 2 rows first tries to certify that all k rows add rank
+    with no SVD of its R: when R is square with every diagonal entry above
+    tol its inverse, which the factor needs once M is appended, is taken
+    right after the QR, and 1 / s_k(P) <= ||R^-1||_F, inflated the same
+    way, stands in for 1 / s_a in the lower bound (a = k leaves no upper
+    one). Only when that does not clear tol, or R^-1 is not taken or not
+    finite, do R's singular values give a and the two bounds above.
+
     The lower side is where a projected count alone goes wrong: an
     ill-conditioned kept (large ||R^-1||) or a block with a large
     component along it (large ||G||) pulls the stacked values below P's.
@@ -282,20 +338,26 @@ def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
     coef = M @ basis_t.T
     projected = M - coef @ basis_t
     projected -= (projected @ basis_t.T) @ basis_t
+    g = factor.inv_r @ coef.T
+    grow = 1.0 + _frobenius(g)
+    stacked_norm = math.hypot(factor.norm, _frobenius(M))
+    slack = _EPS * max(c + k, width) * stacked_norm
+    inv_low = _inflated(factor.inv_norm, slack)  # 1 / lower bound of s_(c+a)
+    cut = 1.0 / (tol + slack)  # the lower bound clears tol when inv_low is below this
     if k == 1:
         beta = _householder_beta(projected[0])
         added, s = int(abs(beta) > tol), [abs(beta)]
     else:
         q, upper = np.linalg.qr(projected.T)
+        tail = _inverse(upper, tol)
+        if tail is not None and inv_low + grow * _inflated(_frobenius(tail), slack) < cut:
+            factor.extend(M, *_block_basis(basis_t, q, upper, tail), g, stacked_norm)
+            return c + k
         added, s = _svd_rank(upper, tol)
-    stacked_norm = math.hypot(factor.norm, _frobenius(M))
-    slack = _EPS * max(c + k, width) * stacked_norm
-    inv_low = factor.inv_norm * (1.0 + slack * factor.inv_norm)  # 1 / lower bound of s_(c+a)
     if added:
-        g = factor.inv_r @ coef.T
-        inv_low += (1.0 + _frobenius(g)) / s[added - 1]
+        inv_low += grow / s[added - 1]
     total = c + added
-    if (added < len(s) and s[added] > tol - slack) or inv_low >= 1.0 / (tol + slack):
+    if (added < len(s) and s[added] > tol - slack) or inv_low >= cut:
         total = _svd_rank(np.vstack([factor.rows, M]), tol)[0]
         if k > 1 or total == c:
             return total
@@ -304,26 +366,13 @@ def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
         if not again > math.sqrt(0.5) * abs(beta):
             return c
         beta = again
-        if not added:
-            g = factor.inv_r @ coef.T
     elif added < k:
         return total
     if k == 1:
         # q = P / beta is orthogonal to Q to about eps, since s_1 = ||P||.
-        q, tail = projected / beta, np.array([[1.0 / beta]])
+        factor.extend(M, projected / beta, np.array([[1.0 / beta]]), g, stacked_norm)
     else:
-        # One QR's columns are orthogonal to Q only to about eps ||P|| / s_a.
-        # Projected off Q once more they are orthogonal to it, and orthonormal
-        # up to ||Q' q||^2, so they are orthonormalised again only when that
-        # exceeds eps. Then [kept; M]' = [Q, q] [[R, T], [0, S]] with
-        # T = (M Q)' up to rounding, and the new R^-1 follows blockwise.
-        drift = basis_t @ q
-        q -= basis_t.T @ drift
-        if np.vdot(drift, drift) > _EPS:
-            q, again = np.linalg.qr(q)
-            upper = again @ upper
-        q, tail = q.T, np.linalg.inv(upper)
-    factor.extend(M, q, -g @ tail, tail, stacked_norm)
+        factor.extend(M, *_block_basis(basis_t, q, upper, tail), g, stacked_norm)
     return total
 
 
@@ -367,13 +416,15 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     the absolute rule ``s > tol``; see the module docstring.
 
     Each level, from the primary block on, goes through one body: filter
-    the block into phi, split rho, record the ranks, differentiate, record
-    the partial feedback, then stop when r >= prev_rows, phi stalled or
-    r == rows, or else take u_bottom times the derivative as the next
-    block. STAGNATION is stalled with r < prev_rows; steps is the level
-    count less one when phi stalled, and at least 1 (a problem with no
-    effective constraints stabilizes at the first level). A level whose
-    arithmetic overflows or makes a NaN raises ``FloatingPointError``.
+    the block into phi, rank rho (a split, unless ||rho||_F <= tol makes
+    it rank 0), record the ranks, differentiate, record the partial
+    feedback, then stop when r >= prev_rows, phi stalled or r == rows, or
+    else take u_bottom times the derivative as the next block (the
+    derivative itself at rank 0). STAGNATION is stalled with r <
+    prev_rows; steps is the level count less one when phi stalled, and at
+    least 1 (a problem with no effective constraints stabilizes at the
+    first level). A level whose arithmetic overflows or makes a NaN raises
+    ``FloatingPointError``.
     """
     _check_tol(tol)
     block, factor = primary_constraint(problem), _RowFactor(2 * problem.n + problem.m)
@@ -387,29 +438,36 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
             blocks.append(block)
             rows = block.rows.shape[0]
             phi_rank = _independent_rows_array(block.rows, tol, factor).rows.shape[0]
-            split = _split(block.rho, tol, False)
-            rank_history.append((split.rank, phi_rank))
+            # s_1 <= ||rho||_F, so a rho within tol in norm has rank 0 unsplit.
+            split = _split(block.rho, tol, False) if _frobenius(block.rho) > tol else None
+            rank = split.rank if split else 0
+            rank_history.append((rank, phi_rank))
             # The level's derivative, split by U': its u_top rows determine part
-            # of udot, its u_bottom rows are the next constraint block.
+            # of udot, its u_bottom rows are the next constraint block. At rank 0
+            # nothing is determined and the derivative passes on unrotated.
             deriv = _derivative(block, problem)
-            if split.rank >= 1:
+            if rank:
                 feedbacks.append(PartialFeedback(
                     level=len(blocks),
                     rate=split.u_top @ block.rho,
                     drift=split.u_top @ deriv,
                 ))
             stalled = phi_rank <= prev_rank
-            if split.rank >= prev_rows or stalled or split.rank == rows:
+            if rank >= prev_rows or stalled or rank == rows:
                 break
             prev_rows, prev_rank = rows, phi_rank
-            selectors.append(split.u_bottom)
-            block = ConstraintMatrix(split.u_bottom @ deriv, problem.n, problem.m)
+            if rank:
+                selectors.append(split.u_bottom)
+                deriv = split.u_bottom @ deriv
+            else:
+                selectors.append(np.eye(rows))
+            block = ConstraintMatrix(deriv, problem.n, problem.m)
 
     # phi and its basis are views of the factor's buffers: keep compact copies.
     return AlgorithmResult(
         phi=ConstraintMatrix(rows=factor.rows.copy(), n=problem.n, m=problem.m),
         steps=max(len(blocks) - stalled, 1),
-        halt_reason=STAGNATION if stalled and split.rank < prev_rows else FEEDBACK,
+        halt_reason=STAGNATION if stalled and rank < prev_rows else FEEDBACK,
         rank_history=rank_history,
         partial_feedback=feedbacks,
         selectors=selectors,

@@ -29,6 +29,7 @@ from singular_lq import (
     regular_feedback,
     run,
     svd_split,
+    theorem2_blocks,
     validate,
 )
 from singular_lq.algorithm import (
@@ -547,6 +548,124 @@ def test_one_row_projected_rank_needs_no_factorisation(monkeypatch, gap):
     assert np.isclose(factor.inv_norm, np.linalg.norm(factor.inv_r), rtol=1e-14)
 
 
+def _block_off(kept, values, along, rng):
+    """Rows along @ kept + P with P's rows orthogonal to kept's and P's
+    singular values ``values`` followed by zeros, one row per value."""
+    (c, width), k = kept.shape, len(values)
+    rank = int(np.count_nonzero(values))
+    full = np.linalg.qr(np.vstack([kept, rng.standard_normal((width - c, width))]).T)[0]
+    left = np.linalg.qr(rng.standard_normal((k, k)))[0][:, :rank]
+    right = np.linalg.qr(rng.standard_normal((rank, rank)))[0] @ full[:, c : c + rank].T
+    return along * rng.standard_normal((k, c)) @ kept + (left * values[:rank]) @ right
+
+
+def _certificate_cases(tol):
+    """(kind, kept, block, k - rank) over random widths and kept row counts:
+    generic blocks, graded blocks whose two smallest projected values are
+    1.2 tol, so ||R^-1||_F >= 1 / tol > 1 / s_k, and rank-deficient blocks."""
+    rng = np.random.default_rng(113)
+    for kind in ("generic", "graded", "deficient"):
+        for _ in range(15):
+            width = int(rng.integers(6, 40))
+            c = int(rng.integers(0, width // 2))
+            k = int(rng.integers(3, width - c + 1))
+            kept = rng.standard_normal((c, width))
+            if kind == "generic":
+                values, along = rng.uniform(0.1, 1.0, k), 0.1
+            elif kind == "graded":
+                values, along = np.append(np.geomspace(1.0, 1.2 * tol, k - 1), 1.2 * tol), 0.0
+            else:
+                values, along = rng.uniform(0.1, 1.0, k), 1.0
+                values[rng.choice(k, int(rng.integers(1, k)), replace=False)] = 0.0
+                values = -np.sort(-values)
+            yield kind, kept, _block_off(kept, values, along, rng), int(np.count_nonzero(values == 0))
+
+
+def test_row_filter_certificate_keeps_the_stacked_rank(monkeypatch):
+    # The filter's kept count is the stacked SVD's rank on every block. A
+    # generic block is certified by its R^-1 with no SVD at all; a graded one
+    # only by R's singular values, with no stacked SVD; a rank-deficient one
+    # is counted from R's values and ranked again one row at a time.
+    tol = 1e-6
+    paths = {"generic": set(), "graded": set(), "deficient": set()}
+    for kind, kept, block, deficit in _certificate_cases(tol):
+        factor = _filtered(kept, tol)
+        c, k = kept.shape[0], block.shape[0]
+        assert factor.rows.shape[0] == c
+        shapes = _svd_shapes(monkeypatch)
+        _independent_rows_array(block, tol, factor)
+        monkeypatch.undo()
+        stacked = np.vstack([kept, block])
+        assert factor.rows.shape[0] == _svd_rank(stacked, tol)[0] == c + k - deficit
+        assert np.array_equal(factor.rows, _greedy_reference(stacked, tol))
+        paths[kind].add(tuple(shapes) == () if kind == "generic" else tuple(shapes) == ((k, k),))
+    assert paths == {"generic": {True}, "graded": {True}, "deficient": {True}}
+
+
+def _guarded(kept, block):
+    return np.array(kept, dtype=float).reshape(-1, len(block[0])), np.array(block, dtype=float)
+
+
+# (kept, block) whose R the certificate cannot invert: the filter must take
+# R's singular values instead.
+_UNINVERTIBLE = {
+    # R = [[1, 2], [0, 0]]: the second row is exactly twice the first.
+    "singular": _guarded([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
+    # R = P' = [[1e-5, 1e300], [0, 1e-5]]: its diagonal clears tol, and its
+    # inverse overflows to -inf.
+    "overflow": _guarded([], [[1e-5, 0.0], [1e300, 1e-5]]),
+    # Four rows in width 3: R is 3 x 4.
+    "wide": _guarded([[1.0, 0.0, 0.0]], np.random.default_rng(127).standard_normal((4, 3))),
+    # Three rows off one in width 3: R is square and singular to rounding.
+    "crowded": _guarded([[1.0, 0.0, 0.0]], np.random.default_rng(131).standard_normal((3, 3))),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_UNINVERTIBLE))
+@pytest.mark.parametrize("in_run", [True, False])
+def test_row_filter_falls_back_to_the_values_of_r(monkeypatch, name, in_run):
+    # Under run's errstate and outside it, no exception and no warning: R's
+    # values decide, and the kept rows are the greedy ones.
+    kept, block = _UNINVERTIBLE[name]
+    tol = 1e-6
+    stacked = np.vstack([kept, block])
+    reference = _greedy_reference(stacked, tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factor = _filtered(kept, tol)
+        shapes = _svd_shapes(monkeypatch)
+        if in_run:
+            with np.errstate(over="raise", invalid="raise"):
+                _independent_rows_array(block, tol, factor)
+        else:
+            _independent_rows_array(block, tol, factor)
+        monkeypatch.undo()
+        whole = independent_rows(ConstraintMatrix(rows=stacked, n=0, m=stacked.shape[1]), tol)
+    k, width = block.shape
+    assert shapes[0] == (min(k, width), k)
+    assert np.array_equal(factor.rows, reference)
+    assert np.array_equal(whole.rows, reference)
+
+
+def test_family1_levels_are_certified_without_an_svd_of_r(monkeypatch):
+    # Every family-1 block is a multi-row one whose rows all add rank: each
+    # is certified from the R^-1 the factor carries on, so no SVD of R runs.
+    n, delta = 40, 1e-9
+    problem = _perturbed_problem(1, _exact_problem(1, n, 1), delta, _cell_rng(1, 1, n, delta, 0))
+    calls = []
+
+    def spy(M, tol, factor):
+        calls.append(M.shape[0])
+        return _stacked_rank(M, tol, factor)
+
+    monkeypatch.setattr("singular_lq.algorithm._stacked_rank", spy)
+    shapes = _svd_shapes(monkeypatch)
+    result = run(problem, 1e-6)
+    assert result.rank_history == [(1, n), (0, 2 * n - 1), (n - 1, 3 * n - 2)]
+    assert calls == [n, n - 1, n - 1]
+    assert shapes == []
+
+
 def _replayed_runs():
     """Seeded small problems at three tolerances, then family cells at n <= 60."""
     rng = np.random.default_rng(79)
@@ -754,8 +873,8 @@ def test_run_factorises_each_matrix_once(monkeypatch):
 
 def test_family3_run_takes_no_svd(monkeypatch):
     # Hold regime: the perturbed R stays under tol and all n levels run. Each
-    # 1 x 1 rho is ranked by its Householder norm and each one-row block by
-    # its projection off phi, so no level reaches LAPACK's SVD.
+    # 1 x 1 rho is within tol in norm, so it is not split, and each one-row
+    # block is ranked by its projection off phi: no level reaches LAPACK's SVD.
     n, delta = 40, 1e-9
     problem = _perturbed_problem(3, gen_experiment3(n), delta, _cell_rng(1, 3, n, delta, 0))
 
@@ -769,6 +888,65 @@ def test_family3_run_takes_no_svd(monkeypatch):
     # The last of the n + 1 levels adds no rank, and the recursion stagnates.
     assert (result.steps, result.codim, result.halt_reason) == (n, n, STAGNATION)
     assert [rho_rank for rho_rank, _ in result.rank_history] == [0] * (n + 1)
+
+
+def _split_shapes(monkeypatch):
+    """Shapes of the matrices that run splits from here on."""
+    shapes = []
+
+    def spy(M, *args):
+        shapes.append(M.shape)
+        return _split(M, *args)
+
+    monkeypatch.setattr("singular_lq.algorithm._split", spy)
+    return shapes
+
+
+def test_rank_zero_levels_pass_their_derivative_on_unrotated(monkeypatch):
+    # A rho within tol in norm has rank 0 and takes no split: the level
+    # records the identity selector and its derivative is the next block,
+    # to the byte. Family 3 at hold is rank 0 at every level.
+    tol = 1e-6
+    n, delta = 30, 1e-9
+    problem = _perturbed_problem(3, gen_experiment3(n), delta, _cell_rng(1, 3, n, delta, 0))
+    shapes = _split_shapes(monkeypatch)
+    result = run(problem, tol)
+    assert shapes == []
+    assert len(result.selectors) == n
+    assert all(selector.tobytes() == np.array([[1.0]]).tobytes() for selector in result.selectors)
+    for previous, block in zip(result.blocks, result.blocks[1:]):
+        assert block.rows.tobytes() == _derivative(previous, problem).tobytes()
+    # Family 1: level 2's rho is within tol in norm; levels 1 and 3 are split.
+    n = 20
+    problem = _perturbed_problem(1, _exact_problem(1, n, 1), delta, _cell_rng(1, 1, n, delta, 0))
+    shapes.clear()
+    result = run(problem, tol)
+    level2 = result.blocks[1]
+    assert [rank for rank, _ in result.rank_history] == [1, 0, n - 1]
+    assert np.linalg.norm(level2.rho) <= tol and shapes == [(n, n), (n - 1, n)]
+    assert np.array_equal(result.selectors[1], np.eye(n - 1))
+    assert result.blocks[2].rows.tobytes() == _derivative(level2, problem).tobytes()
+    for k, block in enumerate(result.blocks, start=1):
+        rebuilt = theorem2_blocks(problem, result.selectors, k)
+        assert np.abs(rebuilt.rows - block.rows).max() <= 1e-10 * max(1.0, np.abs(block.rows).max())
+
+
+def test_a_split_of_rank_zero_passes_its_derivative_on_unrotated(monkeypatch):
+    # rho = -R, R = 0.8 tol times a symmetric reflection, is above tol in norm,
+    # so it is split, and its values are not: the same identity selector and
+    # unrotated block, though LAPACK's U is no identity here.
+    tol = 1e-6
+    rng = np.random.default_rng(137)
+    g = lambda *shape: rng.uniform(-1.0, 1.0, shape)
+    q = g(3, 3)
+    reflection = np.array([[0.6, 0.8], [0.8, -0.6]])
+    problem = validate(g(3, 3), g(3, 2), q + q.T, g(3, 2), 0.8 * tol * reflection)
+    shapes = _split_shapes(monkeypatch)
+    result = run(problem, tol)
+    assert shapes[0] == (2, 2) and result.rank_history[0][0] == 0
+    assert not np.allclose(np.abs(np.linalg.svd(problem.R)[0]), np.eye(2))
+    assert np.array_equal(result.selectors[0], np.eye(2))
+    assert result.blocks[1].rows.tobytes() == _derivative(result.blocks[0], problem).tobytes()
 
 
 def test_run_regular_r_is_single_step():
@@ -851,10 +1029,11 @@ def test_run_raises_when_a_level_overflows():
 def test_run_splits_one_derivative_per_level():
     # Each level's derivative, one (c, 2n + m) matrix, is split by U': the
     # u_top rows are the recorded partial feedback, the u_bottom rows the
-    # next block, to the byte.
+    # next block, to the byte. A rank-0 level records the identity selector
+    # and passes its derivative on unrotated.
     rng = np.random.default_rng(59)
     tol = 1e-9
-    checked = 0
+    checked = unrotated = 0
     for _ in range(60):
         problem = _uniform_problem(rng) if rng.integers(2) else _halves_problem(rng)
         result = run(problem, tol)
@@ -864,12 +1043,19 @@ def test_run_splits_one_derivative_per_level():
             assert pf.rate.tobytes() == (split.u_top @ block.rho).tobytes()
             assert pf.drift.tobytes() == (split.u_top @ _derivative(block, problem)).tobytes()
             checked += 1
-        for block, following, selector in zip(result.blocks, result.blocks[1:], result.selectors):
-            assert selector.tobytes() == _split(block.rho, tol, False).u_bottom.tobytes()
-            expected = selector @ _derivative(block, problem)
+        levels = zip(result.blocks, result.blocks[1:], result.selectors, result.rank_history)
+        for block, following, selector, (rank, _) in levels:
+            deriv = _derivative(block, problem)
+            if rank:
+                assert selector.tobytes() == _split(block.rho, tol, False).u_bottom.tobytes()
+                expected = selector @ deriv
+            else:
+                assert np.array_equal(selector, np.eye(block.rows.shape[0]))
+                expected = deriv
+                unrotated += 1
             assert following.rows.shape == expected.shape
             assert following.rows.tobytes() == expected.tobytes()
-    assert checked >= 30
+    assert checked >= 30 and unrotated >= 10
 
 
 def _manual_trace(problem, tol):

@@ -5,7 +5,7 @@ Usage, from the root of a checkout:
     python3 tools/run_digest.py [SIZE]
 
 The package is imported from ``src/`` and the benchmark's workloads from
-``perfbench/`` of the same checkout. Five SHA-256 digests and one line
+``perfbench/`` of the same checkout. Five SHA-256 digests and two lines
 of counts are printed, each with the number of calls it covers:
 
 * ``run``: every ``run`` output on random problems (SIZE each of uniform,
@@ -25,6 +25,9 @@ of counts are printed, each with the number of calls it covers:
   ``empty-block`` (FEEDBACK because r == rows: the next block would be
   empty), ``stagnation`` (phi gained no rank, r < rows) and
   ``stagnation-full-split`` (phi gained no rank, prev_rows > r == rows).
+* ``lapack``: how many LAPACK factorisations those ``run`` calls made
+  through ``np.linalg``: values-only SVDs (``svd-values``), SVDs with
+  singular vectors (``svd-full``), QRs (``qr``) and inverses (``inv``).
 * ``dae``: ``dae_constraint_chain`` (every basis of the chain and the step
   count) and the ``pencil_is_regular`` verdict on the 480-item pencil pools
   of the ``dae-chains`` benchmark workload at seeds 1 and 11, plus each of
@@ -51,6 +54,7 @@ import hashlib
 import sys
 import tempfile
 from collections import Counter
+from contextlib import contextmanager
 from pathlib import Path
 
 import numpy as np
@@ -128,11 +132,38 @@ def _halt(result) -> str:
     return "stagnation-full-split" if r == rows else "stagnation"
 
 
-def run_digests(size: int) -> tuple[str, str, int, Counter]:
-    """The ``run`` and ``decisions`` digests, the number of runs and their exits."""
-    digest, decided, count, halts = hashlib.sha256(), hashlib.sha256(), 0, Counter()
+LAPACK = ("svd-values", "svd-full", "qr", "inv")
+
+
+@contextmanager
+def _counted_lapack(counts: Counter):
+    """Count the calls of ``np.linalg``'s svd, qr and inv into ``counts`` while inside."""
+    originals = {name: getattr(np.linalg, name) for name in ("svd", "qr", "inv")}
+
+    def counted(name):
+        def call(*args, **kwargs):
+            if name == "svd":
+                counts["svd-full" if kwargs.get("compute_uv", True) else "svd-values"] += 1
+            else:
+                counts[name] += 1
+            return originals[name](*args, **kwargs)
+        return call
+
+    try:
+        for name in originals:
+            setattr(np.linalg, name, counted(name))
+        yield
+    finally:
+        for name, original in originals.items():
+            setattr(np.linalg, name, original)
+
+
+def run_digests(size: int) -> tuple[str, str, int, Counter, Counter]:
+    """The ``run`` and ``decisions`` digests, the number of runs, their exits and LAPACK calls."""
+    digest, decided, count, halts, lapack = hashlib.sha256(), hashlib.sha256(), 0, Counter(), Counter()
     for problem, tol in _problems(size):
-        result = slq.run(problem, tol)
+        with _counted_lapack(lapack):
+            result = slq.run(problem, tol)
         halts[_halt(result)] += 1
         decisions = repr((result.rank_history, result.steps, result.codim, result.halt_reason))
         digest.update(decisions.encode())
@@ -143,7 +174,7 @@ def run_digests(size: int) -> tuple[str, str, int, Counter]:
             digest.update(repr(pf.level).encode())
             _feed(digest, pf.rate, pf.drift)
         count += 1
-    return digest.hexdigest(), decided.hexdigest(), count, halts
+    return digest.hexdigest(), decided.hexdigest(), count, halts, lapack
 
 
 def _pencils(seed: int):
@@ -197,13 +228,14 @@ def sweeps_digest() -> tuple[str, int]:
 
 def main(argv: list[str]) -> int:
     size = int(argv[0]) if argv else 400
-    run_hex, decisions_hex, runs, halts = run_digests(size)
+    run_hex, decisions_hex, runs, halts, lapack = run_digests(size)
     dae_hex, dae_decisions_hex, chains = dae_digests()
     sweeps_hex, records = sweeps_digest()
     exits = " ".join(f"{name}:{halts[name]}" for name in HALTS)
+    calls = " ".join(f"{name}:{lapack[name]}" for name in LAPACK)
     for name, value, count in (
         ("run", run_hex, runs), ("decisions", decisions_hex, runs),
-        ("halts", exits, runs), ("dae", dae_hex, chains),
+        ("halts", exits, runs), ("lapack", calls, runs), ("dae", dae_hex, chains),
         ("dae-decisions", dae_decisions_hex, chains), ("sweeps", sweeps_hex, records),
     ):
         print(f"{name} {value} {count}")
