@@ -33,27 +33,23 @@ rank-deficient while its norm stays below tol). Every rank decision, here
 and in the DAE chain, counts singular values against its cut in one
 place, ``_count``. ``_svd_rank`` feeds it values alone from LAPACK, and
 ``_nonsingular`` is that at the relative cut 1e-12, for R and the pencil.
-``_split`` alone forms singular vectors: LAPACK's full left factor, or a
-one-row matrix's Householder scalar, with no LAPACK call. It divides
-:func:`run`'s rho when its norm is above tol, :func:`svd_split`'s and
-the DAE chain's A_k, and, on M', gives every SVD null basis
-(``_null_basis``).
+``_split`` alone forms singular vectors, from LAPACK's full SVD for every
+shape, one row included. It divides :func:`run`'s rho when its norm is
+above tol, :func:`svd_split`'s and the DAE chain's A_k, and, on M', gives
+every SVD null basis (``_null_basis``).
 From the primary block on, the row filter carries phi's rows and a QR
-factor of them, which starts empty and only grows: each new block is
-ranked projected off phi's basis, from one small R factor (a scalar,
-with no LAPACK call, for a one-row block), and the stacked SVD of [phi;
-block] decides instead whenever a derived bound cannot certify the rank.
-A multi-row block's R is inverted right after its QR: the factor carries
-R^-1 on once the block is appended, and ||R^-1||_F bounds 1 / s_k, so
-when the bound certifies that every row adds rank R needs no SVD. Only
-otherwise, or when R is not square, has a diagonal entry at most tol (so
-s_k <= tol) or an inverse that is not finite, do R's singular values
-count the rank.
-A block whose rows all add rank is appended by Gram-Schmidt with
-reorthogonalisation; a block that adds part of its rows, or whose rank
-only the stacked SVD could tell, is ranked and appended the same way one
-row at a time. Bases that decide no rank are not SVDs: the row filter
-leaves phi with full row rank at the run's tolerance, so the final
+factor of them, which starts empty and only grows. Each rank decision is
+one of two kinds, both made projected off phi's basis. A block of several
+rows is appended whole when one certificate clears: its R, from one thin
+QR of the projected block, is square with every diagonal entry above tol
+and a finite inverse, and ||R^-1||_F, which bounds 1 / s_k and which the
+factor carries on once the block is appended, keeps the stacked values
+above tol. Otherwise its rows are decided one at a time, like a one-row
+block: the row's R is a scalar, with no LAPACK call, and the stacked SVD
+of [phi; row] decides instead whenever a derived bound cannot certify it.
+No SVD of a block or of its R is taken. Rows are appended by Gram-Schmidt
+with reorthogonalisation. Bases that decide no rank are not SVDs: the row
+filter leaves phi with full row rank at the run's tolerance, so the final
 submanifold there is the orthogonal complement of phi's carried row
 basis (``row_basis``), from QR alone.
 """
@@ -89,7 +85,7 @@ _EPS = np.finfo(float).eps
 
 @dataclass(frozen=True)
 class SvdSplit:
-    """SVD split of a rho block: rho = U @ diag(s) @ V'.
+    """SVD split of a rho block: rho = U @ diag(s) @ V', LAPACK's full SVD.
 
     u_top holds the first ``rank`` rows of U', u_bottom the rest;
     u_bottom @ rho is numerically zero, so u_bottom selects the constraint
@@ -166,9 +162,10 @@ def _householder_beta(p: np.ndarray) -> float:
     """beta of LAPACK's Householder reflector taking the row p to beta e_1.
 
     beta = -sign(p_1) ||p||, or p_1 when p_2.. are zero (Golub & Van Loan
-    5.1), with ||p_2..|| from the overflow-safe :func:`_frobenius`.
+    5.1), with ||p_2..|| from the overflow-safe :func:`_frobenius`; an
+    empty row has beta = 0.
     """
-    first, rest = float(p[0]), _frobenius(p[1:])
+    first, rest = float(p[0]) if p.size else 0.0, _frobenius(p[1:])
     return first if rest == 0.0 else -math.copysign(math.hypot(first, rest), first)
 
 
@@ -178,15 +175,14 @@ def _count(s: np.ndarray, tol: float, relative: bool) -> int:
     return int(np.count_nonzero(s > cut))
 
 
-def _svd_rank(M: np.ndarray, tol: float, relative: bool = False) -> tuple[int, np.ndarray]:
-    """``(rank, s)``: M's singular values, from LAPACK alone, and their count above the cut."""
-    s = np.linalg.svd(M, compute_uv=False)
-    return _count(s, tol, relative), s
+def _svd_rank(M: np.ndarray, tol: float, relative: bool = False) -> int:
+    """Count of M's singular values, from LAPACK alone, above the cut."""
+    return _count(np.linalg.svd(M, compute_uv=False), tol, relative)
 
 
 def _nonsingular(M: np.ndarray) -> bool:
     """Whether the square M has every singular value above 1e-12 times the largest."""
-    return _svd_rank(M, 1e-12, relative=True)[0] == M.shape[0]
+    return _svd_rank(M, 1e-12, relative=True) == M.shape[0]
 
 
 def _checked(M, tol: float, name: str) -> np.ndarray:
@@ -200,11 +196,11 @@ def numerical_rank(M, tol: float) -> int:
 
     Empty and zero matrices have rank 0.
     """
-    return _svd_rank(_checked(M, tol, "M"), tol, True)[0]
+    return _svd_rank(_checked(M, tol, "M"), tol, True)
 
 
 def svd_split(rho, tol: float) -> SvdSplit:
-    """Full SVD of rho with the left factor split at the relative rank, ``s > tol * s_1``."""
+    """LAPACK's full SVD of rho, its left factor split at the relative rank ``s > tol * s_1``."""
     rho = _checked(rho, tol, "rho")
     if rho.shape[0] < 1:
         raise ValueError(f"rho must be a matrix with at least one row, got shape {rho.shape}")
@@ -214,14 +210,9 @@ def svd_split(rho, tol: float) -> SvdSplit:
 def _split(M: np.ndarray, tol: float, relative: bool) -> SvdSplit:
     """:func:`svd_split` without its input checks: the one place singular vectors are formed.
 
-    U is LAPACK's full left factor; a one-row M takes no LAPACK call:
-    s = [|beta|], U = [[sign(beta)]] (LAPACK's U) from :func:`_householder_beta`.
+    Every split, one row included, is LAPACK's full SVD, and U its left factor.
     """
-    if len(M) == 1 and M.size:
-        beta = _householder_beta(M[0])
-        svals, u = np.array([abs(beta)]), np.array([[math.copysign(1.0, beta)]])
-    else:
-        u, svals, _ = np.linalg.svd(M, full_matrices=True)
+    u, svals, _ = np.linalg.svd(M, full_matrices=True)
     rank, ut = _count(svals, tol, relative), u.T
     return SvdSplit(singular_values=svals, rank=rank, u_top=ut[:rank], u_bottom=ut[rank:])
 
@@ -230,28 +221,25 @@ class _RowFactor:
     """Rows of full row rank with Q' and R^-1 of their thin QR rows' = Q R.
 
     The factor starts with no rows for a given width and grows only by
-    :meth:`extend`. ``rows``, ``qt`` and ``inv_r`` are views of buffers
-    whose capacity at least doubles (up to the width) when full, so
+    :meth:`extend`, up to ``capacity`` rows: the caller's bound on the rank,
+    at most the width, since the rows keep full row rank. ``rows``, ``qt``
+    and ``inv_r`` are views of buffers allocated once at that capacity, so
     appending k rows writes only them and k new columns of Q and R^-1. The
     rows' and R^-1's Frobenius norms are carried along, so the certificate
     re-reads neither.
     """
 
-    def __init__(self, width: int):
-        self.rows = self.qt = self._rows = self._qt = np.empty((0, width))
-        self.inv_r = self._inv_r = np.empty((0, 0))
+    def __init__(self, width: int, capacity: int):
+        self._rows, self._qt = np.empty((capacity, width)), np.empty((capacity, width))
+        self._inv_r = np.zeros((capacity, capacity))
+        self.rows, self.qt, self.inv_r = self._rows[:0], self._qt[:0], self._inv_r[:0, :0]
         self.norm = self.inv_norm = 0.0
 
     def extend(self, rows: np.ndarray, qt: np.ndarray, tail: np.ndarray, g: np.ndarray,
                norm: float) -> None:
         """Append rows with Q' rows qt and grown Frobenius norm ``norm``; R^-1 gains [-g tail; tail]."""
-        c, (k, width) = self.rows.shape[0], rows.shape
+        c, k = self.rows.shape[0], rows.shape[0]
         off = -g @ tail
-        if c + k > self._rows.shape[0]:
-            cap = min(max(c + k, 2 * self._rows.shape[0]), width)  # full row rank: c + k <= w
-            grown = np.empty((cap, width)), np.empty((cap, width)), np.zeros((cap, cap))
-            grown[0][:c], grown[1][:c], grown[2][:c, :c] = self.rows, self.qt, self.inv_r
-            self._rows, self._qt, self._inv_r = grown
         self._rows[c : c + k], self._qt[c : c + k] = rows, qt
         self._inv_r[:c, c : c + k], self._inv_r[c : c + k, c : c + k] = off, tail
         self.rows, self.qt, self.inv_r = self._rows[: c + k], self._qt[: c + k], self._inv_r[: c + k, : c + k]
@@ -277,61 +265,59 @@ def _inverse(upper: np.ndarray, tol: float) -> np.ndarray | None:
     return inverse if np.isfinite(inverse).all() else None
 
 
-def _block_basis(basis_t: np.ndarray, q: np.ndarray, upper: np.ndarray, tail: np.ndarray | None):
-    """Q' rows and R^-1 of a block of rows whose projection off Q is P' = q R.
+def _block_basis(basis_t: np.ndarray, q: np.ndarray, upper: np.ndarray, tail: np.ndarray):
+    """Q' rows and R^-1 of a block of rows whose projection off Q is P' = q R, R^-1 = tail.
 
-    One QR's columns are orthogonal to Q only to about eps ||P|| / s_a.
+    One QR's columns are orthogonal to Q only to about eps ||P|| / s_k.
     Projected off Q once more they are orthogonal to it, and orthonormal
     up to ||Q' q||^2, so they are orthonormalised again only when that
     exceeds eps. Then [kept; M]' = [Q, q] [[R, T], [0, S]] with T = (M Q)'
-    up to rounding, and the new R^-1 follows blockwise. ``tail`` is R^-1
-    when it is already known, and is reused unless S is no longer R.
+    up to rounding, and the new R^-1 follows blockwise; S is R, and tail
+    its inverse, unless that second QR changed it.
     """
     drift = basis_t @ q
     q -= basis_t.T @ drift
     if np.vdot(drift, drift) > _EPS:
         q, again = np.linalg.qr(q)
-        upper, tail = again @ upper, None
-    return q.T, np.linalg.inv(upper) if tail is None else tail
+        tail = np.linalg.inv(again @ upper)
+    return q.T, tail
 
 
-def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
-    """SVD rank of stacked = [kept; M], appending M to ``factor`` when it is c + k.
+def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
+    """Append M to ``factor`` when each of its rows is certified to add SVD rank; return whether it was.
 
     ``factor`` holds kept, of full row rank c, with Q' and R^-1 of kept' =
     Q R; M has k >= 1 rows. P is M projected off Q twice (classical
-    Gram-Schmidt with reorthogonalisation); the R factor of a thin QR of P'
-    gives its singular values s_j, and a = #{s_j > tol}. A one-row P needs
-    no factorisation: its R is the scalar beta of LAPACK's Householder
-    reflector (:func:`_householder_beta`), so q = P / beta and s_1 = |beta|.
-    The count c + a is the stacked SVD's rank when two bounds clear tol by
-    the SVD's rounding slack, e = eps * max(shape) * ||stacked||_F:
+    Gram-Schmidt with reorthogonalisation), and the bounds hold against
+    the stacked SVD's rounding slack, e = eps * max(shape) * ||stacked||_F.
+    On the span of Q and P's top right singular vectors the stacked
+    matrix acts as [[R', 0], [U' M Q, S]], whose inverse bounds its
+    smallest value there from below by 1 / (||R^-1|| + (1 + ||G||) / s),
+    with G' = R^-1 (M Q)', s the smallest of those values of P, and
+    Frobenius norms for the spectral ones. The carried R^-1 is accurate
+    to about eps * cond(R) <= e ||R^-1|| relative, so its norm enters
+    inflated by that factor. This lower side is where a projected count
+    alone goes wrong: an ill-conditioned kept (large ||R^-1||) or a block
+    with a large component along it (large ||G||) pulls the stacked
+    values below P's.
 
-    * upper: column interlacing gives s_(c+a+1)(stacked) <= s_(a+1)(P);
-    * lower: on the span of Q and P's top a right singular vectors the
-      stacked matrix acts as [[R', 0], [U_a' M Q, S_a]], whose inverse
-      bounds s_(c+a)(stacked) >= 1 / (||R^-1|| + (1 + ||G||) / s_a), with
-      G' = R^-1 (M Q)' and Frobenius norms for the spectral ones. The
-      carried R^-1 is accurate to about eps * cond(R) <= e ||R^-1||
-      relative, so its norm enters inflated by that factor.
+    A block of k >= 2 rows is decided by one certificate and enters whole
+    or not at all: its R, from one thin QR of P', is inverted when it is
+    square with every diagonal entry above tol (s_min(R) <= min |r_jj|),
+    and 1 / s_k(P) <= ||R^-1||_F, inflated the same way, stands in for 1 /
+    s in the lower bound. When R is not inverted or that bound does not
+    clear tol, M is not appended and the caller ranks its rows one at a
+    time: no SVD of the block or of its R is taken.
 
-    A block of k >= 2 rows first tries to certify that all k rows add rank
-    with no SVD of its R: when R is square with every diagonal entry above
-    tol its inverse, which the factor needs once M is appended, is taken
-    right after the QR, and 1 / s_k(P) <= ||R^-1||_F, inflated the same
-    way, stands in for 1 / s_a in the lower bound (a = k leaves no upper
-    one). Only when that does not clear tol, or R^-1 is not taken or not
-    finite, do R's singular values give a and the two bounds above.
-
-    The lower side is where a projected count alone goes wrong: an
-    ill-conditioned kept (large ||R^-1||) or a block with a large
-    component along it (large ||G||) pulls the stacked values below P's.
-    When the bounds do not certify, the stacked SVD decides. M enters the
-    factor when every row adds rank and the bounds certified it or M is one
-    row (the caller ranks other blocks one row at a time). A row the SVD
-    kept takes one more pass first, and adds no rank if that keeps under
-    1/sqrt(2) of ||P|| (Kahan's "twice is enough"): P is then noise along
-    Q, counted only because tol is below the SVD's rounding.
+    One row needs no factorisation: its R is the scalar beta of LAPACK's
+    Householder reflector (:func:`_householder_beta`), so q = P / beta and
+    s = |beta|. The row adds rank when s > tol and the lower bound clears
+    tol, and adds none when s <= tol - e (interlacing gives s_(c+1)(stacked)
+    <= s) and the bound on kept's own values clears tol. Otherwise the
+    stacked SVD decides. A row it keeps takes one more pass first, and
+    adds no rank if that keeps under 1/sqrt(2) of ||P|| (Kahan's "twice is
+    enough"): P is then noise along Q, counted only because tol is below
+    the SVD's rounding.
     """
     c, (k, width) = factor.rows.shape[0], M.shape
     basis_t = factor.qt
@@ -342,38 +328,31 @@ def _stacked_rank(M: np.ndarray, tol: float, factor: _RowFactor) -> int:
     grow = 1.0 + _frobenius(g)
     stacked_norm = math.hypot(factor.norm, _frobenius(M))
     slack = _EPS * max(c + k, width) * stacked_norm
-    inv_low = _inflated(factor.inv_norm, slack)  # 1 / lower bound of s_(c+a)
+    inv_low = _inflated(factor.inv_norm, slack)  # 1 / lower bound of the stacked values
     cut = 1.0 / (tol + slack)  # the lower bound clears tol when inv_low is below this
-    if k == 1:
-        beta = _householder_beta(projected[0])
-        added, s = int(abs(beta) > tol), [abs(beta)]
-    else:
+    if k > 1:
         q, upper = np.linalg.qr(projected.T)
         tail = _inverse(upper, tol)
-        if tail is not None and inv_low + grow * _inflated(_frobenius(tail), slack) < cut:
-            factor.extend(M, *_block_basis(basis_t, q, upper, tail), g, stacked_norm)
-            return c + k
-        added, s = _svd_rank(upper, tol)
-    if added:
-        inv_low += grow / s[added - 1]
-    total = c + added
-    if (added < len(s) and s[added] > tol - slack) or inv_low >= cut:
-        total = _svd_rank(np.vstack([factor.rows, M]), tol)[0]
-        if k > 1 or total == c:
-            return total
-        projected -= (projected @ basis_t.T) @ basis_t
-        again = _frobenius(projected)
-        if not again > math.sqrt(0.5) * abs(beta):
-            return c
-        beta = again
-    elif added < k:
-        return total
-    if k == 1:
-        # q = P / beta is orthogonal to Q to about eps, since s_1 = ||P||.
-        factor.extend(M, projected / beta, np.array([[1.0 / beta]]), g, stacked_norm)
-    else:
+        if tail is None or inv_low + grow * _inflated(_frobenius(tail), slack) >= cut:
+            return False
         factor.extend(M, *_block_basis(basis_t, q, upper, tail), g, stacked_norm)
-    return total
+        return True
+    beta = _householder_beta(projected[0])
+    s = abs(beta)
+    if s > tol:
+        inv_low += grow / s
+    if inv_low >= cut or tol - slack < s <= tol:
+        if _svd_rank(np.vstack([factor.rows, M]), tol) <= c:
+            return False
+        projected -= (projected @ basis_t.T) @ basis_t
+        beta = _frobenius(projected)
+        if not beta > math.sqrt(0.5) * s:
+            return False
+    elif s <= tol:
+        return False
+    # q = P / beta is orthogonal to Q to about eps, since s = ||P||.
+    factor.extend(M, projected / beta, np.array([[1.0 / beta]]), g, stacked_norm)
+    return True
 
 
 def _independent_rows_array(M: np.ndarray, tol: float, factor: _RowFactor) -> _RowFactor:
@@ -386,25 +365,22 @@ def _independent_rows_array(M: np.ndarray, tol: float, factor: _RowFactor) -> _R
     are tested, and the factor grows in place and is returned. Rank-0 or
     empty input adds no row.
 
-    :func:`_stacked_rank` gives the SVD rank of [kept; M] and appends M
-    when every row adds rank and M is one row or its bounds certify it; a
-    block it leaves is ranked the same way one row at a time, until the
-    kept count reaches that rank: by singular value interlacing no subset
-    of the rows ranks above the stacked matrix, so no later row can be
-    kept. The returned factor's rows are views of its buffers.
+    A block of several rows is appended whole when :func:`_appended`
+    certifies that every row adds rank; otherwise, and for a single row,
+    each row is decided on its own. The returned factor's rows are views
+    of its buffers.
     """
-    total = _stacked_rank(M, tol, factor) if M.shape[0] else 0
-    for row in M:
-        if factor.rows.shape[0] == total:
-            break
-        _stacked_rank(row[None, :], tol, factor)
+    if len(M) < 2 or not _appended(M, tol, factor):
+        for row in M:
+            _appended(row[None, :], tol, factor)
     return factor
 
 
 def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:
     """Filter phi to its greedily selected independent rows (idempotent)."""
     rows = _checked(phi.rows, tol, "phi")
-    rows = _independent_rows_array(rows, tol, _RowFactor(rows.shape[1])).rows
+    factor = _RowFactor(rows.shape[1], min(rows.shape))
+    rows = _independent_rows_array(rows, tol, factor).rows
     return ConstraintMatrix(rows=rows.copy(), n=phi.n, m=phi.m)
 
 
@@ -427,7 +403,8 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     ``FloatingPointError``.
     """
     _check_tol(tol)
-    block, factor = primary_constraint(problem), _RowFactor(2 * problem.n + problem.m)
+    width = 2 * problem.n + problem.m
+    block, factor = primary_constraint(problem), _RowFactor(width, width)
     prev_rows, prev_rank = problem.m, 0
     blocks: list[ConstraintMatrix] = []
     rank_history: list[tuple[int, int]] = []

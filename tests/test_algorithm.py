@@ -5,6 +5,7 @@ the recursion in exact Fraction arithmetic, so agreement cannot come from a
 shared rounding artifact.
 """
 
+import operator
 import warnings
 
 import numpy as np
@@ -33,11 +34,12 @@ from singular_lq import (
     validate,
 )
 from singular_lq.algorithm import (
+    _appended,
+    _householder_beta,
     _independent_rows_array,
     _null_basis,
     _RowFactor,
     _split,
-    _stacked_rank,
     _svd_rank,
 )
 from singular_lq.experiments import _cell_rng, _exact_problem, _perturbed_problem
@@ -89,7 +91,7 @@ def test_numerical_rank_absolute_mode_differs():
     # ranks the same matrix 0.
     M = np.diag([2e-7, 1e-8])
     assert numerical_rank(M, 1e-6) == 2
-    assert _svd_rank(M, 1e-6)[0] == 0
+    assert _svd_rank(M, 1e-6) == 0
 
 
 def test_numerical_rank_rejects_bad_tol():
@@ -101,8 +103,8 @@ def test_numerical_rank_rejects_bad_tol():
 @pytest.mark.parametrize("entry", [np.inf, -np.inf, np.nan])
 @pytest.mark.parametrize("call", ["numerical_rank", "svd_split", "independent_rows"])
 def test_rank_functions_reject_non_finite_input(call, entry):
-    # An inf read as rank 0 and a NaN raised LinAlgError; a one-row matrix
-    # would pass either to its Householder norm without a word.
+    # An inf read as rank 0 and a NaN raised LinAlgError; in the row filter
+    # a one-row matrix would pass either to its Householder norm without a word.
     M = np.array([[entry, 1.0, 0.0]])
     calls = {
         "numerical_rank": lambda: numerical_rank(M, 1e-6),
@@ -179,23 +181,24 @@ def _one_row_rhos():
 
 
 def test_one_row_split_matches_lapack():
-    # A one-row rho is split by its Householder scalar without LAPACK, into
-    # the bytes of LAPACK's own U. Only the singular value of a 1 x m row,
-    # its norm summed in another order, may move, by a few ulp, and so may
-    # its rank when LAPACK's value lies within those few ulp of the cut.
+    # A one-row rho is split by LAPACK's full SVD like any other: its U,
+    # singular value and rank are LAPACK's own bytes, at the cut or not. The
+    # row filter ranks one row by the scalar R of its QR instead, which has
+    # LAPACK's sign and lies within 2 ulp of LAPACK's value.
+    checked = 0
     for rho in _one_row_rhos():
         u, s, _ = np.linalg.svd(rho, full_matrices=True)
         for relative in (False, True):
             cut = 1e-6 * s[0] if relative and s.size else 1e-6
             split = svd_split(rho, 1e-6) if relative else _split(rho, 1e-6, False)
-            near_cut = s.size and abs(s[0] - cut) <= 4 * np.spacing(cut)
-            if rho.shape[1] == 1 or not near_cut:
-                assert split.rank == np.count_nonzero(s > cut), rho
+            assert split.rank == np.count_nonzero(s > cut), rho
             assert np.vstack([split.u_top, split.u_bottom]).tobytes() == u.T.tobytes(), rho
-            if rho.shape[1] == 1:
-                assert split.singular_values.tobytes() == s.tobytes(), rho
-            else:
-                assert np.all(np.abs(split.singular_values - s) <= 4 * np.spacing(s)), rho
+            assert split.singular_values.tobytes() == s.tobytes(), rho
+        if rho.size:
+            beta, r = _householder_beta(rho[0]), np.linalg.qr(rho.T, mode="r")[0, 0]
+            assert np.signbit(beta) == np.signbit(r) and abs(beta - r) <= 2 * np.spacing(abs(r)), rho
+            checked += 1
+    assert checked == 127
 
 
 # ---------------------------------------------------------------- levels
@@ -247,6 +250,10 @@ def test_independent_rows_void_and_zero_rank():
     assert independent_rows(void, 1e-9).rows.shape == (0, 3)
     zero = ConstraintMatrix(rows=np.zeros((2, 3)), n=1, m=1)
     assert independent_rows(zero, 1e-9).rows.shape == (0, 3)
+    # Rows of width 0 reach the one-row path, whose empty row has beta 0.
+    for rows in (1, 2, 3):
+        empty = ConstraintMatrix(rows=np.zeros((rows, 0)), n=0, m=0)
+        assert independent_rows(empty, 1e-6).rows.shape == (0, 0)
 
 
 def test_independent_rows_idempotent():
@@ -259,9 +266,10 @@ def test_independent_rows_idempotent():
     assert np.array_equal(once.rows, twice.rows)
 
 
-def test_independent_rows_stops_once_the_stacked_rank_is_kept(monkeypatch):
-    # No subset of the rows ranks above the stacked matrix, so once the kept
-    # rows reach its rank the greedy pass has nothing left to test.
+def test_independent_rows_ranks_a_declined_block_row_by_row(monkeypatch):
+    # The block repeats its rows, so its R is not square and the certificate
+    # declines it whole. Row by row, the repeats project to zero, far below
+    # tol, and are dropped with no SVD.
     E = np.eye(2, 5)
     svd = np.linalg.svd
     calls = []
@@ -273,7 +281,7 @@ def test_independent_rows_stops_once_the_stacked_rank_is_kept(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", counting_svd)
     kept = independent_rows(ConstraintMatrix(rows=np.vstack([E, E, E]), n=2, m=1), 1e-9)
     assert np.array_equal(kept.rows, E)
-    assert len(calls) <= 3
+    assert calls == []
 
 
 def test_independent_rows_against_exact_row_space():
@@ -315,7 +323,8 @@ def test_independent_rows_keeps_the_same_rows_when_squares_overflow():
         # tol, but the stacked s_2 is 2e-101: the certificate must decline
         # without overflowing.
         factor = _filtered(np.array([[1e100, 0.0, 0.0]]), 1e94)
-        assert _stacked_rank(np.array([[5e300, 1e100, 0.0]]), 1e94, factor) == 1
+        assert not _appended(np.array([[5e300, 1e100, 0.0]]), 1e94, factor)
+        assert factor.rows.shape[0] == 1
 
 
 # Blocks whose rows, projected off the rows of an ill-conditioned phi,
@@ -332,7 +341,7 @@ _PROJECTION_TRAPS = [
 
 def _filtered(rows, tol):
     """The row filter's factor of rows, grown from an empty one."""
-    return _independent_rows_array(rows, tol, _RowFactor(rows.shape[1]))
+    return _independent_rows_array(rows, tol, _RowFactor(rows.shape[1], rows.shape[1]))
 
 
 def _svd_shapes(monkeypatch):
@@ -347,17 +356,42 @@ def _svd_shapes(monkeypatch):
     return shapes
 
 
+def _traced_filter(monkeypatch):
+    """One [c, k, appended, SVD shapes] entry per _appended call from here on:
+    the kept row count c, the block's row count k, the call's verdict and the
+    shapes of the matrices whose SVD it took."""
+    calls = []
+
+    def svd_rank(M, *args, **kwargs):
+        calls[-1][3].append(M.shape)
+        return _svd_rank(M, *args, **kwargs)
+
+    def appended(M, tol, factor):
+        calls.append([factor.rows.shape[0], M.shape[0], None, []])
+        calls[-1][2] = _appended(M, tol, factor)
+        return calls[-1][2]
+
+    monkeypatch.setattr("singular_lq.algorithm._svd_rank", svd_rank)
+    monkeypatch.setattr("singular_lq.algorithm._appended", appended)
+    return calls
+
+
+def _one_row_svds_only(calls, width):
+    """Whether every SVD in the traced calls is the stacked (c + 1) x width one of a single row."""
+    return all(shape == (c + 1, width) for c, _, _, shapes in calls for shape in shapes)
+
+
 @pytest.mark.parametrize("phi, block", _PROJECTION_TRAPS)
 def test_projected_rank_declines_when_the_stacked_rank_differs(monkeypatch, phi, block):
     phi, block = np.array(phi), np.array([block])
     stacked = np.vstack([phi, block])
-    assert _svd_rank(stacked, 1e-6)[0] == 2
+    assert _svd_rank(stacked, 1e-6) == 2
     projected = block - (block @ np.eye(3)[:, :2]) @ np.eye(3)[:2]
-    assert 2 + _svd_rank(projected, 1e-6)[0] == 3
+    assert 2 + _svd_rank(projected, 1e-6) == 3
     factor = _filtered(phi, 1e-6)
     assert np.array_equal(factor.rows, phi)
     shapes = _svd_shapes(monkeypatch)
-    assert _stacked_rank(block, 1e-6, factor) == 2
+    assert not _appended(block, 1e-6, factor)
     assert shapes == [stacked.shape]
     assert np.array_equal(factor.rows, phi)
 
@@ -374,7 +408,7 @@ def test_row_filter_falls_back_to_the_stacked_rank(monkeypatch):
     factor = _filtered(phi, 1e-6)
     assert np.array_equal(factor.rows, phi)
     shapes = _svd_shapes(monkeypatch)
-    assert _stacked_rank(block, 1e-6, factor) == 20
+    assert not _appended(block, 1e-6, factor)
     assert shapes == [(21, width)]
     assert _independent_rows_array(block, 1e-6, factor) is factor
     assert np.array_equal(factor.rows, phi)
@@ -384,8 +418,9 @@ def test_row_filter_falls_back_to_the_stacked_rank(monkeypatch):
 def test_row_filter_appends_rows_that_only_the_stacked_svd_ranks(monkeypatch, k):
     # Rows whose projected values are exactly tol, so the certificate
     # declines and counts nothing. A stacked SVD whose cut sits just below
-    # tol keeps them: one row then enters the factor from its projection,
-    # and a block of two is left to the filter, which appends it row by row.
+    # tol keeps them: one row then enters the factor from its projection.
+    # A block of two has R = tol I, which is not inverted, so the filter
+    # appends its rows one at a time, each kept by its stacked SVD.
     tol, width = 1e-6, 2 + k
     factor = _filtered(np.eye(width)[:2], tol)
     block = tol * np.eye(width)[2:]
@@ -397,8 +432,7 @@ def test_row_filter_appends_rows_that_only_the_stacked_svd_ranks(monkeypatch, k)
 
     monkeypatch.setattr("singular_lq.algorithm._svd_rank", lower_cut)
     assert _independent_rows_array(block, tol, factor) is factor
-    # Two rows: the SVD of their R, the stacked SVD, then one for each row.
-    assert shapes == ([(3, 3)] if k == 1 else [(2, 2), (4, 4), (3, 4), (4, 4)])
+    assert shapes == ([(3, 3)] if k == 1 else [(3, 4), (4, 4)])
     assert np.array_equal(factor.rows, np.vstack([np.eye(width)[:2], block]))
     assert np.abs(factor.qt @ factor.qt.T - np.eye(width)).max() <= 1e-15
     upper = factor.qt @ factor.rows.T
@@ -422,9 +456,9 @@ def test_row_filter_stays_orthonormal_when_tol_is_below_rounding(monkeypatch, ke
     # only if one more projection keeps it off the basis.
     factor = _filtered(np.array([kept]), 1e-20)
     monkeypatch.setattr(
-        "singular_lq.algorithm._svd_rank", lambda M, tol, *args, **kwargs: (min(M.shape),)
+        "singular_lq.algorithm._svd_rank", lambda M, tol, *args, **kwargs: min(M.shape)
     )
-    assert _stacked_rank(np.array([row]), 1e-20, factor) == rank
+    assert _appended(np.array([row]), 1e-20, factor) == (rank == 2)
     assert np.array_equal(factor.rows, np.array([kept, row])[:rank])
     assert np.abs(factor.qt @ factor.qt.T - np.eye(rank)).max() <= 1e-15
     upper = factor.qt @ factor.rows.T
@@ -438,10 +472,10 @@ def test_row_filter_second_projection_survives_overflowing_squares(monkeypatch):
     # once read as no gain and dropped the row.
     factor = _filtered(np.array([[1e300, 0.0, 0.0]]), 1e280)
     monkeypatch.setattr(
-        "singular_lq.algorithm._svd_rank", lambda M, tol, *args, **kwargs: (min(M.shape),)
+        "singular_lq.algorithm._svd_rank", lambda M, tol, *args, **kwargs: min(M.shape)
     )
     row = np.array([[3e300, 1e200, 0.0]])
-    assert _stacked_rank(row, 1e280, factor) == 2
+    assert _appended(row, 1e280, factor)
     assert np.array_equal(factor.rows, np.array([[1e300, 0.0, 0.0], row[0]]))
     assert np.array_equal(factor.qt, np.eye(3)[:2])
 
@@ -470,9 +504,9 @@ def test_row_filter_extends_an_orthonormal_factor(gap, tol):
 
 
 def test_row_filter_drops_the_factor_when_part_of_a_block_adds_rank():
-    # The projected count certifies 22 of 23 rows, so the block is ranked
-    # again one row at a time: the same factor grows by block rows 0 and 2,
-    # and the next level extends it.
+    # Block row 1 lies in phi's row space, so R has a diagonal entry below
+    # tol and the block is not appended whole. Ranked one row at a time, the
+    # same factor grows by block rows 0 and 2, and the next level extends it.
     rng = np.random.default_rng(89)
     tol = 1e-9
     phi = rng.standard_normal((20, 100))
@@ -480,7 +514,7 @@ def test_row_filter_drops_the_factor_when_part_of_a_block_adds_rank():
     block[1] = rng.standard_normal(20) @ phi
     stacked = np.vstack([phi, block])
     factor = _filtered(phi, tol)
-    assert _stacked_rank(block, tol, factor) == 22
+    assert not _appended(block, tol, factor)
     assert np.array_equal(factor.rows, phi)
     assert _independent_rows_array(block, tol, factor) is factor
     assert np.array_equal(factor.rows, stacked[[*range(20), 20, 22]])
@@ -495,22 +529,23 @@ def test_row_filter_drops_the_factor_when_part_of_a_block_adds_rank():
 
 def test_grown_factor_spans_phi_and_inverts_its_r(monkeypatch):
     # Family 3 at n = 100 appends one row a level to a factor that starts
-    # empty at the primary block, so its buffers double from 1 row to 128.
+    # empty at the primary block. Its buffers are allocated once, at the
+    # run's width 2n + 1 = 201, and never regrown.
     factors = []
 
     def spy(M, tol, factor):
-        out = _stacked_rank(M, tol, factor)
-        factors.append((factor, factor._rows.shape[0]))
+        out = _appended(M, tol, factor)
+        factors.append((factor, factor._rows, factor._qt, factor._inv_r))
         return out
 
-    monkeypatch.setattr("singular_lq.algorithm._stacked_rank", spy)
+    monkeypatch.setattr("singular_lq.algorithm._appended", spy)
     exact = _exact_problem(3, 100, 0)
     for problem in (exact, _perturbed_problem(3, exact, 1e-9, _cell_rng(0, 3, 100, 1e-9, 0))):
         factors.clear()
         result = run(problem, 1e-6)
-        factor = factors[-1][0]
-        assert all(f is factor for f, _ in factors)
-        assert {capacity for _, capacity in factors} == {2**j for j in range(8)}
+        factor, *buffers = factors[-1]
+        assert all(f is factor and all(map(operator.is_, b, buffers)) for f, *b in factors)
+        assert [b.shape for b in buffers] == [(201, 201)] * 3
         basis, rows = result.row_basis, result.phi.rows
         assert result.codim == 100 and basis.shape == (201, 100)
         assert np.abs(basis.T @ basis - np.eye(100)).max() <= 1e-14
@@ -537,10 +572,11 @@ def test_one_row_projected_rank_needs_no_factorisation(monkeypatch, gap):
 
     for name in ("qr", "svd", "inv"):
         monkeypatch.setattr(np.linalg, name, forbidden)
-    rank = _stacked_rank(row[None, :], 1e-9, factor)
+    appended = _appended(row[None, :], 1e-9, factor)
     monkeypatch.undo()
     stacked = np.vstack([phi, row])
-    assert rank == _svd_rank(stacked, 1e-9)[0] == factor.rows.shape[0]
+    rank = factor.rows.shape[0]
+    assert appended == (gap == 1.0) and rank == _svd_rank(stacked, 1e-9) == 20 + appended
     basis = factor.qt.T
     assert np.abs(basis.T @ basis - np.eye(rank)).max() <= 1e-14
     assert np.abs(factor.inv_r @ (basis.T @ factor.rows.T) - np.eye(rank)).max() <= 1e-12
@@ -583,31 +619,34 @@ def _certificate_cases(tol):
 
 def test_row_filter_certificate_keeps_the_stacked_rank(monkeypatch):
     # The filter's kept count is the stacked SVD's rank on every block. A
-    # generic block is certified by its R^-1 with no SVD at all; a graded one
-    # only by R's singular values, with no stacked SVD; a rank-deficient one
-    # is counted from R's values and ranked again one row at a time.
+    # generic block is certified by its R^-1 and appended whole with no SVD
+    # at all. A graded or rank-deficient one is declined whole and ranked one
+    # row at a time, with no SVD of its R: every SVD is a one-row stacked one.
     tol = 1e-6
-    paths = {"generic": set(), "graded": set(), "deficient": set()}
+    whole = {"generic": set(), "graded": set(), "deficient": set()}
     for kind, kept, block, deficit in _certificate_cases(tol):
         factor = _filtered(kept, tol)
-        c, k = kept.shape[0], block.shape[0]
+        c, (k, width) = kept.shape[0], block.shape
         assert factor.rows.shape[0] == c
-        shapes = _svd_shapes(monkeypatch)
+        calls = _traced_filter(monkeypatch)
         _independent_rows_array(block, tol, factor)
         monkeypatch.undo()
         stacked = np.vstack([kept, block])
-        assert factor.rows.shape[0] == _svd_rank(stacked, tol)[0] == c + k - deficit
+        assert factor.rows.shape[0] == _svd_rank(stacked, tol) == c + k - deficit
         assert np.array_equal(factor.rows, _greedy_reference(stacked, tol))
-        paths[kind].add(tuple(shapes) == () if kind == "generic" else tuple(shapes) == ((k, k),))
-    assert paths == {"generic": {True}, "graded": {True}, "deficient": {True}}
+        assert _one_row_svds_only(calls, width)
+        whole[kind].add(calls == [[c, k, True, []]])
+        if kind != "generic":
+            assert calls[0] == [c, k, False, []] and [rows for _, rows, _, _ in calls[1:]] == [1] * k
+    assert whole == {"generic": {True}, "graded": {False}, "deficient": {False}}
 
 
 def _guarded(kept, block):
     return np.array(kept, dtype=float).reshape(-1, len(block[0])), np.array(block, dtype=float)
 
 
-# (kept, block) whose R the certificate cannot invert: the filter must take
-# R's singular values instead.
+# (kept, block) whose R the certificate cannot invert: the filter must rank
+# the block's rows one at a time instead.
 _UNINVERTIBLE = {
     # R = [[1, 2], [0, 0]]: the second row is exactly twice the first.
     "singular": _guarded([[0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0], [2.0, 0.0, 0.0]]),
@@ -624,8 +663,10 @@ _UNINVERTIBLE = {
 @pytest.mark.parametrize("name", sorted(_UNINVERTIBLE))
 @pytest.mark.parametrize("in_run", [True, False])
 def test_row_filter_falls_back_to_the_values_of_r(monkeypatch, name, in_run):
-    # Under run's errstate and outside it, no exception and no warning: R's
-    # values decide, and the kept rows are the greedy ones.
+    # Under run's errstate and outside it, no exception and no warning. The
+    # values of R that decide are those of each row's own one-row R, its
+    # Householder scalar, or the stacked SVD of that row: the block's R
+    # takes no SVD, and the kept rows are the greedy ones.
     kept, block = _UNINVERTIBLE[name]
     tol = 1e-6
     stacked = np.vstack([kept, block])
@@ -633,7 +674,7 @@ def test_row_filter_falls_back_to_the_values_of_r(monkeypatch, name, in_run):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         factor = _filtered(kept, tol)
-        shapes = _svd_shapes(monkeypatch)
+        calls = _traced_filter(monkeypatch)
         if in_run:
             with np.errstate(over="raise", invalid="raise"):
                 _independent_rows_array(block, tol, factor)
@@ -641,8 +682,9 @@ def test_row_filter_falls_back_to_the_values_of_r(monkeypatch, name, in_run):
             _independent_rows_array(block, tol, factor)
         monkeypatch.undo()
         whole = independent_rows(ConstraintMatrix(rows=stacked, n=0, m=stacked.shape[1]), tol)
-    k, width = block.shape
-    assert shapes[0] == (min(k, width), k)
+    (c, _), (k, width) = kept.shape, block.shape
+    assert calls[0] == [c, k, False, []] and [rows for _, rows, _, _ in calls[1:]] == [1] * k
+    assert _one_row_svds_only(calls, width)
     assert np.array_equal(factor.rows, reference)
     assert np.array_equal(whole.rows, reference)
 
@@ -652,18 +694,10 @@ def test_family1_levels_are_certified_without_an_svd_of_r(monkeypatch):
     # is certified from the R^-1 the factor carries on, so no SVD of R runs.
     n, delta = 40, 1e-9
     problem = _perturbed_problem(1, _exact_problem(1, n, 1), delta, _cell_rng(1, 1, n, delta, 0))
-    calls = []
-
-    def spy(M, tol, factor):
-        calls.append(M.shape[0])
-        return _stacked_rank(M, tol, factor)
-
-    monkeypatch.setattr("singular_lq.algorithm._stacked_rank", spy)
-    shapes = _svd_shapes(monkeypatch)
+    calls = _traced_filter(monkeypatch)
     result = run(problem, 1e-6)
     assert result.rank_history == [(1, n), (0, 2 * n - 1), (n - 1, 3 * n - 2)]
-    assert calls == [n, n - 1, n - 1]
-    assert shapes == []
+    assert calls == [[0, n, True, []], [n, n - 1, True, []], [2 * n - 1, n - 1, True, []]]
 
 
 def _replayed_runs():
@@ -686,25 +720,15 @@ def _replayed_runs():
 def test_row_filter_replays_the_stacked_rank_decisions(monkeypatch):
     # Each level's phi rank is the SVD rank of the phi kept so far stacked
     # on the level's raw block, and the carried row basis spans phi. The
-    # n = 40 and 60 cells rank most of their levels by projection, with no
-    # stacked SVD.
-    certified = []
-    shapes = _svd_shapes(monkeypatch)
-
-    def spy(M, tol, factor):
-        stacked = (factor.rows.shape[0] + M.shape[0], M.shape[1])
-        shapes.clear()
-        out = _stacked_rank(M, tol, factor)
-        certified.append(stacked not in shapes)
-        return out
-
-    monkeypatch.setattr("singular_lq.algorithm._stacked_rank", spy)
+    # n = 40 and 60 cells decide most of their blocks and rows by projection,
+    # with no stacked SVD.
+    calls = _traced_filter(monkeypatch)
     levels = 0
     for result in _replayed_runs():
         history = result.rank_history
         for j in range(1, len(history)):
             stacked = np.vstack([result.phi.rows[: history[j - 1][1]], result.blocks[j].rows])
-            assert _svd_rank(stacked, result.tol)[0] == history[j][1]
+            assert _svd_rank(stacked, result.tol) == history[j][1]
             levels += 1
         basis = result.row_basis
         assert basis.shape == (result.phi.width, result.codim)
@@ -712,7 +736,8 @@ def test_row_filter_replays_the_stacked_rank_decisions(monkeypatch):
         reference = Subspace(np.linalg.qr(result.phi.rows.T)[0])
         assert max_principal_angle(Subspace(basis), reference) <= 1e-12
     assert levels >= 700
-    assert sum(certified) >= 100
+    # A block declined whole is no decision: its rows are.
+    assert sum(not shapes for _, k, out, shapes in calls if out or k == 1) >= 100
 
 
 def _greedy_reference(rows, tol):
@@ -730,8 +755,8 @@ def test_row_filter_matches_a_plain_greedy_reference(monkeypatch):
     # from zero rows: fresh rows, exact combinations of earlier fresh rows,
     # and combinations moved 1e-7 (kept) or 1e-12 (dropped) off them, at
     # tol 1e-9, with two zero-row levels. Blocks that add part of their
-    # rows are ranked again one row at a time. The last level is one row
-    # whose stacked s_min is about 1.2e-9 while the certificate's lower
+    # rows are declined whole and ranked one row at a time. The last level
+    # is one row whose stacked s_min is about 1.2e-9 while the certificate's lower
     # bound is about 0.85e-9, so the stacked SVD decides, and the row still
     # enters the factor by projection.
     rng = np.random.default_rng(101)
@@ -760,36 +785,23 @@ def test_row_filter_matches_a_plain_greedy_reference(monkeypatch):
     rows = np.vstack(blocks)
     reference = _greedy_reference(rows, tol)
 
-    calls = []
-    shapes = _svd_shapes(monkeypatch)
-
-    def spy(M, tol, factor):
-        c = factor.rows.shape[0]
-        shapes.clear()
-        out = _stacked_rank(M, tol, factor)
-        calls.append((c, M.shape[0], out, (c + M.shape[0], M.shape[1]) in shapes))
-        return out
-
-    monkeypatch.setattr("singular_lq.algorithm._stacked_rank", spy)
-    factor, partial = _RowFactor(width), 0
+    calls = _traced_filter(monkeypatch)
+    factor, partial = _RowFactor(width, width), 0
     for block in blocks:
         before, c, first = factor, factor.rows.shape[0], len(calls)
         factor = _independent_rows_array(block, tol, before)
         assert factor is before
-        gained = factor.rows.shape[0] - c
+        gained, k = factor.rows.shape[0] - c, block.shape[0]
         level = calls[first:]
-        if block.shape[0] == 0:
-            assert not level
-        elif 0 < gained < block.shape[0]:
-            # The whole block, then its rows one at a time until the rank is kept.
-            assert level[0][:3] == (c, block.shape[0], c + gained)
-            assert all(k == 1 for _, k, _, _ in level[1:]) and len(level) <= block.shape[0] + 1
-            partial += 1
-        else:
-            assert len(level) == 1 and level[0][:3] == (c, block.shape[0], c + gained)
+        if k > 1 and not level[0][2]:
+            # The whole block declined with no SVD, then each of its rows.
+            assert level[0] == [c, k, False, []] and [rows for _, rows, _, _ in level[1:]] == [1] * k
+            partial += 0 < gained < k
+        assert gained == sum(rows for _, rows, out, _ in level if out)
     monkeypatch.undo()
     assert calls[0][0] == 0 and partial >= 3
-    assert calls[-1] == (kept.shape[0], 1, kept.shape[0] + 1, True)
+    assert _one_row_svds_only(calls, width)
+    assert calls[-1] == [kept.shape[0], 1, True, [(kept.shape[0] + 1, width)]]
     assert factor.rows.shape[0] == kept.shape[0] + 1
     assert 20 <= reference.shape[0] < rows.shape[0] and np.array_equal(factor.rows, reference)
 
@@ -1063,7 +1075,7 @@ def _manual_trace(problem, tol):
     split that run calls: (rank_history, steps, halt_reason)."""
     block = primary_constraint(problem)
     phi = independent_rows(block, tol)
-    history = [(_svd_rank(block.rho, tol)[0], _svd_rank(phi.rows, tol)[0])]
+    history = [(_svd_rank(block.rho, tol), _svd_rank(phi.rows, tol))]
     l, p, k = problem.m, 0, 1
     while history[-1][0] < l and history[-1][1] > p:
         k += 1
@@ -1079,7 +1091,7 @@ def _manual_trace(problem, tol):
             ConstraintMatrix(rows=np.vstack([phi.rows, block.rows]),
                              n=problem.n, m=problem.m), tol,
         )
-        history.append((_svd_rank(block.rho, tol)[0], _svd_rank(phi.rows, tol)[0]))
+        history.append((_svd_rank(block.rho, tol), _svd_rank(phi.rows, tol)))
     else:
         halt = FEEDBACK if history[-1][0] >= l else STAGNATION
     if history[-1][1] <= p:
@@ -1121,7 +1133,7 @@ def test_run_monotonicity_bounds():
         assert all(b >= a for a, b in zip(phi_ranks, phi_ranks[1:]))
         assert 1 <= result.steps <= 2 * problem.n + problem.m + 1
         assert result.codim == result.phi.rows.shape[0]
-        assert result.codim == _svd_rank(result.phi.rows, 1e-9)[0]
+        assert result.codim == _svd_rank(result.phi.rows, 1e-9)
 
 
 def test_run_output_invariant_under_control_rotation():

@@ -26,8 +26,10 @@ of counts are printed, each with the number of calls it covers:
   empty), ``stagnation`` (phi gained no rank, r < rows) and
   ``stagnation-full-split`` (phi gained no rank, prev_rows > r == rows).
 * ``lapack``: how many LAPACK factorisations those ``run`` calls made
-  through ``np.linalg``: values-only SVDs (``svd-values``), SVDs with
-  singular vectors (``svd-full``), QRs (``qr``) and inverses (``inv``).
+  through ``np.linalg``: values-only SVDs (``svd-values``), which in
+  ``run`` are only the row filter's stacked-SVD fallbacks for one row,
+  SVDs with singular vectors (``svd-full``), QRs (``qr``) and inverses
+  (``inv``).
 * ``dae``: ``dae_constraint_chain`` (every basis of the chain and the step
   count) and the ``pencil_is_regular`` verdict on the 480-item pencil pools
   of the ``dae-chains`` benchmark workload at seeds 1 and 11, plus each of
