@@ -1,7 +1,8 @@
 """Recursive constraint generation for singular LQ problems.
 
 Starting from the primary constraint rows [-N' | B' | -R], each level
-differentiates its rows once along the dynamics and splits that derivative
+differentiates its rows once along the dynamics (two products, one with
+the problem's stored [[A, B], [Q, N]] and one with A') and splits that derivative
 by the left factor U' of the SVD of its control coefficient rho, as in the
 Gotay-Nester algorithm: the rows along rho's range determine part of the
 control derivative (the level's partial feedback), and the rows along its
@@ -47,9 +48,12 @@ factor carries on once the block is appended, keeps the stacked values
 above tol. Otherwise its rows are decided one at a time, like a one-row
 block: the row's R is a scalar, with no LAPACK call, and the stacked SVD
 of [phi; row] decides instead whenever a derived bound cannot certify it.
-No SVD of a block or of its R is taken. Rows are appended by Gram-Schmidt
-with reorthogonalisation. Bases that decide no rank are not SVDs: the row
-filter leaves phi with full row rank at the run's tolerance, so the final
+No SVD of a block or of its R is taken. A one-row block goes to the
+one-row decision as it is. Rows are appended by Gram-Schmidt with
+reorthogonalisation; a single row is written straight into the factor's
+buffers, its q = P / beta and an R^-1 column ending in 1 / beta, with no
+matrix product. Bases that decide no rank are not SVDs: the row filter
+leaves phi with full row rank at the run's tolerance, so the final
 submanifold there is the orthogonal complement of phi's carried row
 basis (``row_basis``), from QR alone.
 """
@@ -242,9 +246,28 @@ class _RowFactor:
         off = -g @ tail
         self._rows[c : c + k], self._qt[c : c + k] = rows, qt
         self._inv_r[:c, c : c + k], self._inv_r[c : c + k, c : c + k] = off, tail
-        self.rows, self.qt, self.inv_r = self._rows[: c + k], self._qt[: c + k], self._inv_r[: c + k, : c + k]
+        self._grow(k, norm, _frobenius(off), _frobenius(tail))
+
+    def extend_row(self, row: np.ndarray, projected: np.ndarray, beta: float, g: np.ndarray,
+                   norm: float) -> None:
+        """:meth:`extend` by one row whose projection off Q is beta q, written in place.
+
+        q = P / beta, and R^-1 gains the column [-g / beta; 1 / beta], with
+        -g / beta formed as g times -(1 / beta), as :meth:`extend` forms -g tail.
+        """
+        c, inv = self.rows.shape[0], 1.0 / beta
+        self._rows[c : c + 1] = row
+        np.divide(projected, beta, out=self._qt[c : c + 1])
+        off = np.multiply(g, -inv, out=self._inv_r[:c, c : c + 1])
+        self._inv_r[c, c] = inv
+        self._grow(1, norm, _frobenius(off), abs(inv))
+
+    def _grow(self, k: int, norm: float, *inv_norms: float) -> None:
+        """Take k more rows into the views; R^-1's norm grows by its new blocks' norms."""
+        c = self.rows.shape[0] + k
+        self.rows, self.qt, self.inv_r = self._rows[:c], self._qt[:c], self._inv_r[:c, :c]
         self.norm = norm
-        self.inv_norm = math.hypot(self.inv_norm, _frobenius(off), _frobenius(tail))
+        self.inv_norm = math.hypot(self.inv_norm, *inv_norms)
 
 
 def _inflated(inv_norm: float, slack: float) -> float:
@@ -351,7 +374,7 @@ def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
     elif s <= tol:
         return False
     # q = P / beta is orthogonal to Q to about eps, since s = ||P||.
-    factor.extend(M, projected / beta, np.array([[1.0 / beta]]), g, stacked_norm)
+    factor.extend_row(M, projected, beta, g, stacked_norm)
     return True
 
 
@@ -370,7 +393,9 @@ def _independent_rows_array(M: np.ndarray, tol: float, factor: _RowFactor) -> _R
     each row is decided on its own. The returned factor's rows are views
     of its buffers.
     """
-    if len(M) < 2 or not _appended(M, tol, factor):
+    if len(M) == 1:
+        _appended(M, tol, factor)
+    elif len(M) > 1 and not _appended(M, tol, factor):
         for row in M:
             _appended(row[None, :], tol, factor)
     return factor

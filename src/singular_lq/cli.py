@@ -2,7 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 unreadable or invalid input,
 3 numerical failure (SVD non-convergence, or a recursion level whose
-arithmetic overflows).
+arithmetic overflows), 141 standard output closed before the output was
+all written (as by ``| head``; the status a shell reports for a process
+ended by SIGPIPE), with nothing printed to stderr.
 """
 
 from __future__ import annotations
@@ -31,6 +33,7 @@ __all__ = ["main"]
 USAGE_ERROR = 1
 INPUT_ERROR = 2
 NUMERICAL_ERROR = 3
+OUTPUT_CLOSED = 141
 
 
 class InputError(Exception):
@@ -272,7 +275,16 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader is gone. Point stdout at devnull so that the
+        # interpreter's final flush of what is still buffered does not raise.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return OUTPUT_CLOSED
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR

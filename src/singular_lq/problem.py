@@ -38,32 +38,49 @@ def _check_tol(tol: float) -> None:
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:
-    out = np.array(arr, dtype=float)
-    out.flags.writeable = False
-    return out
+    """arr, a fresh array the caller holds no other reference to, made read-only."""
+    arr.flags.writeable = False
+    return arr
 
 
 @dataclass(frozen=True)
 class LQProblem:
     """Validated problem data (A, B, Q, N, R) with state dim n, control dim m.
 
-    Instances are produced by :func:`validate`; the stored arrays are
-    read-only so a problem can be shared freely between sweep workers.
+    Instances are produced by :func:`validate`. A, B, Q and N are the
+    blocks of one read-only (2n, n + m) array ``dynamics`` = [[A, B], [Q,
+    N]], the (x, u) coefficients of xdot and of pdot + A'p, so no matrix is
+    stored twice and the level map is one product with it
+    (:func:`_derivative`). R is read-only too, so a problem can be shared
+    freely between sweep workers.
     """
 
-    A: np.ndarray
-    B: np.ndarray
-    Q: np.ndarray
-    N: np.ndarray
+    dynamics: np.ndarray
     R: np.ndarray
 
     @property
     def n(self) -> int:
-        return self.A.shape[0]
+        return self.dynamics.shape[0] // 2
 
     @property
     def m(self) -> int:
-        return self.B.shape[1]
+        return self.R.shape[0]
+
+    @property
+    def A(self) -> np.ndarray:
+        return self.dynamics[: self.n, : self.n]
+
+    @property
+    def B(self) -> np.ndarray:
+        return self.dynamics[: self.n, self.n :]
+
+    @property
+    def Q(self) -> np.ndarray:
+        return self.dynamics[self.n :, : self.n]
+
+    @property
+    def N(self) -> np.ndarray:
+        return self.dynamics[self.n :, self.n :]
 
 
 @dataclass(frozen=True)
@@ -144,7 +161,7 @@ def validate(A, B, Q, N, R) -> LQProblem:
     _check_symmetry(Q, "Q")
     _check_symmetry(R, "R")
 
-    return LQProblem(A=_frozen(A), B=_frozen(B), Q=_frozen(Q), N=_frozen(N), R=_frozen(R))
+    return LQProblem(dynamics=_frozen(np.block([[A, B], [Q, N]])), R=_frozen(R.copy()))
 
 
 def hamiltonian(problem: LQProblem, x, p, u) -> float:
@@ -170,12 +187,14 @@ def _derivative(block: ConstraintMatrix, problem: LQProblem) -> np.ndarray:
 
     Returns the (c, 2n + m) matrix [sigma A + beta Q, -beta A', sigma B +
     beta N]: the one place the level map is written, shared by the
-    recursion, its partial feedback and the unprojected tilde blocks. The
-    rho u term contributes rho udot, which the caller splits off. The
-    dynamics are xdot = A x + B u and pdot = -A'p + Q x + N u, the
-    gradients dH/dp and -dH/dx of :func:`hamiltonian`, which the tests
-    check by central differences.
+    recursion, its partial feedback and the unprojected tilde blocks. Its
+    x and u columns are one product, [sigma beta] times the problem's
+    stored [[A, B], [Q, N]], and its p columns a second. The rho u term
+    contributes rho udot, which the caller splits off. The dynamics are
+    xdot = A x + B u and pdot = -A'p + Q x + N u, the gradients dH/dp and
+    -dH/dx of :func:`hamiltonian`, which the tests check by central
+    differences.
     """
-    A, B, Q, N = problem.A, problem.B, problem.Q, problem.N
-    sigma, beta = block.sigma, block.beta
-    return np.hstack([sigma @ A + beta @ Q, -beta @ A.T, sigma @ B + beta @ N])
+    n = problem.n
+    coupled = block.rows[:, : 2 * n] @ problem.dynamics
+    return np.concatenate([coupled[:, :n], -block.beta @ problem.A.T, coupled[:, n:]], axis=1)

@@ -1,11 +1,16 @@
 """Command-line interface: file loading, output format, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from singular_lq import ConstraintMatrix, gen_experiment2, independent_rows, run
+import singular_lq
+from singular_lq import ConstraintMatrix, gen_experiment2, gen_experiment3, independent_rows, run
 from singular_lq.cli import main
 
 
@@ -180,6 +185,25 @@ def test_solve_exits_3_when_a_level_overflows(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "numerical failure: overflow" in captured.err
+
+
+def test_solve_ends_quietly_when_stdout_closes_early(tmp_path):
+    # Family 3 at n = 40 prints far more than a pipe holds, so the CLI is
+    # still writing when the reader stops after the first line, as head does.
+    path = _write_problem(tmp_path / "f3.json", gen_experiment3(40))
+    src = str(Path(singular_lq.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "singular_lq.cli", "solve", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    first = proc.stdout.readline()
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141
+    assert first == b"steps=40 codim=40 reason=stagnation\n"
+    assert err == b""
 
 
 def test_dae_command(tmp_path, capsys):

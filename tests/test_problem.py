@@ -67,10 +67,24 @@ def test_validate_experiment2_family():
 
 
 def test_problem_arrays_are_frozen():
-    problem = gen_experiment2(3)
-    assert not problem.A.flags.writeable
-    with pytest.raises(ValueError):
-        problem.A[0, 0] = 5.0
+    rng = np.random.default_rng(5)
+    A, B, N = rng.uniform(-1, 1, (3, 3)), rng.uniform(-1, 1, (3, 2)), rng.uniform(-1, 1, (3, 2))
+    Q, R = np.eye(3), np.diag([1.0, 0.0])
+    problem = validate(A, B, Q, N, R)
+    arrays = [problem.A, problem.B, problem.Q, problem.N, problem.R]
+    for M in arrays:
+        assert not M.flags.writeable
+        with pytest.raises(ValueError):
+            M[0, 0] = 5.0
+    # A, B, Q and N are disjoint views of one (2n, n + m) array; none is stored twice.
+    assert np.array_equal(problem.dynamics, np.block([[A, B], [Q, N]]))
+    assert all(np.shares_memory(M, problem.dynamics) for M in arrays[:4])
+    assert not np.shares_memory(problem.R, problem.dynamics)
+    # validate copies its input: writing into it afterwards leaves the problem as it was.
+    expected = [M.copy() for M in (A, B, Q, N, R)]
+    for M in (A, B, Q, N, R):
+        M[0, 0] = 7.0
+    assert all(np.array_equal(M, original) for M, original in zip(arrays, expected))
 
 
 def test_constraint_matrix_rejects_rows_that_do_not_match_n_and_m():
@@ -161,6 +175,31 @@ def test_values_match_exact_rational_evaluation():
         ]
         assert max(abs(v - float(e)) for v, e in zip(xdot, xdot_exact)) <= 1e-15
         assert max(abs(v - float(e)) for v, e in zip(pdot, pdot_exact)) <= 1e-15
+
+
+def test_level_map_product_matches_the_five_product_formula():
+    # _derivative takes [sigma A + beta Q, sigma B + beta N] as one product
+    # with the stored [[A, B], [Q, N]]; it sums in another order than the
+    # formula does, so the two agree to a few ulp of each entry's scale.
+    rng = np.random.default_rng(19)
+    n = 4
+    for m in (1, 3):
+        g = lambda r, c: rng.uniform(-1.0, 1.0, (r, c))
+        sym = lambda k: (lambda M: (M + M.T) / 2.0)(g(k, k))
+        problem = validate(g(n, n), g(n, m), sym(n), g(n, m), sym(m))
+        A, B, Q, N = problem.A, problem.B, problem.Q, problem.N
+        for c in (0, 1, 3):
+            block = ConstraintMatrix(g(c, 2 * n + m) * 10.0 ** rng.integers(-3, 4, (c, 1)), n, m)
+            sigma, beta = block.sigma, block.beta
+            five = np.hstack([sigma @ A + beta @ Q, -beta @ A.T, sigma @ B + beta @ N])
+            fused = _derivative(block, problem)
+            assert fused.shape == (c, 2 * n + m)
+            scale = np.hstack([
+                abs(sigma) @ abs(A) + abs(beta) @ abs(Q),
+                abs(beta) @ abs(A.T),
+                abs(sigma) @ abs(B) + abs(beta) @ abs(N),
+            ])
+            assert np.all(np.abs(fused - five) <= 4 * np.finfo(float).eps * scale)
 
 
 def test_dynamics_are_gradients_of_hamiltonian():
