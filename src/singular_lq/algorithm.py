@@ -41,21 +41,29 @@ every SVD null basis (``_null_basis``).
 From the primary block on, the row filter carries phi's rows and a QR
 factor of them, which starts empty and only grows. Each rank decision is
 one of two kinds, both made projected off phi's basis. A block of several
-rows is appended whole when one certificate clears: its R, from one thin
-QR of the projected block, is square with every diagonal entry above tol
-and a finite inverse, and ||R^-1||_F, which bounds 1 / s_k and which the
-factor carries on once the block is appended, keeps the stacked values
-above tol. Otherwise its rows are decided one at a time, like a one-row
-block: the row's R is a scalar, with no LAPACK call, and the stacked SVD
-of [phi; row] decides instead whenever a derived bound cannot certify it.
-No SVD of a block or of its R is taken. A one-row block goes to the
-one-row decision as it is. Rows are appended by Gram-Schmidt with
-reorthogonalisation; a single row is written straight into the factor's
-buffers, its q = P / beta and an R^-1 column ending in 1 / beta, with no
-matrix product. Bases that decide no rank are not SVDs: the row filter
-leaves phi with full row rank at the run's tolerance, so the final
-submanifold there is the orthogonal complement of phi's carried row
-basis (``row_basis``), from QR alone.
+rows is factored by CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa &
+Yamamoto, ScalA 2014; Yamamoto et al., ETNA 44, 2015): two Gram
+products and two Choleskys, which hand over R^-1 = R1^-1 R2^-1 with no
+Householder QR. Its guard rejects the block when the first Cholesky
+fails, when a step overflows, divides by zero or makes a NaN, or when the
+first pass lost orthogonality, ||Q1' Q1 - I||_F > 1e-2 (``_LOSS_CUT``),
+the regime past cond ~ eps^-1/2 where the second pass is not trusted.
+Otherwise the block is appended whole when one certificate clears: its R
+is square with every diagonal entry above tol and a finite inverse, and
+||R^-1||_F, which bounds 1 / s_k and which the factor carries on once the
+block is appended, keeps the stacked values above tol, and its Q,
+projected off phi's once more, moves by at most sqrt(eps). A block the
+guard rejects, or the certificate declines, has its rows ranked one at
+a time, like a one-row block: the row's R is a scalar, with no LAPACK
+call, and the stacked SVD of [phi; row] decides instead whenever a
+derived bound cannot certify it. No SVD of a block or of its R is taken.
+A one-row block goes to the one-row decision as it is. Rows are appended
+by Gram-Schmidt with reorthogonalisation; a single row is written
+straight into the factor's buffers, its q = P / beta and an R^-1 column
+ending in 1 / beta, with no matrix product. Bases that decide no rank are not SVDs:
+the row filter leaves phi with full row rank at the run's tolerance, so
+the final submanifold there is the orthogonal complement of phi's
+carried row basis (``row_basis``), from QR alone.
 """
 
 from __future__ import annotations
@@ -86,6 +94,10 @@ __all__ = [
 FEEDBACK = "feedback"
 STAGNATION = "stagnation"
 _EPS = np.finfo(float).eps
+# The largest loss of orthogonality ||Q1' Q1 - I||_F of CholeskyQR2's first
+# pass that the second pass is trusted to repair (:func:`_cholesky_qr2`).
+_LOSS_CUT = 1e-2
+
 
 @dataclass(frozen=True)
 class SvdSplit:
@@ -249,18 +261,19 @@ class _RowFactor:
         self._grow(k, norm, _frobenius(off), _frobenius(tail))
 
     def extend_row(self, row: np.ndarray, projected: np.ndarray, beta: float, g: np.ndarray,
-                   norm: float) -> None:
+                   g_norm: float, norm: float) -> None:
         """:meth:`extend` by one row whose projection off Q is beta q, written in place.
 
         q = P / beta, and R^-1 gains the column [-g / beta; 1 / beta], with
-        -g / beta formed as g times -(1 / beta), as :meth:`extend` forms -g tail.
+        -g / beta formed as g times -(1 / beta), as :meth:`extend` forms -g
+        tail. Its norm is taken from ``g_norm`` = ||g||_F, as ||g|| / |beta|.
         """
         c, inv = self.rows.shape[0], 1.0 / beta
         self._rows[c : c + 1] = row
         np.divide(projected, beta, out=self._qt[c : c + 1])
-        off = np.multiply(g, -inv, out=self._inv_r[:c, c : c + 1])
+        np.multiply(g, -inv, out=self._inv_r[:c, c : c + 1])
         self._inv_r[c, c] = inv
-        self._grow(1, norm, _frobenius(off), abs(inv))
+        self._grow(1, norm, g_norm / abs(beta), abs(inv))
 
     def _grow(self, k: int, norm: float, *inv_norms: float) -> None:
         """Take k more rows into the views; R^-1's norm grows by its new blocks' norms."""
@@ -275,35 +288,51 @@ def _inflated(inv_norm: float, slack: float) -> float:
     return inv_norm * (1.0 + slack * inv_norm)
 
 
-def _inverse(upper: np.ndarray, tol: float) -> np.ndarray | None:
-    """R^-1 of the triangular R when it is finite and could show every s_j(R) > tol, else None.
+def _cholesky_qr2(P: np.ndarray):
+    """Q', diag(R) and R^-1 of P' = Q R by CholeskyQR2, or None when its guard rejects P.
 
-    s_min(R) <= min |r_jj|, so an R that is not square or has a diagonal
-    entry at most tol (zero when R is exactly singular) is not inverted.
+    Two passes of CholeskyQR (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto,
+    ScalA 2014; Yamamoto et al., ETNA 44, 2015): R1' R1 = P P' and Q1' =
+    R1^-T P, then R2' R2 = Q1' Q1 and Q' = R2^-T Q1', so R = R2 R1 and R^-1 =
+    R1^-1 R2^-1. Each pass is one Gram product, one Cholesky, one inverse
+    of its triangular factor and one product, and the second makes Q
+    orthonormal to rounding while cond(P) is below about eps^-1/2. P is
+    rejected when the first Cholesky fails, when any step overflows,
+    divides by zero or makes a NaN, or when the first pass lost
+    orthogonality: ||Q1' Q1 - I||_F, read from the second pass's Gram
+    matrix, above ``_LOSS_CUT``.
     """
-    rows, cols = upper.shape
-    if rows != cols or np.abs(upper.diagonal()).min() <= tol:
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            lower = np.linalg.cholesky(P @ P.T)
+            inv_first = np.linalg.inv(lower.T)
+            qt = inv_first.T @ P
+            gram = qt @ qt.T
+            if _frobenius(gram - np.eye(len(gram))) > _LOSS_CUT:
+                return None
+            again = np.linalg.cholesky(gram)
+            inv_second = np.linalg.inv(again.T)
+            return inv_second.T @ qt, lower.diagonal() * again.diagonal(), inv_first @ inv_second
+    except (np.linalg.LinAlgError, FloatingPointError):
         return None
-    inverse = np.linalg.inv(upper)
-    return inverse if np.isfinite(inverse).all() else None
 
 
-def _block_basis(basis_t: np.ndarray, q: np.ndarray, upper: np.ndarray, tail: np.ndarray):
-    """Q' rows and R^-1 of a block of rows whose projection off Q is P' = q R, R^-1 = tail.
+def _inverse(P: np.ndarray, tol: float):
+    """Q' and R^-1 of P' = Q R when R^-1 is finite and R could show every s_j(R) > tol, else None.
 
-    One QR's columns are orthogonal to Q only to about eps ||P|| / s_k.
-    Projected off Q once more they are orthogonal to it, and orthonormal
-    up to ||Q' q||^2, so they are orthonormalised again only when that
-    exceeds eps. Then [kept; M]' = [Q, q] [[R, T], [0, S]] with T = (M Q)'
-    up to rounding, and the new R^-1 follows blockwise; S is R, and tail
-    its inverse, unless that second QR changed it.
+    R is :func:`_cholesky_qr2`'s, and a P its guard rejects is not
+    factored. s_min(R) <= min |r_jj|, so an R that is not square (P has
+    more rows than columns) or has a diagonal entry at most tol is not
+    kept, nor is a non-finite inverse.
     """
-    drift = basis_t @ q
-    q -= basis_t.T @ drift
-    if np.vdot(drift, drift) > _EPS:
-        q, again = np.linalg.qr(q)
-        tail = np.linalg.inv(again @ upper)
-    return q.T, tail
+    rows, cols = P.shape
+    factored = _cholesky_qr2(P) if rows <= cols else None
+    if factored is None:
+        return None
+    qt, diagonal, inverse = factored
+    if diagonal.min() <= tol or not np.isfinite(inverse).all():
+        return None
+    return qt, inverse
 
 
 def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
@@ -325,12 +354,18 @@ def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
     values below P's.
 
     A block of k >= 2 rows is decided by one certificate and enters whole
-    or not at all: its R, from one thin QR of P', is inverted when it is
-    square with every diagonal entry above tol (s_min(R) <= min |r_jj|),
+    or not at all: P' = q R by CholeskyQR2 (:func:`_cholesky_qr2`), whose
+    R^-1 is kept when R is square with every diagonal entry above tol
+    (s_min(R) <= min |r_jj|) and the inverse is finite (:func:`_inverse`),
     and 1 / s_k(P) <= ||R^-1||_F, inflated the same way, stands in for 1 /
-    s in the lower bound. When R is not inverted or that bound does not
-    clear tol, M is not appended and the caller ranks its rows one at a
-    time: no SVD of the block or of its R is taken.
+    s in the lower bound. q is orthogonal to Q only to about eps ||P|| /
+    s_k. Projected off Q once more it is orthogonal to it, and orthonormal
+    up to ||Q' q||^2, which must not exceed eps. Then [kept; M]' = [Q, q]
+    [[R_kept, T], [0, R]] with T = (M Q)' up to rounding, and the factor's
+    R^-1 grows blockwise. When CholeskyQR2's guard rejects P, R^-1 is not
+    kept, the bound does not clear tol or q drifted, M is not appended and
+    the caller ranks its rows one at a time: no SVD of the block or of its
+    R is taken.
 
     One row needs no factorisation: its R is the scalar beta of LAPACK's
     Householder reflector (:func:`_householder_beta`), so q = P / beta and
@@ -348,17 +383,24 @@ def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
     projected = M - coef @ basis_t
     projected -= (projected @ basis_t.T) @ basis_t
     g = factor.inv_r @ coef.T
-    grow = 1.0 + _frobenius(g)
+    g_norm = _frobenius(g)
+    grow = 1.0 + g_norm
     stacked_norm = math.hypot(factor.norm, _frobenius(M))
     slack = _EPS * max(c + k, width) * stacked_norm
     inv_low = _inflated(factor.inv_norm, slack)  # 1 / lower bound of the stacked values
     cut = 1.0 / (tol + slack)  # the lower bound clears tol when inv_low is below this
     if k > 1:
-        q, upper = np.linalg.qr(projected.T)
-        tail = _inverse(upper, tol)
-        if tail is None or inv_low + grow * _inflated(_frobenius(tail), slack) >= cut:
+        factored = _inverse(projected, tol)
+        if factored is None:
             return False
-        factor.extend(M, *_block_basis(basis_t, q, upper, tail), g, stacked_norm)
+        qt, tail = factored
+        if inv_low + grow * _inflated(_frobenius(tail), slack) >= cut:
+            return False
+        drift = qt @ basis_t.T
+        qt -= drift @ basis_t
+        if np.vdot(drift, drift) > _EPS:
+            return False
+        factor.extend(M, qt, tail, g, stacked_norm)
         return True
     beta = _householder_beta(projected[0])
     s = abs(beta)
@@ -374,7 +416,7 @@ def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
     elif s <= tol:
         return False
     # q = P / beta is orthogonal to Q to about eps, since s = ||P||.
-    factor.extend_row(M, projected, beta, g, stacked_norm)
+    factor.extend_row(M, projected, beta, g, g_norm, stacked_norm)
     return True
 
 

@@ -35,6 +35,7 @@ from singular_lq import (
 )
 from singular_lq.algorithm import (
     _appended,
+    _cholesky_qr2,
     _householder_beta,
     _independent_rows_array,
     _null_basis,
@@ -480,12 +481,13 @@ def test_row_filter_second_projection_survives_overflowing_squares(monkeypatch):
     assert np.array_equal(factor.qt, np.eye(3)[:2])
 
 
-@pytest.mark.parametrize("gap, tol", [(1e-7, 1e-9), (1e-10, 1e-13)])
+@pytest.mark.parametrize("gap, tol", [(1e-5, 1e-9), (1e-7, 1e-9), (1e-10, 1e-13)])
 def test_row_filter_extends_an_orthonormal_factor(gap, tol):
-    # Two nearly dependent rows (P's values about 10 and 5.6 gap) appended:
-    # a single QR of P' leaves its columns about eps * 10 / (5.6 gap) off
-    # the carried basis. Projected off it once more they are orthogonal to
-    # it, and at gap 1e-10 they need a second QR to be orthonormal again.
+    # Two nearly dependent rows (P's values about 10 and 5.6 gap) appended.
+    # At gap 1e-5 CholeskyQR2 factors P' whole, its columns about eps * 10
+    # / (5.6 gap) off the carried basis until projected off it once more.
+    # At gap 1e-7 its first pass loses orthogonality, and at 1e-10 its first
+    # Cholesky fails: both blocks are appended one row at a time.
     rng = np.random.default_rng(83)
     phi = rng.standard_normal((20, 100))
     first = rng.standard_normal(100)
@@ -689,15 +691,114 @@ def test_row_filter_falls_back_to_the_values_of_r(monkeypatch, name, in_run):
     assert np.array_equal(whole.rows, reference)
 
 
+def _cholesky_outcomes(monkeypatch):
+    """One entry per np.linalg.cholesky call from here on: whether it factored its matrix."""
+    cholesky, outcomes = np.linalg.cholesky, []
+
+    def spy(a, *args, **kwargs):
+        try:
+            lower = cholesky(a, *args, **kwargs)
+        except np.linalg.LinAlgError:
+            outcomes.append(False)
+            raise
+        outcomes.append(True)
+        return lower
+
+    monkeypatch.setattr(np.linalg, "cholesky", spy)
+    return outcomes
+
+
+# A row 3 * 2^-27 off another: the Gram entry 1 + 9 * 2^-54 rounds, in any
+# order of summation, to 1 + 2^-51, so the first Cholesky succeeds and its
+# Q1 misses orthonormality by 0.125.
+_NEAR = 3.0 * 2.0**-27
+
+# (kept, block, tol, outcomes of the block's Choleskys) whose block
+# CholeskyQR2's guard rejects: the filter must rank its rows one at a time.
+_GUARDED = {
+    # Row 2 is row 0 plus row 1, exactly: the Gram matrix's last pivot is 0.
+    "dependent": (*_guarded([[0.0, 0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0, 0.0],
+                                                     [1.0, 1.0, 0.0, 0.0]]), 1e-6, [False]),
+    # s_min = 1.6e-8 clears tol, but cond is 9e7, past eps^-1/2.
+    "lossy": (*_guarded([[0.0, 0.0, 0.0, 1.0]], [[1.0, 0.0, 0.0, 0.0], [1.0, _NEAR, 0.0, 0.0]]),
+              1e-10, [True]),
+    # Rows near 1e160: the rows are finite, their Gram matrix overflows.
+    "overflow": (1e160 * np.eye(1, 5, 4),
+                 1e160 * np.random.default_rng(137).standard_normal((3, 5)), 1e154, []),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_GUARDED))
+@pytest.mark.parametrize("in_run", [True, False])
+def test_row_filter_ranks_a_block_cholesky_qr2_rejects_row_by_row(monkeypatch, name, in_run):
+    # Under run's errstate and outside it, no exception and no warning: the
+    # guard rejects the block after the Choleskys listed, the block's rows
+    # take the one-row path, and the kept rows are the greedy ones.
+    kept, block, tol, expected = _GUARDED[name]
+    stacked = np.vstack([kept, block])
+    reference = _greedy_reference(stacked, tol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        factor = _filtered(kept, tol)
+        calls = _traced_filter(monkeypatch)
+        outcomes = _cholesky_outcomes(monkeypatch)
+        if in_run:
+            with np.errstate(over="raise", invalid="raise"):
+                _independent_rows_array(block, tol, factor)
+        else:
+            _independent_rows_array(block, tol, factor)
+        monkeypatch.undo()
+        whole = independent_rows(ConstraintMatrix(rows=stacked, n=0, m=stacked.shape[1]), tol)
+    (c, _), (k, width) = kept.shape, block.shape
+    assert outcomes == expected
+    assert calls[0] == [c, k, False, []] and [rows for _, rows, _, _ in calls[1:]] == [1] * k
+    assert _one_row_svds_only(calls, width)
+    assert reference.shape[0] == c + k - (name == "dependent")
+    assert np.array_equal(factor.rows, reference)
+    assert np.array_equal(whole.rows, reference)
+    assert np.abs(factor.qt @ factor.qt.T - np.eye(len(reference))).max() <= 1e-15
+
+
+def test_row_filter_ranks_a_drifted_block_row_by_row(monkeypatch):
+    # A block whose CholeskyQR2 basis, projected off phi's once more, moved
+    # by more than sqrt(eps) is not trusted to be orthonormal: it is
+    # declined whole, and its rows are ranked one at a time.
+    kept, block = _guarded([[0.0, 0.0, 0.0, 1.0]], [[1.0, 2.0, 0.0, 0.0], [0.0, 1.0, 3.0, 0.5]])
+    tol = 1e-6
+    factor = _filtered(kept, tol)
+
+    def drifted(P):
+        qt, diagonal, inverse = _cholesky_qr2(P)
+        return qt + 1e-7 * kept, diagonal, inverse
+
+    calls = _traced_filter(monkeypatch)
+    monkeypatch.setattr("singular_lq.algorithm._cholesky_qr2", drifted)
+    _independent_rows_array(block, tol, factor)
+    monkeypatch.undo()
+    assert calls == [[1, 2, False, []], [1, 1, True, []], [2, 1, True, []]]
+    assert np.array_equal(factor.rows, np.vstack([kept, block]))
+    assert np.abs(factor.qt @ factor.qt.T - np.eye(3)).max() <= 1e-15
+
+
 def test_family1_levels_are_certified_without_an_svd_of_r(monkeypatch):
     # Every family-1 block is a multi-row one whose rows all add rank: each
     # is certified from the R^-1 the factor carries on, so no SVD of R runs.
+    # CholeskyQR2 factors every block, so the run finishes with np.linalg.qr
+    # unavailable and carries an orthonormal row basis.
     n, delta = 40, 1e-9
     problem = _perturbed_problem(1, _exact_problem(1, n, 1), delta, _cell_rng(1, 1, n, delta, 0))
+
+    def no_qr(*args, **kwargs):
+        raise AssertionError("the row filter takes no Householder QR")
+
+    monkeypatch.setattr(np.linalg, "qr", no_qr)
     calls = _traced_filter(monkeypatch)
     result = run(problem, 1e-6)
+    monkeypatch.undo()
     assert result.rank_history == [(1, n), (0, 2 * n - 1), (n - 1, 3 * n - 2)]
     assert calls == [[0, n, True, []], [n, n - 1, True, []], [2 * n - 1, n - 1, True, []]]
+    basis = result.row_basis
+    assert np.abs(basis.T @ basis - np.eye(3 * n - 2)).max() <= 1e-14
 
 
 def _replayed_runs():

@@ -28,8 +28,9 @@ of counts are printed, each with the number of calls it covers:
 * ``lapack``: how many LAPACK factorisations those ``run`` calls made
   through ``np.linalg``: values-only SVDs (``svd-values``), which in
   ``run`` are only the row filter's stacked-SVD fallbacks for one row,
-  SVDs with singular vectors (``svd-full``), QRs (``qr``) and inverses
-  (``inv``).
+  SVDs with singular vectors (``svd-full``), QRs (``qr``), inverses
+  (``inv``) and Choleskys (``cholesky``, at most two for each multi-row
+  block the row filter factors by CholeskyQR2).
 * ``dae``: ``dae_constraint_chain`` (every basis of the chain and the step
   count) and the ``pencil_is_regular`` verdict on the 480-item pencil pools
   of the ``dae-chains`` benchmark workload at seeds 1 and 11, plus each of
@@ -134,13 +135,13 @@ def _halt(result) -> str:
     return "stagnation-full-split" if r == rows else "stagnation"
 
 
-LAPACK = ("svd-values", "svd-full", "qr", "inv")
+LAPACK = ("svd-values", "svd-full", "qr", "inv", "cholesky")
 
 
 @contextmanager
 def _counted_lapack(counts: Counter):
-    """Count the calls of ``np.linalg``'s svd, qr and inv into ``counts`` while inside."""
-    originals = {name: getattr(np.linalg, name) for name in ("svd", "qr", "inv")}
+    """Count the calls of ``np.linalg``'s svd, qr, inv and cholesky into ``counts`` while inside."""
+    originals = {name: getattr(np.linalg, name) for name in ("svd", "qr", "inv", "cholesky")}
 
     def counted(name):
         def call(*args, **kwargs):
