@@ -39,31 +39,32 @@ shape, one row included. It divides :func:`run`'s rho when its norm is
 above tol, :func:`svd_split`'s and the DAE chain's A_k, and, on M', gives
 every SVD null basis (``_null_basis``).
 From the primary block on, the row filter carries phi's rows and a QR
-factor of them, which starts empty and only grows. Each rank decision is
-one of two kinds, both made projected off phi's basis. A block of several
-rows is factored by CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa &
-Yamamoto, ScalA 2014; Yamamoto et al., ETNA 44, 2015): two Gram
-products and two Choleskys, which hand over R^-1 = R1^-1 R2^-1 with no
-Householder QR. Its guard rejects the block when the first Cholesky
-fails, when a step overflows, divides by zero or makes a NaN, or when the
-first pass lost orthogonality, ||Q1' Q1 - I||_F > 1e-2 (``_LOSS_CUT``),
-the regime past cond ~ eps^-1/2 where the second pass is not trusted.
-Otherwise the block is appended whole when one certificate clears: its R
-is square with every diagonal entry above tol and a finite inverse, and
-||R^-1||_F, which bounds 1 / s_k and which the factor carries on once the
-block is appended, keeps the stacked values above tol, and its Q,
-projected off phi's once more, moves by at most sqrt(eps). A block the
+factor of them, which starts empty and only grows; every diagonal entry
+of its R is positive. Each rank decision is one of two kinds, both made
+projected off phi's basis. A block of several rows is factored by
+CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, ScalA 2014;
+Yamamoto et al., ETNA 44, 2015): two Gram products and two Choleskys,
+which hand over R^-1 = R1^-1 R2^-1 with no Householder QR. Its guard
+rejects the block when the first Cholesky fails, when a step overflows,
+divides by zero or makes a NaN, or when the first pass lost
+orthogonality, ||Q1' Q1 - I||_F > 1e-2 (``_LOSS_CUT``), the regime past
+cond ~ eps^-1/2 where the second pass is not trusted. Otherwise the block
+is appended whole when one certificate clears: ||R^-1||_F, which bounds
+1 / s_k and which the factor carries on once the block is appended,
+keeps the stacked values above tol, and its Q, projected off phi's once
+more, moves by at most sqrt(eps). A block the
 guard rejects, or the certificate declines, has its rows ranked one at
-a time, like a one-row block: the row's R is a scalar, with no LAPACK
-call, and the stacked SVD of [phi; row] decides instead whenever a
-derived bound cannot certify it. No SVD of a block or of its R is taken.
-A one-row block goes to the one-row decision as it is. Rows are appended
-by Gram-Schmidt with reorthogonalisation; a single row is written
-straight into the factor's buffers, its q = P / beta and an R^-1 column
-ending in 1 / beta, with no matrix product. Bases that decide no rank are not SVDs:
-the row filter leaves phi with full row rank at the run's tolerance, so
-the final submanifold there is the orthogonal complement of phi's
-carried row basis (``row_basis``), from QR alone.
+a time, like a one-row block: the row's R is the norm beta of its
+projection P, with no LAPACK call, and the stacked SVD of [phi; row]
+decides instead whenever a derived bound cannot certify it. No SVD of a
+block or of its R is taken. A one-row block goes to the one-row decision
+as it is. Rows are appended by Gram-Schmidt with reorthogonalisation; a
+single row is written straight into the factor's buffers, its q = P /
+beta and an R^-1 column ending in 1 / beta, with no matrix product.
+Bases that decide no rank are not SVDs: the row filter leaves phi with
+full row rank at the run's tolerance, so the final submanifold there is
+the orthogonal complement of phi's carried row basis (``row_basis``),
+from QR alone.
 """
 
 from __future__ import annotations
@@ -174,17 +175,6 @@ def _frobenius(M: np.ndarray) -> float:
     return scale * math.sqrt(np.vdot(M / scale, M / scale)) if scale else 0.0
 
 
-def _householder_beta(p: np.ndarray) -> float:
-    """beta of LAPACK's Householder reflector taking the row p to beta e_1.
-
-    beta = -sign(p_1) ||p||, or p_1 when p_2.. are zero (Golub & Van Loan
-    5.1), with ||p_2..|| from the overflow-safe :func:`_frobenius`; an
-    empty row has beta = 0.
-    """
-    first, rest = float(p[0]) if p.size else 0.0, _frobenius(p[1:])
-    return first if rest == 0.0 else -math.copysign(math.hypot(first, rest), first)
-
-
 def _count(s: np.ndarray, tol: float, relative: bool) -> int:
     """Number of the descending values s above ``tol``, or ``tol * s_1`` with ``relative``."""
     cut = tol * s[0] if relative and s.size else tol
@@ -252,28 +242,29 @@ class _RowFactor:
         self.norm = self.inv_norm = 0.0
 
     def extend(self, rows: np.ndarray, qt: np.ndarray, tail: np.ndarray, g: np.ndarray,
-               norm: float) -> None:
-        """Append rows with Q' rows qt and grown Frobenius norm ``norm``; R^-1 gains [-g tail; tail]."""
+               norm: float, tail_norm: float) -> None:
+        """Append rows with Q' rows qt and grown norm ``norm``; R^-1 gains [-g tail; tail]."""
         c, k = self.rows.shape[0], rows.shape[0]
         off = -g @ tail
         self._rows[c : c + k], self._qt[c : c + k] = rows, qt
         self._inv_r[:c, c : c + k], self._inv_r[c : c + k, c : c + k] = off, tail
-        self._grow(k, norm, _frobenius(off), _frobenius(tail))
+        self._grow(k, norm, _frobenius(off), tail_norm)
 
     def extend_row(self, row: np.ndarray, projected: np.ndarray, beta: float, g: np.ndarray,
                    g_norm: float, norm: float) -> None:
-        """:meth:`extend` by one row whose projection off Q is beta q, written in place.
+        """:meth:`extend` by one row whose projection P off Q is beta q, written in place.
 
+        beta = ||P||_F > 0, the positive R diagonal CholeskyQR2 gives too, so
         q = P / beta, and R^-1 gains the column [-g / beta; 1 / beta], with
         -g / beta formed as g times -(1 / beta), as :meth:`extend` forms -g
-        tail. Its norm is taken from ``g_norm`` = ||g||_F, as ||g|| / |beta|.
+        tail. Its norm is taken from ``g_norm`` = ||g||_F, as ||g|| / beta.
         """
         c, inv = self.rows.shape[0], 1.0 / beta
         self._rows[c : c + 1] = row
         np.divide(projected, beta, out=self._qt[c : c + 1])
         np.multiply(g, -inv, out=self._inv_r[:c, c : c + 1])
         self._inv_r[c, c] = inv
-        self._grow(1, norm, g_norm / abs(beta), abs(inv))
+        self._grow(1, norm, g_norm / beta, inv)
 
     def _grow(self, k: int, norm: float, *inv_norms: float) -> None:
         """Take k more rows into the views; R^-1's norm grows by its new blocks' norms."""
@@ -289,18 +280,19 @@ def _inflated(inv_norm: float, slack: float) -> float:
 
 
 def _cholesky_qr2(P: np.ndarray):
-    """Q', diag(R) and R^-1 of P' = Q R by CholeskyQR2, or None when its guard rejects P.
+    """Q' and R^-1 of P' = Q R by CholeskyQR2, or None when its guard rejects P.
 
     Two passes of CholeskyQR (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto,
     ScalA 2014; Yamamoto et al., ETNA 44, 2015): R1' R1 = P P' and Q1' =
     R1^-T P, then R2' R2 = Q1' Q1 and Q' = R2^-T Q1', so R = R2 R1 and R^-1 =
     R1^-1 R2^-1. Each pass is one Gram product, one Cholesky, one inverse
     of its triangular factor and one product, and the second makes Q
-    orthonormal to rounding while cond(P) is below about eps^-1/2. P is
-    rejected when the first Cholesky fails, when any step overflows,
-    divides by zero or makes a NaN, or when the first pass lost
-    orthogonality: ||Q1' Q1 - I||_F, read from the second pass's Gram
-    matrix, above ``_LOSS_CUT``.
+    orthonormal to rounding while cond(P) is below about eps^-1/2. R's
+    diagonal is positive, as the Choleskys' are. P is rejected when the
+    first Cholesky fails, when any step overflows, divides by zero or makes
+    a NaN, or when the first pass lost orthogonality: ||Q1' Q1 - I||_F,
+    read from the second pass's Gram matrix, above ``_LOSS_CUT`` (it is at
+    least 1 when P has more rows than columns).
     """
     try:
         with np.errstate(over="raise", invalid="raise", divide="raise"):
@@ -312,27 +304,9 @@ def _cholesky_qr2(P: np.ndarray):
                 return None
             again = np.linalg.cholesky(gram)
             inv_second = np.linalg.inv(again.T)
-            return inv_second.T @ qt, lower.diagonal() * again.diagonal(), inv_first @ inv_second
+            return inv_second.T @ qt, inv_first @ inv_second
     except (np.linalg.LinAlgError, FloatingPointError):
         return None
-
-
-def _inverse(P: np.ndarray, tol: float):
-    """Q' and R^-1 of P' = Q R when R^-1 is finite and R could show every s_j(R) > tol, else None.
-
-    R is :func:`_cholesky_qr2`'s, and a P its guard rejects is not
-    factored. s_min(R) <= min |r_jj|, so an R that is not square (P has
-    more rows than columns) or has a diagonal entry at most tol is not
-    kept, nor is a non-finite inverse.
-    """
-    rows, cols = P.shape
-    factored = _cholesky_qr2(P) if rows <= cols else None
-    if factored is None:
-        return None
-    qt, diagonal, inverse = factored
-    if diagonal.min() <= tol or not np.isfinite(inverse).all():
-        return None
-    return qt, inverse
 
 
 def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
@@ -354,28 +328,27 @@ def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
     values below P's.
 
     A block of k >= 2 rows is decided by one certificate and enters whole
-    or not at all: P' = q R by CholeskyQR2 (:func:`_cholesky_qr2`), whose
-    R^-1 is kept when R is square with every diagonal entry above tol
-    (s_min(R) <= min |r_jj|) and the inverse is finite (:func:`_inverse`),
-    and 1 / s_k(P) <= ||R^-1||_F, inflated the same way, stands in for 1 /
-    s in the lower bound. q is orthogonal to Q only to about eps ||P|| /
-    s_k. Projected off Q once more it is orthogonal to it, and orthonormal
-    up to ||Q' q||^2, which must not exceed eps. Then [kept; M]' = [Q, q]
+    or not at all: P' = q R by CholeskyQR2 (:func:`_cholesky_qr2`), and 1 /
+    s_k(P) <= ||R^-1||_F, inflated the same way, stands in for 1 / s in the
+    lower bound. That bound is the whole certificate: a diagonal entry of R
+    at most tol makes ||R^-1||_F >= 1 / tol, and the comparison declines a
+    NaN. q is orthogonal to Q only to about eps ||P|| / s_k. Projected off
+    Q once more it is orthogonal to it, and orthonormal up to ||Q' q||^2,
+    which must not exceed eps. Then [kept; M]' = [Q, q]
     [[R_kept, T], [0, R]] with T = (M Q)' up to rounding, and the factor's
-    R^-1 grows blockwise. When CholeskyQR2's guard rejects P, R^-1 is not
-    kept, the bound does not clear tol or q drifted, M is not appended and
-    the caller ranks its rows one at a time: no SVD of the block or of its
-    R is taken.
+    R^-1 grows blockwise. When CholeskyQR2's guard rejects P, the bound
+    does not clear tol or q drifted, M is not appended and the caller
+    ranks its rows one at a time: no SVD of the block or of its R is taken.
 
-    One row needs no factorisation: its R is the scalar beta of LAPACK's
-    Householder reflector (:func:`_householder_beta`), so q = P / beta and
-    s = |beta|. The row adds rank when s > tol and the lower bound clears
-    tol, and adds none when s <= tol - e (interlacing gives s_(c+1)(stacked)
-    <= s) and the bound on kept's own values clears tol. Otherwise the
-    stacked SVD decides. A row it keeps takes one more pass first, and
-    adds no rank if that keeps under 1/sqrt(2) of ||P|| (Kahan's "twice is
-    enough"): P is then noise along Q, counted only because tol is below
-    the SVD's rounding.
+    One row needs no factorisation: its R is the scalar s = beta =
+    ||P||_F, positive like CholeskyQR2's diagonal, so q = P / beta. The row
+    adds rank when s > tol and the lower bound clears tol, and adds none
+    when s <= tol - e (interlacing gives s_(c+1)(stacked) <= s) and the
+    bound on kept's own values clears tol. Otherwise the stacked SVD
+    decides. A row it keeps takes one more pass first, and adds no rank if
+    that keeps under 1/sqrt(2) of ||P|| (Kahan's "twice is enough"): P is
+    then noise along Q, counted only because tol is below the SVD's
+    rounding.
     """
     c, (k, width) = factor.rows.shape[0], M.shape
     basis_t = factor.qt
@@ -390,20 +363,20 @@ def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
     inv_low = _inflated(factor.inv_norm, slack)  # 1 / lower bound of the stacked values
     cut = 1.0 / (tol + slack)  # the lower bound clears tol when inv_low is below this
     if k > 1:
-        factored = _inverse(projected, tol)
+        factored = _cholesky_qr2(projected)
         if factored is None:
             return False
         qt, tail = factored
-        if inv_low + grow * _inflated(_frobenius(tail), slack) >= cut:
+        tail_norm = _frobenius(tail)
+        if not inv_low + grow * _inflated(tail_norm, slack) < cut:
             return False
         drift = qt @ basis_t.T
         qt -= drift @ basis_t
         if np.vdot(drift, drift) > _EPS:
             return False
-        factor.extend(M, qt, tail, g, stacked_norm)
+        factor.extend(M, qt, tail, g, stacked_norm, tail_norm)
         return True
-    beta = _householder_beta(projected[0])
-    s = abs(beta)
+    s = beta = _frobenius(projected)
     if s > tol:
         inv_low += grow / s
     if inv_low >= cut or tol - slack < s <= tol:
