@@ -1,10 +1,11 @@
 """Command-line front end: solve one problem, index a DAE, or sweep.
 
-Exit codes: 0 success, 1 usage error, 2 unreadable or invalid input,
-3 numerical failure (SVD non-convergence, or a recursion level whose
-arithmetic overflows), 141 standard output closed before the output was
-all written (as by ``| head``; the status a shell reports for a process
-ended by SIGPIPE), with nothing printed to stderr.
+Exit codes: 0 success, 1 usage error (among them a ``sweep --out`` path
+that cannot be written, rejected before the sweep runs), 2 unreadable or
+invalid input, 3 numerical failure (SVD non-convergence, or a recursion
+level whose arithmetic overflows), 141 standard output closed before the
+output was all written (as by ``| head``; the status a shell reports for
+a process ended by SIGPIPE), with nothing printed to stderr.
 """
 
 from __future__ import annotations
@@ -52,6 +53,23 @@ def _positive_float(text: str) -> float:
     if not 0 < value < inf:
         raise argparse.ArgumentTypeError(f"{text} is not positive and finite")
     return value
+
+
+def _output_path(text: str) -> str:
+    """A records CSV path whose file, and the slope CSV beside it, can be written."""
+    directory = os.path.dirname(os.path.abspath(text))
+    if not os.path.isdir(directory):
+        raise argparse.ArgumentTypeError(f"cannot write {text}: no directory {directory}")
+    if not os.access(directory, os.W_OK):
+        raise argparse.ArgumentTypeError(
+            f"cannot write {text}: directory {directory} is not writable"
+        )
+    for path in (text, _slopes_path(text)):
+        if os.path.isdir(path):
+            raise argparse.ArgumentTypeError(f"cannot write {path}: it is a directory")
+        if os.path.exists(path) and not os.access(path, os.W_OK):
+            raise argparse.ArgumentTypeError(f"cannot write {path}: not writable")
+    return text
 
 
 def _parse_sizes(text: str) -> list[int]:
@@ -263,7 +281,9 @@ def _build_parser() -> _Parser:
     sweep.add_argument("--tol", type=_positive_float, default=1e-6)
     sweep.add_argument("--trials", type=int, default=1)
     sweep.add_argument("--seed", type=int, default=0)
-    sweep.add_argument("--out", help="records CSV path (slope CSV lands beside it)")
+    sweep.add_argument(
+        "--out", type=_output_path, help="records CSV path (slope CSV lands beside it)"
+    )
     sweep.set_defaults(func=_cmd_sweep)
     return parser
 

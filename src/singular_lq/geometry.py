@@ -23,6 +23,15 @@ __all__ = [
 _SKETCH_SEED = 20121
 _SKETCH_SPREAD = 1e3
 
+# Gram order from which _spectral_norm finds the top eigenvalue by Lanczos
+# rather than eigvalsh: the first order of the timing table in the README's
+# Performance section at which Lanczos is the faster. Lanczos tests for
+# convergence every _LANCZOS_STRIDE steps, since an eigensolve of its
+# tridiagonal costs about as much as a step there; the seed fixes its start.
+_LANCZOS_ORDER = 200
+_LANCZOS_STRIDE = 8
+_LANCZOS_SEED = 19801
+
 
 class SubspaceDimensionMismatch(ValueError):
     """Compared subspaces have different dimensions; no angle is defined.
@@ -127,14 +136,61 @@ def _complement(basis: np.ndarray) -> np.ndarray:
 
 
 def _spectral_norm(M: np.ndarray) -> float:
-    """Largest singular value of M, from the top eigenvalue of its smaller Gram matrix.
+    """Largest singular value of M: the root of its smaller Gram matrix's top eigenvalue.
 
     It only scales random directions, so it decides no rank and spends no
-    SVD: a Gram product and a symmetric eigensolve cost less than half of
-    one at 600 x 600. Empty and zero matrices have norm 0.
+    SVD. Below the Gram order ``_LANCZOS_ORDER`` the eigenvalue comes from
+    ``eigvalsh``; from there on from ``_top_eigenvalue``, Lanczos on the
+    Gram matrix, which needs the start vector not to be orthogonal to the
+    top singular vector. Its start is fixed, so that holds with probability
+    one when M is drawn from a continuous distribution, as every caller's
+    direction is. Empty and zero matrices have norm 0.
     """
     gram = M.T @ M if M.shape[0] >= M.shape[1] else M @ M.T
-    return float(np.sqrt(np.max(np.linalg.eigvalsh(gram), initial=0.0)))
+    if len(gram) < _LANCZOS_ORDER:
+        return float(np.sqrt(np.max(np.linalg.eigvalsh(gram), initial=0.0)))
+    return float(np.sqrt(max(_top_eigenvalue(gram), 0.0)))
+
+
+def _top_eigenvalue(gram: np.ndarray) -> float:
+    """Top eigenvalue of a symmetric positive semidefinite matrix, by Lanczos.
+
+    Each step multiplies the newest Krylov vector by ``gram`` and
+    orthogonalises the product against every earlier vector by classical
+    Gram-Schmidt, twice (full reorthogonalisation); the coefficients build
+    the tridiagonal T. Every ``_LANCZOS_STRIDE`` steps the top Ritz pair
+    (theta, y) of T is tested. With residual r = beta |y_last| and gap
+    theta minus the next Ritz value, Parlett's gap bound gives lambda_1 -
+    theta <= r^2 / gap (The Symmetric Eigenvalue Problem, 1980), so the loop
+    stops when r^2 <= eps theta max(gap, eps theta). Otherwise it runs to
+    k = n, where T is the matrix's exact tridiagonal form. Only the Krylov
+    rows in use are written.
+    """
+    order, eps = len(gram), np.finfo(float).eps
+    krylov = np.empty((order, order))
+    diag, off = np.zeros(order), np.zeros(order)
+    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(order)
+    krylov[0] = start / np.linalg.norm(start)
+    k = 1
+    while True:
+        used = krylov[:k]
+        w = gram @ krylov[k - 1]
+        for _ in range(2):
+            coef = used @ w
+            w -= coef @ used
+            diag[k - 1] += coef[-1]
+        off[k - 1] = np.linalg.norm(w)
+        if k % _LANCZOS_STRIDE == 0 or k == order or off[k - 1] == 0.0:
+            band = off[: k - 1]
+            tri = np.diag(diag[:k]) + np.diag(band, 1) + np.diag(band, -1)
+            ritz, vectors = np.linalg.eigh(tri)
+            theta = ritz[-1]
+            gap = theta - ritz[-2] if k > 1 else 0.0
+            floor = eps * max(theta, 0.0)
+            if k == order or (off[k - 1] * vectors[-1, -1]) ** 2 <= floor * max(gap, floor):
+                return float(theta)
+        krylov[k] = w / off[k - 1]
+        k += 1
 
 
 def perturb(M, delta: float, rng) -> np.ndarray:

@@ -301,3 +301,22 @@ def test_sweep_descending_decades(tmp_path, capsys):
     rows = out.read_text().strip().split("\n")[1:]
     deltas = [float(r.split(",")[2]) for r in rows]
     assert deltas == [1e-1, 1e-2, 1e-3, 1e-4]
+
+
+def test_sweep_rejects_an_unwritable_out_before_sweeping(tmp_path, capsys, monkeypatch):
+    def no_sweep(*args, **kwargs):
+        raise AssertionError("the sweep ran before its output path was checked")
+
+    monkeypatch.setattr(singular_lq.cli, "run_sweep", no_sweep)
+    (tmp_path / "taken.slopes.csv").mkdir()
+    for out, text in (
+        (tmp_path / "missing" / "r.csv", "no directory"),
+        (tmp_path, "is a directory"),
+        (tmp_path / "taken.csv", "taken.slopes.csv: it is a directory"),
+    ):
+        args = ["sweep", "--family", "2", "--n", "5", "--deltas", "1e-10..1e-8", "--out", str(out)]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --out: cannot write" in captured.err and text in captured.err
+        assert "Traceback" not in captured.err

@@ -214,13 +214,23 @@ def test_perturb_spectral_norm_bound():
 
 
 def test_perturb_deterministic_and_validating():
-    M = np.arange(6.0).reshape(2, 3)
-    a = perturb(M, 1e-3, np.random.default_rng(7))
-    b = perturb(M, 1e-3, np.random.default_rng(7))
-    assert np.array_equal(a, b)
-    for delta in (-1e-3, np.nan, np.inf):
-        with pytest.raises(ValueError):
-            perturb(M, delta, np.random.default_rng(7))
+    for M in (np.arange(6.0).reshape(2, 3), np.eye(600)):
+        a = perturb(M, 1e-3, np.random.default_rng(7))
+        b = perturb(M, 1e-3, np.random.default_rng(7))
+        assert np.array_equal(a, b)
+        for delta in (-1e-3, np.nan, np.inf):
+            with pytest.raises(ValueError):
+                perturb(M, delta, np.random.default_rng(7))
+
+
+def test_perturb_draws_the_direction_then_the_magnitude_at_the_lanczos_size():
+    rng, twin = np.random.default_rng(23), np.random.default_rng(23)
+    out = perturb(np.eye(600), 1e-8, rng)
+    direction = twin.standard_normal((600, 600))
+    expected = np.eye(600) + twin.uniform(0.0, 1e-8) / np.linalg.norm(direction, 2) * direction
+    assert np.abs(out - expected).max() <= 1e-13 * np.abs(expected).max()
+    assert np.linalg.norm(out - np.eye(600), 2) < 1e-8
+    assert rng.bit_generator.state == twin.bit_generator.state
 
 
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
@@ -244,20 +254,40 @@ def test_perturbations_take_no_svd(monkeypatch):
     if hasattr(np.linalg, "_linalg"):  # numpy >= 2: the module behind np.linalg
         monkeypatch.setattr(np.linalg._linalg, "svd", no_svd)
     rng = np.random.default_rng(17)
-    assert perturb(np.eye(4), 1e-6, rng).shape == (4, 4)
-    assert _symmetric_noise(4, 1e-6, rng).shape == (4, 4)
+    for n in (4, 600):
+        assert perturb(np.eye(n), 1e-6, rng).shape == (n, n)
+        assert _symmetric_noise(n, 1e-6, rng).shape == (n, n)
 
 
-def test_spectral_norm_matches_the_two_norm():
+def test_spectral_norm_matches_the_two_norm(monkeypatch):
+    # Gram orders on both sides of the eigvalsh/Lanczos crossover, 1000 x 1000
+    # being criterion 1's size. A symmetric matrix's singular values are its
+    # |eigenvalues|, so its largest two nearly tie; 3 x an orthogonal matrix
+    # has one repeated singular value, and a rank-one matrix one nonzero.
     rng = np.random.default_rng(19)
-    shapes = [(1, 1), (7, 1), (1, 7), (5, 5), (9, 4), (4, 9), (600, 600)]
+    crossover = geometry._LANCZOS_ORDER
+    shapes = [(1, 1), (7, 1), (1, 7), (5, 5), (9, 4), (4, 9), (crossover - 1, crossover),
+              (crossover, crossover + 1), (600, 600), (400, 600), (600, 400), (1000, 1000)]
     matrices = [rng.standard_normal(shape) for shape in shapes]
-    g = rng.standard_normal((6, 6))
-    matrices.append(g + g.T)
+    for n in (6, 600):
+        g = rng.standard_normal((n, n))
+        matrices.append(g + g.T)
+    matrices.append(3.0 * np.linalg.qr(rng.standard_normal((600, 600)))[0])
+    matrices.append(np.outer(rng.standard_normal(600), rng.standard_normal(600)))
+    lanczos_orders = []
+    top_eigenvalue = geometry._top_eigenvalue
+
+    def recording(gram):
+        lanczos_orders.append(len(gram))
+        return top_eigenvalue(gram)
+
+    monkeypatch.setattr(geometry, "_top_eigenvalue", recording)
     for M in matrices:
         expected = np.linalg.norm(M, 2)
         assert abs(_spectral_norm(M) - expected) <= 1e-13 * expected, M.shape
-    assert _spectral_norm(np.zeros((3, 2))) == 0.0
+    assert lanczos_orders == [min(M.shape) for M in matrices if min(M.shape) >= crossover]
+    assert len(lanczos_orders) == 8
+    assert _spectral_norm(np.zeros((3, 2))) == _spectral_norm(np.zeros((600, 600))) == 0.0
 
 
 def test_loglog_fit_recovers_power_laws():

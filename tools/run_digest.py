@@ -5,7 +5,7 @@ Usage, from the root of a checkout:
     python3 tools/run_digest.py [SIZE]
 
 The package is imported from ``src/`` and the benchmark's workloads from
-``perfbench/`` of the same checkout. Five SHA-256 digests and two lines
+``perfbench/`` of the same checkout. Six SHA-256 digests and two lines
 of counts are printed, each with the number of calls it covers:
 
 * ``run``: every ``run`` output on random problems (SIZE each of uniform,
@@ -43,6 +43,12 @@ of counts are printed, each with the number of calls it covers:
   1e-10..1e-6, two trials, seed 0 and tol 1e-6: the ``records_to_csv``
   text, alpha included, and the delta and n slope summaries (or the
   reason a slope is not available).
+* ``perturb``: the bytes of every matrix of ``_perturbed_problem`` for
+  family 1 at n = 182, 202 and 260 and family 2 at n = 150, 300 and 600,
+  at deltas 1e-12, 1e-8 and 1e-4, trial 0 and seed 0. Perturbation norms
+  of Gram order below ``geometry._LANCZOS_ORDER`` come from ``eigvalsh``
+  and the others from Lanczos. These sizes straddle that order, so the
+  cells take both paths; the other lines' problems take only the first.
 
 Run it in two checkouts, each in its own process, and compare the lines: a
 change that keeps every rank decision and every output byte prints the
@@ -229,17 +235,36 @@ def sweeps_digest() -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
+PERTURB_SIZES = {1: (182, 202, 260), 2: (150, 300, 600)}
+PERTURB_DELTAS = (1e-12, 1e-8, 1e-4)
+
+
+def perturb_digest() -> tuple[str, int]:
+    """Digest of perturbed problems on both sides of the Lanczos crossover, and their number."""
+    digest, count = hashlib.sha256(), 0
+    for family, sizes in PERTURB_SIZES.items():
+        for n in sizes:
+            exact = _exact_problem(family, n, 0)
+            for delta in PERTURB_DELTAS:
+                problem = _perturbed_problem(family, exact, delta, _cell_rng(0, family, n, delta, 0))
+                _feed(digest, problem.dynamics, problem.R)
+                count += 1
+    return digest.hexdigest(), count
+
+
 def main(argv: list[str]) -> int:
     size = int(argv[0]) if argv else 400
     run_hex, decisions_hex, runs, halts, lapack = run_digests(size)
     dae_hex, dae_decisions_hex, chains = dae_digests()
     sweeps_hex, records = sweeps_digest()
+    perturb_hex, cells = perturb_digest()
     exits = " ".join(f"{name}:{halts[name]}" for name in HALTS)
     calls = " ".join(f"{name}:{lapack[name]}" for name in LAPACK)
     for name, value, count in (
         ("run", run_hex, runs), ("decisions", decisions_hex, runs),
         ("halts", exits, runs), ("lapack", calls, runs), ("dae", dae_hex, chains),
         ("dae-decisions", dae_decisions_hex, chains), ("sweeps", sweeps_hex, records),
+        ("perturb", perturb_hex, cells),
     ):
         print(f"{name} {value} {count}")
     return 0
