@@ -1,97 +1,18 @@
 """Constraint recursion for linear-quadratic problems with singular control cost."""
 
-from .algorithm import (
-    FEEDBACK,
-    STAGNATION,
-    AlgorithmResult,
-    PartialFeedback,
-    SvdSplit,
-    feedback_rate_map,
-    final_submanifold,
-    independent_rows,
-    numerical_rank,
-    regular_feedback,
-    run,
-    svd_split,
-)
-from .closed_form import theorem2_blocks, tilde_closed_form, tilde_recurrence
-from .dae import (
-    LinearDAE,
-    WeierstrassSpec,
-    build_weierstrass,
-    dae_constraint_chain,
-    pencil_is_regular,
-    random_weierstrass_spec,
-)
-from .experiments import (
-    ExperimentRecord,
-    SlopeSummary,
-    gen_experiment1,
-    gen_experiment2,
-    gen_experiment3,
-    run_sweep,
-    slope_summary,
-    write_records_csv,
-    write_slopes_csv,
-)
-from .geometry import (
-    LogLogFit,
-    Subspace,
-    SubspaceDimensionMismatch,
-    loglog_fit,
-    max_principal_angle,
-    perturb,
-)
-from .problem import (
-    ConstraintMatrix,
-    LQProblem,
-    hamiltonian,
-    primary_constraint,
-    validate,
-)
+from . import algorithm, closed_form, dae, experiments, geometry, problem
+from .algorithm import *  # noqa: F403
+from .closed_form import *  # noqa: F403
+from .dae import *  # noqa: F403
+from .experiments import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .problem import *  # noqa: F403
 
 __version__ = "0.1.0"
 
+# Each module's __all__ is the one list of its public names.
 __all__ = [
-    "AlgorithmResult",
-    "ConstraintMatrix",
-    "ExperimentRecord",
-    "FEEDBACK",
-    "LQProblem",
-    "LinearDAE",
-    "LogLogFit",
-    "PartialFeedback",
-    "STAGNATION",
-    "SlopeSummary",
-    "Subspace",
-    "SubspaceDimensionMismatch",
-    "SvdSplit",
-    "WeierstrassSpec",
-    "build_weierstrass",
-    "dae_constraint_chain",
-    "feedback_rate_map",
-    "final_submanifold",
-    "gen_experiment1",
-    "gen_experiment2",
-    "gen_experiment3",
-    "hamiltonian",
-    "independent_rows",
-    "loglog_fit",
-    "max_principal_angle",
-    "numerical_rank",
-    "pencil_is_regular",
-    "perturb",
-    "primary_constraint",
-    "random_weierstrass_spec",
-    "regular_feedback",
-    "run",
-    "run_sweep",
-    "slope_summary",
-    "svd_split",
-    "theorem2_blocks",
-    "tilde_closed_form",
-    "tilde_recurrence",
-    "validate",
-    "write_records_csv",
-    "write_slopes_csv",
+    name
+    for module in (algorithm, closed_form, dae, experiments, geometry, problem)
+    for name in module.__all__
 ]

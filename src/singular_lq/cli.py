@@ -1,11 +1,12 @@
 """Command-line front end: solve one problem, index a DAE, or sweep.
 
 Exit codes: 0 success, 1 usage error (among them a ``sweep --out`` path
-that cannot be written, rejected before the sweep runs), 2 unreadable or
-invalid input, 3 numerical failure (SVD non-convergence, or a recursion
-level whose arithmetic overflows), 141 standard output closed before the
-output was all written (as by ``| head``; the status a shell reports for
-a process ended by SIGPIPE), with nothing printed to stderr.
+that cannot be written or a negative ``--seed``, rejected before the sweep
+runs), 2 unreadable or invalid input, 3 numerical failure (SVD
+non-convergence, or a recursion level whose arithmetic overflows), 141
+standard output closed before the output was all written (as by ``|
+head``; the status a shell reports for a process ended by SIGPIPE), with
+nothing printed to stderr.
 """
 
 from __future__ import annotations
@@ -52,6 +53,13 @@ def _positive_float(text: str) -> float:
     value = float(text)
     if not 0 < value < inf:
         raise argparse.ArgumentTypeError(f"{text} is not positive and finite")
+    return value
+
+
+def _non_negative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"{text} is negative")
     return value
 
 
@@ -202,7 +210,7 @@ def _print_matrix(M: np.ndarray) -> None:
 def _cmd_solve(args) -> int:
     problem = _load_problem(args.problem)
     result = run(problem, tol=args.tol)
-    basis = final_submanifold(result, args.tol)
+    basis = final_submanifold(result)
     print(f"steps={result.steps} codim={result.codim} reason={result.halt_reason}")
     print(f"phi rows={result.phi.rows.shape[0]} cols={result.phi.width}")
     _print_matrix(result.phi.rows)
@@ -280,7 +288,7 @@ def _build_parser() -> _Parser:
     )
     sweep.add_argument("--tol", type=_positive_float, default=1e-6)
     sweep.add_argument("--trials", type=int, default=1)
-    sweep.add_argument("--seed", type=int, default=0)
+    sweep.add_argument("--seed", type=_non_negative_int, default=0)
     sweep.add_argument(
         "--out", type=_output_path, help="records CSV path (slope CSV lands beside it)"
     )

@@ -19,20 +19,13 @@ import csv
 import io
 from dataclasses import dataclass
 from math import exp, inf, log
+from numbers import Integral
 
 import numpy as np
 
-from .algorithm import run
+from .algorithm import final_submanifold, run
 from .dae import _random_orthogonal
-from .geometry import (
-    Subspace,
-    SubspaceDimensionMismatch,
-    _complement,
-    _scaled,
-    loglog_fit,
-    max_principal_angle,
-    perturb,
-)
+from .geometry import Subspace, _scaled, loglog_fit, max_principal_angle, perturb
 from .problem import LQProblem, _check_tol, validate
 
 __all__ = [
@@ -188,6 +181,15 @@ def _exact_problem(family: int, n: int, seed: int) -> LQProblem:
     raise ValueError(f"unknown family {family}")
 
 
+def _is_count(value, low: int) -> bool:
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
+
+
+def _compared(result, row_side: bool) -> Subspace:
+    """The side of the run's phi that a sweep compares: its row space or the final subspace."""
+    return Subspace(result.row_basis if row_side else final_submanifold(result))
+
+
 def run_sweep(
     family: int,
     sizes,
@@ -204,9 +206,11 @@ def run_sweep(
     below half the width, its null space (the final subspace) otherwise,
     which gives the same angle, since equal-dimension subspaces have the
     same principal angles as their orthogonal complements. Both sides come
-    from the run's ``row_basis``, with no rank decision: the perturbed and
-    exact dimensions differ on one side exactly when they differ on the
-    other. Records come in (n, delta, trial) order.
+    from the run's ``row_basis`` with no rank decision, the null side by
+    ``final_submanifold`` at the run's tol. A record's alpha is None
+    (``mismatch``) exactly when its codim differs from the exact run's,
+    and then no basis is formed for it. Records come in (n, delta, trial)
+    order. Every argument is checked before the first run.
     """
     if family not in (1, 2, 3):
         raise ValueError("family must be 1, 2 or 3")
@@ -216,8 +220,10 @@ def run_sweep(
         raise ValueError("sizes and deltas must be non-empty")
     if not all(0 <= d < inf for d in deltas):
         raise ValueError("deltas must be non-negative and finite")
-    if trials < 1:
-        raise ValueError("trials must be at least 1")
+    if not _is_count(trials, 1):
+        raise ValueError(f"trials must be at least 1 and an integer, got {trials!r}")
+    if not _is_count(seed, 0):
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     _check_tol(tol)
 
     records = []
@@ -226,19 +232,14 @@ def run_sweep(
         exact = run(problem, tol)
         # One side per size, so every perturbed run meets the exact one there.
         row_side = 2 * exact.codim < exact.phi.width
-
-        def compared(result):
-            return Subspace(result.row_basis if row_side else _complement(result.row_basis))
-
-        exact_space = compared(exact)
+        exact_space = _compared(exact, row_side)
         for delta in deltas:
             for trial in range(trials):
                 rng = _cell_rng(seed, family, n, delta, trial)
                 result = run(_perturbed_problem(family, problem, delta, rng), tol)
-                try:
-                    alpha: float | None = max_principal_angle(exact_space, compared(result))
-                except SubspaceDimensionMismatch:
-                    alpha = None
+                alpha: float | None = None
+                if result.codim == exact.codim:
+                    alpha = max_principal_angle(exact_space, _compared(result, row_side))
                 records.append(
                     ExperimentRecord(
                         family=family,

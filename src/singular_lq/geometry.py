@@ -34,11 +34,7 @@ _LANCZOS_SEED = 19801
 
 
 class SubspaceDimensionMismatch(ValueError):
-    """Compared subspaces have different dimensions; no angle is defined.
-
-    Experiment drivers record this outcome explicitly instead of
-    fabricating an angle.
-    """
+    """Compared subspaces have different dimensions; no angle is defined."""
 
 
 @dataclass(frozen=True)
@@ -227,8 +223,8 @@ def loglog_fit(pairs: Iterable[tuple[float, float]]) -> LogLogFit:
     data = [(float(x), float(y)) for x, y in pairs]
     if len(data) < 2:
         raise ValueError("need at least two points for a slope")
-    if any(x <= 0 or y <= 0 for x, y in data):
-        raise ValueError("log-log fit requires positive coordinates")
+    if not all(0 < x < inf and 0 < y < inf for x, y in data):
+        raise ValueError("log-log fit requires positive, finite coordinates")
     lx = np.log([x for x, _ in data])
     ly = np.log([y for _, y in data])
     if np.allclose(lx, lx[0]):

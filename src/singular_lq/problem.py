@@ -51,8 +51,7 @@ class LQProblem:
     blocks of one read-only (2n, n + m) array ``dynamics`` = [[A, B], [Q,
     N]], the (x, u) coefficients of xdot and of pdot + A'p, so no matrix is
     stored twice and the level map is one product with it
-    (:func:`_derivative`). R is read-only too, so a problem can be shared
-    freely between sweep workers.
+    (:func:`_derivative`). R is read-only too.
     """
 
     dynamics: np.ndarray

@@ -577,6 +577,49 @@ def test_one_row_projected_rank_needs_no_factorisation(monkeypatch, gap):
     assert np.isclose(factor.inv_norm, np.linalg.norm(factor.inv_r), rtol=1e-14)
 
 
+def _between_the_bounds(plain, inflated, slack):
+    """A tol at which the certificate clears with ``plain`` as 1 / its lower
+    bound but not with ``inflated``: inside [1 / inflated - slack, 1 /
+    plain - slack)."""
+    low, high = 1.0 / inflated - slack, 1.0 / plain - slack
+    tol = 0.5 * (low + high)
+    assert low < tol < high
+    return tol
+
+
+def test_one_row_certificate_inflates_the_carried_inverse_norm(monkeypatch):
+    # kept has R diagonal [1, 1e-7], so x = ||R^-1||_F is about 1.4e7, and
+    # e3 projects to itself with g = 0: the lower bound's inverse is x + 1,
+    # raised by x * slack * x for R^-1's rounding. At a tol between the two
+    # bounds only the inflated one declines to certify, so the stacked SVD
+    # decides once; it keeps the row.
+    factor = _filtered(np.array([[1.0, 0.0, 0.0, 0.0], [1.0, 1e-7, 0.0, 0.0]]), 1e-12)
+    assert factor.rows.shape[0] == 2
+    row = np.eye(4)[2:3]
+    slack = np.finfo(float).eps * 4 * np.hypot(factor.norm, 1.0)
+    x = factor.inv_norm
+    tol = _between_the_bounds(x + 1.0, x * (1.0 + slack * x) + 1.0, slack)
+    shapes = _svd_shapes(monkeypatch)
+    assert _appended(row, tol, factor)
+    assert shapes == [(3, 4)]
+    assert np.array_equal(factor.rows[2], row[0])
+
+
+def test_block_certificate_inflates_the_blocks_inverse_norm():
+    # A block of two rows with R diagonal [1, 1e-5] on an empty
+    # factor: the lower bound's inverse is y = ||R^-1||_F, raised by y *
+    # slack * y. At a tol between the two bounds the block is not certified
+    # whole, and the factor is left as it was.
+    block = np.array([[1.0, 0.0, 0.0], [1.0, 1e-5, 0.0]])
+    factor = _RowFactor(3, 3)
+    _, tail = _cholesky_qr2(block)
+    slack = np.finfo(float).eps * 3 * np.linalg.norm(block)
+    y = np.linalg.norm(tail)
+    tol = _between_the_bounds(y, y * (1.0 + slack * y), slack)
+    assert not _appended(block, tol, factor)
+    assert factor.rows.shape[0] == 0
+
+
 def _block_off(kept, values, along, rng):
     """Rows along @ kept + P with P's rows orthogonal to kept's and P's
     singular values ``values`` followed by zeros, one row per value."""

@@ -320,3 +320,16 @@ def test_sweep_rejects_an_unwritable_out_before_sweeping(tmp_path, capsys, monke
         assert captured.out == ""
         assert "error: argument --out: cannot write" in captured.err and text in captured.err
         assert "Traceback" not in captured.err
+
+
+def test_sweep_rejects_a_negative_seed_before_any_run(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before --seed was checked")
+
+    monkeypatch.setattr(singular_lq.experiments, "run", no_run)
+    for family in ("1", "2", "3"):
+        args = ["sweep", "--family", family, "--n", "4", "--deltas", "1e-8", "--seed", "-1"]
+        assert main(args) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "error: argument --seed: -1 is negative" in captured.err

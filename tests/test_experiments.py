@@ -20,6 +20,8 @@ from singular_lq import (
     write_records_csv,
     write_slopes_csv,
 )
+import singular_lq.algorithm as algorithm
+import singular_lq.experiments as experiments
 from singular_lq.experiments import (
     RECORD_HEADER,
     SLOPE_HEADER,
@@ -28,6 +30,7 @@ from singular_lq.experiments import (
     _perturbed_problem,
     records_to_csv,
 )
+from singular_lq.geometry import _complement
 
 
 def test_family2_matrices_are_exact():
@@ -140,7 +143,11 @@ def test_run_sweep_records_regenerate_bit_for_bit():
     assert all(r.exact_steps == 3 and r.family == 2 and r.n == 4 for r in first)
 
 
-def test_run_sweep_validation():
+def test_run_sweep_validation(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before the arguments were checked")
+
+    monkeypatch.setattr(experiments, "run", no_run)
     with pytest.raises(ValueError, match="family"):
         run_sweep(0, [4], [1e-8], 1e-9)
     with pytest.raises(ValueError, match="non-empty"):
@@ -155,6 +162,16 @@ def test_run_sweep_validation():
     for tol in (-1.0, np.nan, np.inf):
         with pytest.raises(ValueError, match="tol"):
             run_sweep(2, [4], [1e-8], tol)
+    # Family 1 draws its exact problem from the seed, families 2 and 3 only
+    # their perturbations; a bad seed is rejected before either.
+    for family in (1, 2, 3):
+        for seed in (-1, 1.5, "0", None, True):
+            message = f"seed must be a non-negative integer, got {seed!r}"
+            with pytest.raises(ValueError, match=message):
+                run_sweep(family, [4], [1e-8], 1e-6, seed=seed)
+        for trials in (1.5, "2", True):
+            with pytest.raises(ValueError, match="trials must be at least 1 and an integer"):
+                run_sweep(family, [4], [1e-8], 1e-6, trials=trials)
 
 
 def test_large_perturbation_is_marked_mismatch():
@@ -164,6 +181,43 @@ def test_large_perturbation_is_marked_mismatch():
     assert all(r.steps == 1 for r in degraded)
     text = records_to_csv(records)
     assert "mismatch" in text
+
+
+@pytest.mark.parametrize(
+    "family, n, deltas, trials, null_side",
+    [(1, 4, [1e-6, 1e-4], 2, True), (3, 20, [1e-5], 3, False)],
+)
+def test_mismatched_records_form_no_basis(monkeypatch, family, n, deltas, trials, null_side):
+    # Family 1 compares final subspaces and family 3 row spaces. A record
+    # whose codim differs from the exact run's is marked from the codims
+    # alone: only the exact run and the matching runs reach a basis.
+    codims, complements, spaces = [], [], []
+
+    def submanifold(result, *args):
+        codims.append(result.codim)
+        return final_submanifold(result, *args)
+
+    def complement(basis):
+        complements.append(basis.shape[1])
+        return _complement(basis)
+
+    def subspace(basis):
+        spaces.append(basis.shape)
+        return Subspace(basis)
+
+    monkeypatch.setattr(experiments, "final_submanifold", submanifold)
+    monkeypatch.setattr(algorithm, "_complement", complement)
+    monkeypatch.setattr(experiments, "Subspace", subspace)
+    records = run_sweep(family, [n], deltas, 1e-6, trials=trials, seed=0)
+    exact_codim = run(_exact_problem(family, n, 0), 1e-6).codim
+    matched = [r for r in records if r.codim == exact_codim]
+    assert 0 < len(matched) < len(records)
+    assert all((r.alpha is None) == (r.codim != exact_codim) for r in records)
+    assert len(spaces) == 1 + len(matched)
+    if null_side:
+        assert codims == complements == [exact_codim] * len(spaces)
+    else:
+        assert codims == complements == []
 
 
 def test_sweep_factorises_only_small_sides(monkeypatch):

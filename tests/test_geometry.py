@@ -303,10 +303,17 @@ def test_loglog_fit_recovers_power_laws():
     assert abs(loglog_fit([(x, 3.0 * x * x) for x in xs]).slope - quad.slope) == 0.0
 
 
-def test_loglog_fit_validation():
+def test_loglog_fit_validation(capfd):
     with pytest.raises(ValueError, match="two points"):
         loglog_fit([(1.0, 1.0)])
     with pytest.raises(ValueError, match="positive"):
         loglog_fit([(1.0, 1.0), (2.0, -1.0)])
     with pytest.raises(ValueError, match="coincide"):
         loglog_fit([(1.0, 1.0), (1.0, 2.0)])
+    # A NaN once gave a fit of NaNs, and an infinite x made LAPACK complain
+    # on stderr before polyfit raised LinAlgError.
+    for bad in (np.nan, np.inf):
+        for pairs in ([(1.0, bad), (2.0, 1.0)], [(1.0, 1.0), (bad, 2.0)]):
+            with pytest.raises(ValueError, match="positive, finite coordinates"):
+                loglog_fit(pairs)
+    assert capfd.readouterr().err == ""

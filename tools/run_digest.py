@@ -53,8 +53,10 @@ of counts are printed, each with the number of calls it covers:
 Run it in two checkouts, each in its own process, and compare the lines: a
 change that keeps every rank decision and every output byte prints the
 same digests and counts. SIZE defaults to 400, which makes 4,018 ``run``
-calls. Compare runs made with the same BLAS and thread count: the low
-bits of the results, and so the digests, depend on both.
+calls. Compare the two checkouts on one host, with the same BLAS and
+thread count: the low bits of the results, and so the digests, depend on
+all three. The ``perturb`` line has been seen to differ between two hosts
+with the same numpy and BLAS while the other lines agreed.
 """
 
 from __future__ import annotations
