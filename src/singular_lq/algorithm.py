@@ -505,7 +505,7 @@ def regular_feedback(problem: LQProblem):
     """
     if not _nonsingular(problem.R):
         return None
-    return np.linalg.solve(problem.R, np.hstack([-problem.N.T, problem.B.T]))
+    return np.linalg.solve(problem.R, primary_constraint(problem).rows[:, : 2 * problem.n])
 
 
 def final_submanifold(result: AlgorithmResult, tol: float | None = None) -> np.ndarray:

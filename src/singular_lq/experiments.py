@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from math import exp, inf, log
 from numbers import Integral
 
@@ -43,26 +43,21 @@ __all__ = [
     "SLOPE_HEADER",
 ]
 
-RECORD_HEADER = [
-    "family", "n", "delta", "tol", "seed", "exact_steps", "steps", "codim", "alpha", "trial"
-]
-SLOPE_HEADER = ["family", "axis", "slope", "r_squared", "num_points"]
-
 
 @dataclass(frozen=True)
 class ExperimentRecord:
-    """One perturbed run; alpha is None when subspace dimensions mismatch."""
+    """One perturbed run, fields in CSV column order; alpha is None on a dimension mismatch."""
 
     family: int
     n: int
     delta: float
     tol: float
     seed: int
-    trial: int
     exact_steps: int
     steps: int
     codim: int
     alpha: float | None
+    trial: int
 
 
 @dataclass(frozen=True)
@@ -72,6 +67,10 @@ class SlopeSummary:
     slope: float
     r_squared: float
     num_points: int
+
+
+RECORD_HEADER = [f.name for f in fields(ExperimentRecord)]
+SLOPE_HEADER = [f.name for f in fields(SlopeSummary)]
 
 
 def _random_symmetric(n: int, rng) -> np.ndarray:

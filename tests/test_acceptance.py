@@ -11,6 +11,7 @@ import time
 import numpy as np
 
 import rational_oracle as ro
+from problems import exact_matrices, halves_problem, uniform_problem
 from singular_lq import (
     ConstraintMatrix,
     Subspace,
@@ -32,7 +33,6 @@ from singular_lq import (
     theorem2_blocks,
     tilde_closed_form,
     tilde_recurrence,
-    validate,
 )
 from singular_lq.geometry import _complement
 
@@ -142,11 +142,7 @@ def test_criterion_4_chain_length_equals_index_plus_one():
 
 def _rational_problem(seed: int):
     rng = np.random.default_rng(np.random.SeedSequence([20250813, seed]))
-    n, m = int(rng.integers(1, 5)), int(rng.integers(1, 5))
-    vals = np.arange(-2, 3) / 2.0
-    pick = lambda r, c: vals[rng.integers(0, 5, size=(r, c))]
-    sym = lambda k: (lambda M: np.triu(M) + np.triu(M, 1).T)(pick(k, k))
-    return validate(pick(n, n), pick(n, m), sym(n), pick(n, m), sym(m))
+    return halves_problem(rng, int(rng.integers(1, 5)), int(rng.integers(1, 5)))
 
 
 def _borderline_singular_value(result, tol: float) -> float:
@@ -169,9 +165,7 @@ def test_criterion_5_exact_oracle_agreement():
     for seed in range(50):
         problem = _rational_problem(seed)
         result = run(problem, tol=tol)
-        mats = [ro.from_float(M) for M in
-                (problem.A, problem.B, problem.Q, problem.N, problem.R)]
-        phi_e, steps_e, _, _ = ro.exact_recursion(*mats)
+        phi_e, steps_e, _, _ = ro.exact_recursion(*exact_matrices(problem))
         width = 2 * problem.n + problem.m
         dim_e = width - (ro.rank(phi_e) if phi_e else 0)
         basis = final_submanifold(result, tol)
@@ -198,18 +192,10 @@ def test_criterion_5_exact_oracle_agreement():
     assert _report(5, agree >= 49, detail)
 
 
-def _random_uniform_problem(rng, n_max=4, m_max=4):
-    n, m = int(rng.integers(1, n_max + 1)), int(rng.integers(1, m_max + 1))
-    g = lambda r, c: rng.uniform(-1.0, 1.0, (r, c))
-    sym = lambda k: (lambda M: (M + M.T) / 2.0)(g(k, k))
-    R = sym(m) if rng.integers(2) else np.zeros((m, m))
-    return validate(g(n, n), g(n, m), sym(n), g(n, m), R)
-
-
 def test_criterion_6_closed_form_cross_validation():
     rng = np.random.default_rng(1009)
     problems = [gen_experiment1(4, rng), gen_experiment2(5), gen_experiment3(6)]
-    problems += [_random_uniform_problem(rng) for _ in range(20)]
+    problems += [uniform_problem(rng) for _ in range(20)]
     worst_tilde = 0.0
     worst_block = 0.0
     for problem in problems:
@@ -273,7 +259,7 @@ def _check_constraint_stability(count: int) -> int:
     rng = np.random.default_rng(142)
     enforced = 0
     for _ in range(count):
-        problem = _random_uniform_problem(rng)
+        problem = uniform_problem(rng)
         result = run(problem, tol=1e-9)
         basis = final_submanifold(result)
         if result.codim == 0 or basis.shape[1] == 0:

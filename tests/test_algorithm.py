@@ -5,6 +5,7 @@ the recursion in exact Fraction arithmetic, so agreement cannot come from a
 shared rounding artifact.
 """
 
+import contextlib
 import operator
 import warnings
 
@@ -12,6 +13,8 @@ import numpy as np
 import pytest
 
 import rational_oracle as ro
+import singular_lq.algorithm as algorithm
+from problems import exact_matrices, halves_problem, shapes_of_calls, uniform_problem
 from singular_lq import (
     FEEDBACK,
     STAGNATION,
@@ -47,21 +50,7 @@ from singular_lq.problem import _derivative
 
 
 def _halves_problem(rng, n_max=4, m_max=4):
-    """Random rational problem with entries in {-2,...,2}/2, Q and R symmetric."""
-    n, m = int(rng.integers(1, n_max + 1)), int(rng.integers(1, m_max + 1))
-    vals = np.arange(-2, 3) / 2.0
-    pick = lambda r, c: vals[rng.integers(0, 5, size=(r, c))]
-    sym = lambda k: (lambda M: np.triu(M) + np.triu(M, 1).T)(pick(k, k))
-    return validate(pick(n, n), pick(n, m), sym(n), pick(n, m), sym(m))
-
-
-def _uniform_problem(rng, n_max=4, m_max=4):
-    n, m = int(rng.integers(1, n_max + 1)), int(rng.integers(1, m_max + 1))
-    g = lambda r, c: rng.uniform(-1.0, 1.0, (r, c))
-    sym = lambda k: (lambda M: (M + M.T) / 2.0)(g(k, k))
-    # leave R singular half the time so both halting branches get exercised
-    R = sym(m) if rng.integers(2) else np.zeros((m, m))
-    return validate(g(n, n), g(n, m), sym(n), g(n, m), R)
+    return halves_problem(rng, int(rng.integers(1, n_max + 1)), int(rng.integers(1, m_max + 1)))
 
 
 def _rank_one_problem(rng, n_max=4, m_max=4):
@@ -71,10 +60,6 @@ def _rank_one_problem(rng, n_max=4, m_max=4):
     q, r = g(n, n), g(m)
     return validate(g(n, n), np.outer(g(n), g(m)), (q + q.T) / 2.0,
                     np.outer(g(n), g(m)), np.outer(r, r))
-
-
-def _exact_matrices(problem):
-    return [ro.from_float(M) for M in (problem.A, problem.B, problem.Q, problem.N, problem.R)]
 
 
 # ---------------------------------------------------------------- ranks
@@ -263,14 +248,7 @@ def test_independent_rows_ranks_a_declined_block_row_by_row(monkeypatch):
     # declines it whole. Row by row, the repeats project to zero, far below
     # tol, and are dropped with no SVD.
     E = np.eye(2, 5)
-    svd = np.linalg.svd
-    calls = []
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls = shapes_of_calls(monkeypatch, np.linalg, "svd")
     kept = independent_rows(ConstraintMatrix(rows=np.vstack([E, E, E]), n=2, m=1), 1e-9)
     assert np.array_equal(kept.rows, E)
     assert calls == []
@@ -336,18 +314,6 @@ def _filtered(rows, tol):
     return _independent_rows_array(rows, tol, _RowFactor(rows.shape[1], rows.shape[1]))
 
 
-def _svd_shapes(monkeypatch):
-    """Shapes of the matrices that _svd_rank factorises from here on."""
-    shapes = []
-
-    def spy(M, *args, **kwargs):
-        shapes.append(M.shape)
-        return _svd_rank(M, *args, **kwargs)
-
-    monkeypatch.setattr("singular_lq.algorithm._svd_rank", spy)
-    return shapes
-
-
 def _traced_filter(monkeypatch):
     """One [c, k, appended, SVD shapes] entry per _appended call from here on:
     the kept row count c, the block's row count k, the call's verdict and the
@@ -382,7 +348,7 @@ def test_projected_rank_declines_when_the_stacked_rank_differs(monkeypatch, phi,
     assert 2 + _svd_rank(projected, 1e-6) == 3
     factor = _filtered(phi, 1e-6)
     assert np.array_equal(factor.rows, phi)
-    shapes = _svd_shapes(monkeypatch)
+    shapes = shapes_of_calls(monkeypatch, algorithm, "_svd_rank")
     assert not _appended(block, 1e-6, factor)
     assert shapes == [stacked.shape]
     assert np.array_equal(factor.rows, phi)
@@ -399,7 +365,7 @@ def test_row_filter_falls_back_to_the_stacked_rank(monkeypatch):
     block[0, 19:21] = 1e3, 1e-4
     factor = _filtered(phi, 1e-6)
     assert np.array_equal(factor.rows, phi)
-    shapes = _svd_shapes(monkeypatch)
+    shapes = shapes_of_calls(monkeypatch, algorithm, "_svd_rank")
     assert not _appended(block, 1e-6, factor)
     assert shapes == [(21, width)]
     assert _independent_rows_array(block, 1e-6, factor) is factor
@@ -599,7 +565,7 @@ def test_one_row_certificate_inflates_the_carried_inverse_norm(monkeypatch):
     slack = np.finfo(float).eps * 4 * np.hypot(factor.norm, 1.0)
     x = factor.inv_norm
     tol = _between_the_bounds(x + 1.0, x * (1.0 + slack * x) + 1.0, slack)
-    shapes = _svd_shapes(monkeypatch)
+    shapes = shapes_of_calls(monkeypatch, algorithm, "_svd_rank")
     assert _appended(row, tol, factor)
     assert shapes == [(3, 4)]
     assert np.array_equal(factor.rows[2], row[0])
@@ -696,25 +662,20 @@ _UNINVERTIBLE = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_UNINVERTIBLE))
-@pytest.mark.parametrize("in_run", [True, False])
-def test_row_filter_falls_back_to_the_values_of_r(monkeypatch, name, in_run):
-    # Under run's errstate and outside it, no exception and no warning. The
-    # values of R that decide are those of each row's own one-row R, the
-    # norm of its projection, or the stacked SVD of that row: the block's R
-    # takes no SVD, and the kept rows are the greedy ones.
-    kept, block = _UNINVERTIBLE[name]
-    tol = 1e-6
+def _ranked_row_by_row(monkeypatch, kept, block, tol, in_run, spy=lambda patch: None):
+    """Rank block onto kept's factor, under run's errstate if in_run, with
+    warnings raised as errors. Check that the block is declined whole with no
+    SVD, that each of its rows takes the one-row path, and that the factor
+    and independent_rows on the stacked rows keep the greedy rows. Returns
+    the factor and what ``spy``, set up just before the ranking, returned."""
     stacked = np.vstack([kept, block])
     reference = _greedy_reference(stacked, tol)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         factor = _filtered(kept, tol)
         calls = _traced_filter(monkeypatch)
-        if in_run:
-            with np.errstate(over="raise", invalid="raise"):
-                _independent_rows_array(block, tol, factor)
-        else:
+        spied = spy(monkeypatch)
+        with np.errstate(over="raise", invalid="raise") if in_run else contextlib.nullcontext():
             _independent_rows_array(block, tol, factor)
         monkeypatch.undo()
         whole = independent_rows(ConstraintMatrix(rows=stacked, n=0, m=stacked.shape[1]), tol)
@@ -723,6 +684,17 @@ def test_row_filter_falls_back_to_the_values_of_r(monkeypatch, name, in_run):
     assert _one_row_svds_only(calls, width)
     assert np.array_equal(factor.rows, reference)
     assert np.array_equal(whole.rows, reference)
+    return factor, spied
+
+
+@pytest.mark.parametrize("name", sorted(_UNINVERTIBLE))
+@pytest.mark.parametrize("in_run", [True, False])
+def test_row_filter_falls_back_to_the_values_of_r(monkeypatch, name, in_run):
+    # Under run's errstate and outside it, no exception and no warning. The
+    # values of R that decide are those of each row's own one-row R, the
+    # norm of its projection, or the stacked SVD of that row: the block's R
+    # takes no SVD, and the kept rows are the greedy ones.
+    _ranked_row_by_row(monkeypatch, *_UNINVERTIBLE[name], 1e-6, in_run)
 
 
 def _cholesky_outcomes(monkeypatch):
@@ -769,28 +741,10 @@ def test_row_filter_ranks_a_block_cholesky_qr2_rejects_row_by_row(monkeypatch, n
     # guard rejects the block after the Choleskys listed, the block's rows
     # take the one-row path, and the kept rows are the greedy ones.
     kept, block, tol, expected = _GUARDED[name]
-    stacked = np.vstack([kept, block])
-    reference = _greedy_reference(stacked, tol)
-    with warnings.catch_warnings():
-        warnings.simplefilter("error")
-        factor = _filtered(kept, tol)
-        calls = _traced_filter(monkeypatch)
-        outcomes = _cholesky_outcomes(monkeypatch)
-        if in_run:
-            with np.errstate(over="raise", invalid="raise"):
-                _independent_rows_array(block, tol, factor)
-        else:
-            _independent_rows_array(block, tol, factor)
-        monkeypatch.undo()
-        whole = independent_rows(ConstraintMatrix(rows=stacked, n=0, m=stacked.shape[1]), tol)
-    (c, _), (k, width) = kept.shape, block.shape
+    factor, outcomes = _ranked_row_by_row(monkeypatch, kept, block, tol, in_run, _cholesky_outcomes)
     assert outcomes == expected
-    assert calls[0] == [c, k, False, []] and [rows for _, rows, _, _ in calls[1:]] == [1] * k
-    assert _one_row_svds_only(calls, width)
-    assert reference.shape[0] == c + k - (name == "dependent")
-    assert np.array_equal(factor.rows, reference)
-    assert np.array_equal(whole.rows, reference)
-    assert np.abs(factor.qt @ factor.qt.T - np.eye(len(reference))).max() <= 1e-15
+    assert factor.rows.shape[0] == kept.shape[0] + block.shape[0] - (name == "dependent")
+    assert np.abs(factor.qt @ factor.qt.T - np.eye(factor.rows.shape[0])).max() <= 1e-15
 
 
 def test_row_filter_ranks_a_drifted_block_row_by_row(monkeypatch):
@@ -869,7 +823,7 @@ def test_family1_levels_are_certified_without_an_svd_of_r(monkeypatch):
 def _replayed_runs():
     """Seeded small problems at three tolerances, then family cells at n <= 60."""
     rng = np.random.default_rng(79)
-    for make in (_uniform_problem, _halves_problem, _rank_one_problem):
+    for make in (uniform_problem, _halves_problem, _rank_one_problem):
         for _ in range(100):
             problem = make(rng, n_max=6, m_max=5)
             for tol in (1e-6, 1e-9, 1e-12):
@@ -1053,14 +1007,7 @@ def test_run_factorises_each_matrix_once(monkeypatch):
     # and one rank check of the grown phi, plus the final null space.
     n = 40
     problem = gen_experiment3(n)
-    svd = np.linalg.svd
-    calls = []
-
-    def counting_svd(*args, **kwargs):
-        calls.append(1)
-        return svd(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting_svd)
+    calls = shapes_of_calls(monkeypatch, np.linalg, "svd")
     result = run(problem, tol=1e-6)
     final_submanifold(result)
     assert result.steps == n
@@ -1086,18 +1033,6 @@ def test_family3_run_takes_no_svd(monkeypatch):
     assert [rho_rank for rho_rank, _ in result.rank_history] == [0] * (n + 1)
 
 
-def _split_shapes(monkeypatch):
-    """Shapes of the matrices that run splits from here on."""
-    shapes = []
-
-    def spy(M, *args):
-        shapes.append(M.shape)
-        return _split(M, *args)
-
-    monkeypatch.setattr("singular_lq.algorithm._split", spy)
-    return shapes
-
-
 def test_rank_zero_levels_pass_their_derivative_on_unrotated(monkeypatch):
     # A rho within tol in norm has rank 0 and takes no split: the level
     # records the identity selector and its derivative is the next block,
@@ -1105,7 +1040,7 @@ def test_rank_zero_levels_pass_their_derivative_on_unrotated(monkeypatch):
     tol = 1e-6
     n, delta = 30, 1e-9
     problem = _perturbed_problem(3, gen_experiment3(n), delta, _cell_rng(1, 3, n, delta, 0))
-    shapes = _split_shapes(monkeypatch)
+    shapes = shapes_of_calls(monkeypatch, algorithm, "_split")
     result = run(problem, tol)
     assert shapes == []
     assert len(result.selectors) == n
@@ -1137,7 +1072,7 @@ def test_a_split_of_rank_zero_passes_its_derivative_on_unrotated(monkeypatch):
     q = g(3, 3)
     reflection = np.array([[0.6, 0.8], [0.8, -0.6]])
     problem = validate(g(3, 3), g(3, 2), q + q.T, g(3, 2), 0.8 * tol * reflection)
-    shapes = _split_shapes(monkeypatch)
+    shapes = shapes_of_calls(monkeypatch, algorithm, "_split")
     result = run(problem, tol)
     assert shapes[0] == (2, 2) and result.rank_history[0][0] == 0
     assert not np.allclose(np.abs(np.linalg.svd(problem.R)[0]), np.eye(2))
@@ -1231,7 +1166,7 @@ def test_run_splits_one_derivative_per_level():
     tol = 1e-9
     checked = unrotated = 0
     for _ in range(60):
-        problem = _uniform_problem(rng) if rng.integers(2) else _halves_problem(rng)
+        problem = uniform_problem(rng) if rng.integers(2) else _halves_problem(rng)
         result = run(problem, tol)
         for pf in result.partial_feedback:
             block = result.blocks[pf.level - 1]
@@ -1292,7 +1227,7 @@ def _stalled_full_split_problem():
 
 def test_run_matches_manual_pseudocode_trace():
     rng = np.random.default_rng(37)
-    problems = [make(rng) for make in (_uniform_problem, _halves_problem, _rank_one_problem)
+    problems = [make(rng) for make in (uniform_problem, _halves_problem, _rank_one_problem)
                 for _ in range(30)]
     exits = set()
     for problem in problems + [_stalled_full_split_problem()]:
@@ -1311,7 +1246,7 @@ def test_run_matches_manual_pseudocode_trace():
 def test_run_monotonicity_bounds():
     rng = np.random.default_rng(43)
     for _ in range(100):
-        problem = _uniform_problem(rng)
+        problem = uniform_problem(rng)
         result = run(problem, tol=1e-9)
         phi_ranks = [r for _, r in result.rank_history]
         assert all(b >= a for a, b in zip(phi_ranks, phi_ranks[1:]))
@@ -1350,7 +1285,7 @@ def test_run_invariant_under_state_rotation():
     # rows by blkdiag(T', T', I) and ker(phi) by blkdiag(T, T, I).
     rng = np.random.default_rng(107)
     problems = [make(rng, n_max=6, m_max=4) for make in
-                (_uniform_problem, _halves_problem, _rank_one_problem) for _ in range(12)]
+                (uniform_problem, _halves_problem, _rank_one_problem) for _ in range(12)]
     problems += [_exact_problem(family, n, 0) for family, n in ((1, 5), (2, 6), (3, 8))]
     for problem in problems:
         n, m = problem.n, problem.m
@@ -1374,7 +1309,7 @@ def test_run_constraint_stability_on_kernel():
     rng = np.random.default_rng(53)
     checked = 0
     for _ in range(60):
-        problem = _uniform_problem(rng)
+        problem = uniform_problem(rng)
         result = run(problem, tol=1e-9)
         basis = final_submanifold(result)
         if result.codim == 0 or basis.shape[1] == 0:
@@ -1447,7 +1382,7 @@ def test_run_matches_exact_rational_recursion():
     for _ in range(20):
         problem = _halves_problem(rng)
         result = run(problem, tol=1e-9)
-        phi_e, steps_e, halt_e, history_e = ro.exact_recursion(*_exact_matrices(problem))
+        phi_e, steps_e, halt_e, history_e = ro.exact_recursion(*exact_matrices(problem))
         assert result.steps == steps_e
         assert result.halt_reason == halt_e
         assert result.rank_history == history_e
@@ -1461,28 +1396,16 @@ def test_final_submanifold_respects_explicit_tol():
         final_submanifold(result, -1.0)
 
 
-def _recording_svd(monkeypatch):
-    svd = np.linalg.svd
-    shapes = []
-
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
-    return shapes
-
-
 def test_final_submanifold_at_the_run_tol_is_one_qr(monkeypatch):
     # The filter leaves phi with full row rank at the run's tol, so the
     # final subspace needs no rank decision there and no SVD.
     rng = np.random.default_rng(71)
-    for make in (_uniform_problem, _halves_problem):
+    for make in (uniform_problem, _halves_problem):
         for _ in range(60):
             result = run(make(rng, n_max=6, m_max=5), tol=1e-9)
             rows = result.phi.rows
             with monkeypatch.context() as patch:
-                shapes = _recording_svd(patch)
+                shapes = shapes_of_calls(patch, np.linalg, "svd")
                 basis = final_submanifold(result)
             assert shapes == []
             assert basis.shape == (result.phi.width, result.phi.width - result.codim)
@@ -1497,13 +1420,13 @@ def test_final_submanifold_decides_the_rank_at_a_foreign_tol(monkeypatch):
     rng = np.random.default_rng(73)
     checked = 0
     for _ in range(40):
-        result = run(_uniform_problem(rng, n_max=6, m_max=5), tol=1e-9)
+        result = run(uniform_problem(rng, n_max=6, m_max=5), tol=1e-9)
         if result.codim == 0:
             continue
         checked += 1
         smallest = np.linalg.svd(result.phi.rows, compute_uv=False)[-1]
         with monkeypatch.context() as patch:
-            shapes = _recording_svd(patch)
+            shapes = shapes_of_calls(patch, np.linalg, "svd")
             basis = final_submanifold(result, 2.0 * smallest)
         # The null basis comes from the left factor of phi'.
         assert shapes == [result.phi.rows.T.shape]
@@ -1540,7 +1463,7 @@ def test_extended_system_chain_contains_recursion_kernel():
     for seed in rng_seeds:
         rng = np.random.default_rng(np.random.SeedSequence([20250813, seed]))
         problem = _halves_problem(rng)
-        mats = _exact_matrices(problem)
+        mats = exact_matrices(problem)
         phi_e, _, halt_e, _ = ro.exact_recursion(*mats)
         abig, bbig = ro.extended_pair(*mats)
         dims, basis, _ = ro.rational_chain(abig, bbig)
@@ -1561,7 +1484,7 @@ def test_float_chain_matches_exact_chain_on_extended_system():
     # against rational_chain in exact arithmetic, step by step.
     for seed in range(50):
         rng = np.random.default_rng(np.random.SeedSequence([20250813, seed]))
-        abig, bbig = ro.extended_pair(*_exact_matrices(_halves_problem(rng)))
+        abig, bbig = ro.extended_pair(*exact_matrices(_halves_problem(rng)))
         dims, basis, steps = ro.rational_chain(abig, bbig)
         dae = LinearDAE(A=ro.to_float(abig), B=ro.to_float(bbig))
         chain, float_steps = dae_constraint_chain(dae)

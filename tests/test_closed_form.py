@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from problems import uniform_problem
 from singular_lq import (
     gen_experiment1,
     gen_experiment2,
@@ -17,14 +18,6 @@ from singular_lq import (
 from singular_lq.experiments import _exact_problem
 
 
-def _uniform_problem(rng, n_max=4, m_max=4):
-    n, m = int(rng.integers(1, n_max + 1)), int(rng.integers(1, m_max + 1))
-    g = lambda r, c: rng.uniform(-1.0, 1.0, (r, c))
-    sym = lambda k: (lambda M: (M + M.T) / 2.0)(g(k, k))
-    R = sym(m) if rng.integers(2) else np.zeros((m, m))
-    return validate(g(n, n), g(n, m), sym(n), g(n, m), R)
-
-
 def _block_scale(*blocks):
     vals = [1.0]
     for b in blocks:
@@ -36,7 +29,7 @@ def _block_scale(*blocks):
 
 def test_level_one_is_primary_block():
     rng = np.random.default_rng(3)
-    problem = _uniform_problem(rng)
+    problem = uniform_problem(rng)
     for tilde in (tilde_closed_form(problem, 1), tilde_recurrence(problem, 1)[0]):
         assert np.array_equal(tilde.sigma, -problem.N.T)
         assert np.array_equal(tilde.beta, problem.B.T)
@@ -55,7 +48,7 @@ def test_recurrence_levels_and_validation():
 
 def test_level_two_rho_commutator_form():
     rng = np.random.default_rng(7)
-    problem = _uniform_problem(rng)
+    problem = uniform_problem(rng)
     expected = -problem.N.T @ problem.B + problem.B.T @ problem.N
     assert np.allclose(tilde_closed_form(problem, 2).rho, expected, atol=1e-15)
     assert np.allclose(tilde_recurrence(problem, 2)[1].rho, expected, atol=1e-15)
@@ -75,7 +68,7 @@ def test_zero_drift_kills_beta_beyond_level_one():
 def test_recurrence_matches_closed_form():
     rng = np.random.default_rng(17)
     problems = [gen_experiment1(4, rng), gen_experiment2(5), gen_experiment3(5)]
-    problems += [_uniform_problem(rng) for _ in range(20)]
+    problems += [uniform_problem(rng) for _ in range(20)]
     for problem in problems:
         blocks = tilde_recurrence(problem, 8)
         for k in range(1, 9):
@@ -120,7 +113,7 @@ def test_identity_drift_level_three_rho():
 
 
 def test_closed_form_perturbation_is_first_order():
-    base = _uniform_problem(np.random.default_rng(23))
+    base = uniform_problem(np.random.default_rng(23))
     deltas = [1e-12, 1e-10, 1e-8, 1e-6]
     devs = []
     for delta in deltas:
@@ -162,7 +155,7 @@ def test_theorem2_level_one_needs_no_selectors():
 def test_theorem2_matches_run_blocks():
     rng = np.random.default_rng(37)
     problems = [gen_experiment3(6), gen_experiment2(4)]
-    problems += [_uniform_problem(rng) for _ in range(20)]
+    problems += [uniform_problem(rng) for _ in range(20)]
     for problem in problems:
         result = run(problem, tol=1e-9)
         for k, block in enumerate(result.blocks, start=1):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from problems import shapes_of_calls
 from singular_lq import (
     ExperimentRecord,
     STAGNATION,
@@ -30,7 +31,6 @@ from singular_lq.experiments import (
     _perturbed_problem,
     records_to_csv,
 )
-from singular_lq.geometry import _complement
 
 
 def test_family2_matrices_are_exact():
@@ -191,23 +191,15 @@ def test_mismatched_records_form_no_basis(monkeypatch, family, n, deltas, trials
     # Family 1 compares final subspaces and family 3 row spaces. A record
     # whose codim differs from the exact run's is marked from the codims
     # alone: only the exact run and the matching runs reach a basis.
-    codims, complements, spaces = [], [], []
+    codims = []
 
     def submanifold(result, *args):
         codims.append(result.codim)
         return final_submanifold(result, *args)
 
-    def complement(basis):
-        complements.append(basis.shape[1])
-        return _complement(basis)
-
-    def subspace(basis):
-        spaces.append(basis.shape)
-        return Subspace(basis)
-
     monkeypatch.setattr(experiments, "final_submanifold", submanifold)
-    monkeypatch.setattr(algorithm, "_complement", complement)
-    monkeypatch.setattr(experiments, "Subspace", subspace)
+    complements = shapes_of_calls(monkeypatch, algorithm, "_complement")
+    spaces = shapes_of_calls(monkeypatch, experiments, "Subspace")
     records = run_sweep(family, [n], deltas, 1e-6, trials=trials, seed=0)
     exact_codim = run(_exact_problem(family, n, 0), 1e-6).codim
     matched = [r for r in records if r.codim == exact_codim]
@@ -215,7 +207,7 @@ def test_mismatched_records_form_no_basis(monkeypatch, family, n, deltas, trials
     assert all((r.alpha is None) == (r.codim != exact_codim) for r in records)
     assert len(spaces) == 1 + len(matched)
     if null_side:
-        assert codims == complements == [exact_codim] * len(spaces)
+        assert codims == [cols for _, cols in complements] == [exact_codim] * len(spaces)
     else:
         assert codims == complements == []
 
@@ -223,14 +215,7 @@ def test_mismatched_records_form_no_basis(monkeypatch, family, n, deltas, trials
 def test_sweep_factorises_only_small_sides(monkeypatch):
     # Family 2 at n = 200: phi is 3 x 401 and the final subspace has
     # dimension 398; alpha is taken between the 3-dimensional row spaces.
-    svd = np.linalg.svd
-    shapes = []
-
-    def recording_svd(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    shapes = shapes_of_calls(monkeypatch, np.linalg, "svd")
     records = run_sweep(2, [200], [1e-8], 1e-6)
     assert records[0].alpha is not None
     assert max(min(shape) for shape in shapes) <= 3
@@ -240,15 +225,8 @@ def test_sweep_takes_no_svd_factors_of_phi(monkeypatch):
     # Family 1 at n = 20 compares null spaces of phi, which is c x 3n; the
     # bases come from QR, so no SVD with vectors touches a 3n-column matrix.
     n = 20
-    svd = np.linalg.svd
-    factored = []
-
-    def recording_svd(a, *args, **kwargs):
-        if kwargs.get("compute_uv", True):
-            factored.append(np.shape(a))
-        return svd(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", recording_svd)
+    with_vectors = lambda kwargs: kwargs.get("compute_uv", True)
+    factored = shapes_of_calls(monkeypatch, np.linalg, "svd", with_vectors)
     records = run_sweep(1, [n], [1e-8], 1e-6)
     assert records[0].alpha is not None
     assert all(shape[1] != 3 * n for shape in factored)

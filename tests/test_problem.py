@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from rational_oracle import Fraction, from_float, matmul, transpose
+from problems import exact_matrices, halves_problem
+from rational_oracle import Fraction, matmul, transpose
 from singular_lq import (
     ConstraintMatrix,
     gen_experiment2,
@@ -140,21 +141,14 @@ def test_hamiltonian_rejects_wrong_lengths():
         hamiltonian(problem, np.zeros(3), np.zeros(3), np.zeros(2))
 
 
-def _random_halves_problem(rng, n, m):
-    vals = np.arange(-2, 3) / 2.0
-    pick = lambda r, c: vals[rng.integers(0, 5, size=(r, c))]
-    sym = lambda k: (lambda M: np.triu(M) + np.triu(M, 1).T)(pick(k, k))
-    return validate(pick(n, n), pick(n, m), sym(n), pick(n, m), sym(m))
-
-
 def test_values_match_exact_rational_evaluation():
     # dyadic entries embed exactly in Fractions, so any drift is a real bug
     rng = np.random.default_rng(41)
     for _ in range(25):
-        problem = _random_halves_problem(rng, 2, 2)
+        problem = halves_problem(rng, 2, 2)
         x, p, u = (vec.reshape(-1) for vec in rng.integers(-2, 3, (3, 2)) / 2.0)
         col = lambda v: [[Fraction(e)] for e in v]
-        A, B, Q, N, R = (from_float(M) for M in (problem.A, problem.B, problem.Q, problem.N, problem.R))
+        A, B, Q, N, R = exact_matrices(problem)
         xc, pc, uc = col(x), col(p), col(u)
         dot = lambda a, b: sum(ra[0] * rb[0] for ra, rb in zip(a, b))
         h_exact = (
