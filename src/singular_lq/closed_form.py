@@ -14,16 +14,20 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import ConstraintMatrix, LQProblem, _derivative, primary_constraint
+from .problem import ConstraintMatrix, LQProblem, _derivative, _is_count, primary_constraint
 
 __all__ = ["tilde_recurrence", "tilde_closed_form", "theorem2_blocks"]
+
+
+def _check_level(k, name: str) -> None:
+    if not _is_count(k, 1):
+        raise ValueError(f"{name} must be an integer of at least 1, got {k!r}")
 
 
 @np.errstate(over="raise", invalid="raise")
 def tilde_recurrence(problem: LQProblem, k_max: int) -> list[ConstraintMatrix]:
     """Tilde blocks for levels 1..k_max via the recurrence, level k at index k - 1."""
-    if k_max < 1:
-        raise ValueError("k_max must be at least 1")
+    _check_level(k_max, "k_max")
     out = [primary_constraint(problem)]
     for _ in range(1, k_max):
         out.append(ConstraintMatrix(_derivative(out[-1], problem), problem.n, problem.m))
@@ -55,8 +59,7 @@ def tilde_closed_form(problem: LQProblem, k: int) -> ConstraintMatrix:
       sigma~(k) = -N' A^j + B' S_j
       rho~(k)   = -N' A^(j-1) B + (-1)^(j-1) B' (A')^(j-1) N + B' S_(j-1) B
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_level(k, "k")
     if k == 1:
         return primary_constraint(problem)
     A, B, Q, N = problem.A, problem.B, problem.Q, problem.N
@@ -85,20 +88,23 @@ def theorem2_blocks(
     order; the level-k block is U(k-1) ... U(1) applied to the level-k
     tilde block. k = 1 reproduces the primary constraint.
     """
-    if k < 1:
-        raise ValueError("k must be at least 1")
+    _check_level(k, "k")
     if len(u_selectors) < k - 1:
         raise ValueError(
             f"need {k - 1} selectors for level {k}, got {len(u_selectors)}"
         )
+    # Every selector is checked before the first product.
+    selectors = [np.asarray(sel, dtype=float) for sel in u_selectors[: k - 1]]
+    rows = problem.m
+    for sel in selectors:
+        if sel.ndim != 2 or sel.shape[1] != rows:
+            raise ValueError(
+                f"selector of shape {sel.shape} cannot follow a {rows}-row product; "
+                "selectors inconsistent with k"
+            )
+        rows = sel.shape[0]
     tilde = tilde_closed_form(problem, k)
     proj = np.eye(problem.m)
-    for sel in u_selectors[: k - 1]:
-        sel = np.asarray(sel, dtype=float)
-        if sel.shape[1] != proj.shape[0]:
-            raise ValueError(
-                f"selector with {sel.shape[1]} columns cannot follow a "
-                f"{proj.shape[0]}-row product; selectors inconsistent with k"
-            )
+    for sel in selectors:
         proj = sel @ proj
     return ConstraintMatrix(proj @ tilde.rows, problem.n, problem.m)

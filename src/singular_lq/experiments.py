@@ -19,14 +19,13 @@ import csv
 import io
 from dataclasses import dataclass, fields
 from math import exp, inf, log
-from numbers import Integral
 
 import numpy as np
 
 from .algorithm import final_submanifold, run
 from .dae import _random_orthogonal
 from .geometry import Subspace, _scaled, loglog_fit, max_principal_angle, perturb
-from .problem import LQProblem, _check_tol, validate
+from .problem import LQProblem, _check_tol, _is_count, validate
 
 __all__ = [
     "ExperimentRecord",
@@ -73,6 +72,17 @@ RECORD_HEADER = [f.name for f in fields(ExperimentRecord)]
 SLOPE_HEADER = [f.name for f in fields(SlopeSummary)]
 
 
+# The smallest n at which each family is defined.
+_SMALLEST_N = {1: 2, 2: 1, 3: 1}
+
+
+def _check_size(family: int, n) -> None:
+    """Reject an n that is not an integer, is a bool, or is below the family's smallest."""
+    low = _SMALLEST_N[family]
+    if not _is_count(n, low):
+        raise ValueError(f"family {family} needs an integer n >= {low}, got {n!r}")
+
+
 def _random_symmetric(n: int, rng) -> np.ndarray:
     g = rng.uniform(-1.0, 1.0, (n, n))
     return (g + g.T) / 2.0
@@ -85,8 +95,7 @@ def gen_experiment1(n: int, rng) -> LQProblem:
     controls the level-3 feedback is comfortably invertible (|det| above
     1e-3), so the unperturbed recursion reliably halts at step 3.
     """
-    if n < 2:
-        raise ValueError("family 1 needs n >= 2")
+    _check_size(1, n)
     u = _random_orthogonal(n, rng)
     r_diag = np.zeros(n)
     r_diag[0] = 1.0 + rng.uniform(0.0, 1.0)
@@ -107,8 +116,7 @@ def gen_experiment1(n: int, rng) -> LQProblem:
 
 def gen_experiment2(n: int) -> LQProblem:
     """Family 2: A = Q = I, B = ones, N = 0, R = 0 (index 3, codim 3)."""
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size(2, n)
     return validate(
         np.eye(n),
         np.ones((n, 1)),
@@ -124,8 +132,7 @@ def gen_experiment3(n: int) -> LQProblem:
     Index n with every rho block zero: the constraint chain grows one row
     per level and never reaches a feedback, a maximally gauge problem.
     """
-    if n < 1:
-        raise ValueError("n must be at least 1")
+    _check_size(3, n)
     A = np.eye(n, k=1)
     B = np.ones((n, 1))
     return validate(A, B, A + A.T, B.copy(), np.zeros((1, 1)))
@@ -180,10 +187,6 @@ def _exact_problem(family: int, n: int, seed: int) -> LQProblem:
     raise ValueError(f"unknown family {family}")
 
 
-def _is_count(value, low: int) -> bool:
-    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
-
-
 def _compared(result, row_side: bool) -> Subspace:
     """The side of the run's phi that a sweep compares: its row space or the final subspace."""
     return Subspace(result.row_basis if row_side else final_submanifold(result))
@@ -217,6 +220,8 @@ def run_sweep(
     deltas = [float(d) for d in deltas]
     if not sizes or not deltas:
         raise ValueError("sizes and deltas must be non-empty")
+    for n in sizes:
+        _check_size(family, n)
     if not all(0 <= d < inf for d in deltas):
         raise ValueError("deltas must be non-negative and finite")
     if not _is_count(trials, 1):

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import inf
+from numbers import Integral
 
 import numpy as np
 
@@ -35,6 +36,11 @@ def _check_tol(tol: float) -> None:
     """Reject a rank tolerance that is not positive and finite (NaN included)."""
     if not 0 < tol < inf:
         raise ValueError("tol must be positive and finite")
+
+
+def _is_count(value, low: int) -> bool:
+    """Whether value is an integer of at least low; a bool is not a count."""
+    return isinstance(value, Integral) and not isinstance(value, bool) and value >= low
 
 
 def _frozen(arr: np.ndarray) -> np.ndarray:

@@ -333,3 +333,24 @@ def test_sweep_rejects_a_negative_seed_before_any_run(capsys, monkeypatch):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert "error: argument --seed: -1 is negative" in captured.err
+
+
+def test_sweep_rejects_a_size_below_the_familys_smallest_before_any_run(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before every size was checked")
+
+    monkeypatch.setattr(singular_lq.experiments, "run", no_run)
+    assert main(["sweep", "--family", "1", "--n", "4,1", "--deltas", "1e-8"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: family 1 needs an integer n >= 2, got 1\n"
+
+
+def test_sweep_seed_reaches_the_records(tmp_path, capsys):
+    out = tmp_path / "seeded.csv"
+    args = ["sweep", "--family", "1", "--n", "3,5", "--deltas", "1e-8,1e-6", "--trials", "2"]
+    assert main(args + ["--seed", "3", "--out", str(out)]) == 0
+    capsys.readouterr()
+    seeded = singular_lq.run_sweep(1, [3, 5], [1e-8, 1e-6], 1e-6, trials=2, seed=3)
+    assert out.read_text() == singular_lq.records_to_csv(seeded)
+    assert seeded != singular_lq.run_sweep(1, [3, 5], [1e-8, 1e-6], 1e-6, trials=2, seed=0)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+import singular_lq.closed_form as closed_form
 from problems import uniform_problem
 from singular_lq import (
     gen_experiment1,
@@ -40,10 +41,11 @@ def test_recurrence_levels_and_validation():
     problem = gen_experiment2(3)
     blocks = tilde_recurrence(problem, 5)
     assert len(blocks) == 5
-    with pytest.raises(ValueError):
-        tilde_recurrence(problem, 0)
-    with pytest.raises(ValueError):
-        tilde_closed_form(problem, 0)
+    for k in (0, 2.5, "2", None, True):
+        with pytest.raises(ValueError, match="^k_max must be an integer of at least 1"):
+            tilde_recurrence(problem, k)
+        with pytest.raises(ValueError, match="^k must be an integer of at least 1"):
+            tilde_closed_form(problem, k)
 
 
 def test_level_two_rho_commutator_form():
@@ -164,12 +166,24 @@ def test_theorem2_matches_run_blocks():
             assert np.abs(rebuilt.rows - block.rows).max() <= 1e-10 * scale
 
 
-def test_theorem2_selector_validation():
+def test_theorem2_selector_validation(monkeypatch):
     problem = gen_experiment2(3)
     result = run(problem, tol=1e-6)
     with pytest.raises(ValueError, match="selectors"):
         theorem2_blocks(problem, result.selectors, len(result.selectors) + 2)
     with pytest.raises(ValueError):
-        theorem2_blocks(problem, [np.eye(5)], 2)
-    with pytest.raises(ValueError):
         theorem2_blocks(problem, [], 0)
+
+    # A level that is not an integer and a selector that is not a matrix
+    # that fits are rejected before any tilde block is formed.
+    def no_closed_form(*args, **kwargs):
+        raise AssertionError("a tilde block was formed before the arguments were checked")
+
+    monkeypatch.setattr(closed_form, "tilde_closed_form", no_closed_form)
+    for k in (2.5, "2", None, True):
+        with pytest.raises(ValueError, match="^k must be an integer of at least 1"):
+            theorem2_blocks(problem, result.selectors, k)
+    for selector in (np.eye(5), np.ones(1), np.float64(1.0), np.ones((1, 1, 1))):
+        with pytest.raises(ValueError, match="selectors inconsistent with k"):
+            theorem2_blocks(problem, [selector], 2)
+

@@ -73,8 +73,9 @@ def test_family1_structure():
                    - problem.N.T @ problem.A @ problem.B
                    - problem.B.T @ problem.A.T @ problem.N)
         assert abs(np.linalg.det(halting)) > 1e-3
-    with pytest.raises(ValueError):
-        gen_experiment1(1, rng)
+    for n in (1, 2.5, True):
+        with pytest.raises(ValueError, match="family 1 needs an integer n >= 2"):
+            gen_experiment1(n, rng)
     same = [gen_experiment1(3, np.random.default_rng(9)).A for _ in range(2)]
     assert np.array_equal(same[0], same[1])
 
@@ -172,6 +173,12 @@ def test_run_sweep_validation(monkeypatch):
         for trials in (1.5, "2", True):
             with pytest.raises(ValueError, match="trials must be at least 1 and an integer"):
                 run_sweep(family, [4], [1e-8], 1e-6, trials=trials)
+        # Every size is checked before the first, valid one runs.
+        smallest = 2 if family == 1 else 1
+        for n in (smallest - 1, -3, 2.5, 4.0, "4", None, True):
+            message = rf"^family {family} needs an integer n >= {smallest}, got {n!r}$"
+            with pytest.raises(ValueError, match=message):
+                run_sweep(family, [4, n], [1e-8], 1e-6)
 
 
 def test_large_perturbation_is_marked_mismatch():

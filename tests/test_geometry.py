@@ -233,6 +233,16 @@ def test_perturb_draws_the_direction_then_the_magnitude_at_the_lanczos_size():
     assert rng.bit_generator.state == twin.bit_generator.state
 
 
+@pytest.mark.parametrize("M", [np.ones(3), np.float64(2.0), np.ones((2, 2, 2))])
+def test_perturb_rejects_a_matrix_that_is_not_2d_before_drawing(M):
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    for delta in (0.0, 0.1):
+        with pytest.raises(ValueError, match=r"^M must be a 2-d matrix, got shape"):
+            perturb(M, delta, rng)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
 def test_perturb_of_an_empty_matrix_is_a_copy(shape):
     # An empty direction has norm 0 and cannot be scaled to a drawn

@@ -58,6 +58,12 @@ def test_validate_rejects_shape_mismatches():
         validate(eye2, eye2, eye2, eye2, eye3)
     with pytest.raises(ValueError, match="A"):
         validate(np.ones((2, 3)), eye2, eye2, eye2, eye2)
+    for shape in ((), (2,), (2, 2, 1)):
+        with pytest.raises(ValueError, match=r"^N must be a 2-d matrix, got shape"):
+            validate(eye2, eye2, eye2, np.ones(shape), eye2)
+    empty = np.zeros((2, 0))
+    with pytest.raises(ValueError, match="^control dimension m must be at least 1$"):
+        validate(eye2, empty, eye2, empty, np.zeros((0, 0)))
 
 
 def test_validate_experiment2_family():

@@ -53,7 +53,8 @@ of counts are printed, each with the number of calls it covers:
 Run it in two checkouts, each in its own process, and compare the lines: a
 change that keeps every rank decision and every output byte prints the
 same digests and counts. SIZE defaults to 400, which makes 4,018 ``run``
-calls. Compare the two checkouts on one host, with the same BLAS and
+calls. Any SIZE but one positive integer prints a one-line usage message
+and exits 2. Compare the two checkouts on one host, with the same BLAS and
 thread count: the low bits of the results, and so the digests, depend on
 all three. The ``perturb`` line has been seen to differ between two hosts
 with the same numpy and BLAS while the other lines agreed.
@@ -254,8 +255,22 @@ def perturb_digest() -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
+def _size(argv: list[str]) -> int | None:
+    """SIZE from the arguments: 400 when absent, None unless it is one positive integer."""
+    if not argv:
+        return 400
+    try:
+        size = int(argv[0])
+    except ValueError:
+        return None
+    return size if size > 0 and len(argv) == 1 else None
+
+
 def main(argv: list[str]) -> int:
-    size = int(argv[0]) if argv else 400
+    size = _size(argv)
+    if size is None:
+        print("usage: run_digest.py [SIZE], SIZE a positive integer (default 400)", file=sys.stderr)
+        return 2
     run_hex, decisions_hex, runs, halts, lapack = run_digests(size)
     dae_hex, dae_decisions_hex, chains = dae_digests()
     sweeps_hex, records = sweeps_digest()
