@@ -23,6 +23,12 @@ __all__ = [
 _SKETCH_SEED = 20121
 _SKETCH_SPREAD = 1e3
 
+# Columns per panel of _complement's blocked Householder QR, LAPACK's own
+# dgeqrf block size. LAPACK factors fewer than 128 columns unblocked, one
+# level-2 BLAS update per column, which OpenBLAS threads badly; see the
+# complement table in the README's Performance section.
+_PANEL = 32
+
 # Gram order from which _spectral_norm finds the top eigenvalue by Lanczos
 # rather than eigvalsh: the first order of the timing table in the README's
 # Performance section at which Lanczos is the faster. Lanczos tests for
@@ -109,8 +115,13 @@ def _complement(basis: np.ndarray) -> np.ndarray:
     spreads over more than ``_SKETCH_SPREAD``), or the complement is the
     larger side, the trailing D - d columns of a complete QR's Q are built
     from the basis's Householder reflectors in compact WY form, Q = I -
-    V T V' with T^-1 = striu(V'V) + diag(1 / tau) (Schreiber & Van Loan
-    1989); a reflector with tau = 0 is I and drops out.
+    V T V' (Schreiber & Van Loan 1989). The reflectors come in panels of
+    ``_PANEL`` columns. Each panel's T is the inverse of its own
+    striu(V'V) + diag(1 / tau) (Joffrain et al. 2006), and its Q' updates
+    the columns right of it. The whole T is assembled block by block, with
+    T[:c, new] = -T[:c, :c] (V[:, :c]' V_new) T_new. A reflector with tau
+    = 0 is I: its column of V is zeroed and its diagonal entry of T^-1 set
+    to 1, so it drops out.
     """
     ambient, dim = basis.shape
     if dim == ambient:
@@ -125,10 +136,24 @@ def _complement(basis: np.ndarray) -> np.ndarray:
                 break
         else:
             return sketch
-    h, tau = np.linalg.qr(basis, mode="raw")
-    v = (np.tril(h.T, -1) + np.eye(ambient, dim))[:, tau != 0.0]
-    t_inv = np.triu(v.T @ v, 1) + np.diag(1.0 / tau[tau != 0.0])
-    return np.eye(ambient, ambient - dim, -dim) - v @ np.linalg.solve(t_inv, v[dim:].T)
+    reduced, v, t = basis.copy(), np.zeros((ambient, dim)), np.zeros((dim, dim))
+    for start in range(0, dim, _PANEL):
+        cols = slice(start, start + _PANEL)
+        h, tau = np.linalg.qr(reduced[start:, cols], mode="raw")
+        kept = tau != 0.0
+        panel = np.tril(h.T, -1)
+        np.fill_diagonal(panel, 1.0)
+        panel *= kept
+        v[start:, cols] = panel
+        t_inv = np.triu(panel.T @ panel, 1)
+        np.fill_diagonal(t_inv, 1.0 / np.where(kept, tau, 1.0))
+        t[cols, cols] = t_panel = np.linalg.inv(t_inv)
+        if start:
+            t[:start, cols] = -t[:start, :start] @ (v[start:, :start].T @ panel) @ t_panel
+        if start + _PANEL < dim:
+            right = reduced[start:, start + _PANEL :]
+            right -= panel @ (t_panel.T @ (panel.T @ right))
+    return np.eye(ambient, ambient - dim, -dim) - v @ (t @ v[dim:].T)
 
 
 def _spectral_norm(M: np.ndarray) -> float:

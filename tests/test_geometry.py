@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from problems import shapes_of_calls
 from singular_lq import (
     LogLogFit,
     Subspace,
@@ -111,14 +112,18 @@ def test_angle_equals_angle_between_complements(side, branch, data):
 
 # (ambient, dim, QR modes): the complement is the smaller side (a sketch
 # orthonormalised twice) or the larger one (the Householder reflectors of
-# one QR); dim 0, dim D - 1 and a full basis are the edges.
+# one QR per panel of at most 32 columns, and none for dim 0); dim 0, dim
+# D - 1, a full basis and the panel edge at 32 and 33 columns are the edges.
 _COMPLEMENT_CASES = [
     (9, 7, ["reduced", "reduced"]),
     (8, 4, ["reduced", "reduced"]),
     (9, 2, ["raw"]),
-    (6, 0, ["raw"]),
+    (6, 0, []),
     (6, 6, []),
     (6, 5, ["reduced", "reduced"]),
+    (161, 80, ["raw"] * 3),
+    (70, 32, ["raw"]),
+    (70, 33, ["raw"] * 2),
 ]
 
 
@@ -144,13 +149,18 @@ def test_complement_is_an_orthonormal_basis_of_the_rest(monkeypatch, ambient, di
     assert np.abs(basis.T @ rest).max(initial=0.0) <= 1e-14
 
 
-# Coordinate subspaces make Householder reflectors with tau = 0 (H = I).
+# Coordinate subspaces make Householder reflectors with tau = 0 (H = I);
+# the last two make them in both of their two panels.
 _LARGER_SIDE_BASES = [
     np.linalg.qr(np.random.default_rng(5).standard_normal((9, 2)))[0],
     np.linalg.qr(np.random.default_rng(7).standard_normal((41, 20)))[0],
     np.eye(7)[:, [0, 3, 5]],
     -np.eye(5)[:, :2],
     np.zeros((6, 0)),
+    np.linalg.qr(np.random.default_rng(11).standard_normal((161, 80)))[0],
+    np.linalg.qr(np.random.default_rng(13).standard_normal((241, 120)))[0],
+    np.eye(90)[:, ::2][:, :40],
+    -np.eye(90)[:, :40],
 ]
 
 
@@ -160,16 +170,31 @@ def test_complement_of_the_larger_side_is_the_complete_qr(basis):
     rest = _complement(basis)
     expected = np.linalg.qr(basis, mode="complete")[0][:, dim:]
     assert np.abs(rest - expected).max() <= 1e-14
+    assert np.abs(rest.T @ rest - np.eye(len(rest) - dim)).max() <= 1e-14
+    assert np.abs(basis.T @ rest).max(initial=0.0) <= 1e-14
+
+
+def test_complement_of_the_larger_side_solves_nothing_and_factors_panels(monkeypatch):
+    def no_solve(*args, **kwargs):
+        raise AssertionError("the panels' T blocks need no solve with the whole T^-1")
+
+    basis = np.linalg.qr(np.random.default_rng(13).standard_normal((241, 120)))[0]
+    monkeypatch.setattr(np.linalg, "solve", no_solve)
+    shapes = shapes_of_calls(monkeypatch, np.linalg, "qr")
+    _complement(basis)
+    assert shapes == [(241, 32), (209, 32), (177, 32), (145, 24)]
 
 
 def test_complement_falls_back_to_a_complete_qr(monkeypatch):
     # A sketch whose R factor spreads too far is replaced by the complete
-    # QR's trailing columns, also at d = D - 1 and for a coordinate subspace.
+    # QR's trailing columns, also at d = D - 1, for a coordinate subspace
+    # and for a basis of two panels.
     monkeypatch.setattr(geometry, "_SKETCH_SPREAD", 1.0)
     for basis in (
         np.linalg.qr(np.random.default_rng(3).standard_normal((9, 6)))[0],
         np.linalg.qr(np.random.default_rng(3).standard_normal((6, 5)))[0],
         np.eye(6)[:, :5],
+        np.linalg.qr(np.random.default_rng(3).standard_normal((70, 40)))[0],
     ):
         dim = basis.shape[1]
         expected = np.linalg.qr(basis, mode="complete")[0][:, dim:]

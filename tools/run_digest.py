@@ -5,8 +5,9 @@ Usage, from the root of a checkout:
     python3 tools/run_digest.py [SIZE]
 
 The package is imported from ``src/`` and the benchmark's workloads from
-``perfbench/`` of the same checkout. Six SHA-256 digests and two lines
-of counts are printed, each with the number of calls it covers:
+``perfbench/`` of the same checkout. Ten lines are printed: seven SHA-256
+digests, two lines of counts and one of counts and a digest, each with
+the number of calls it covers:
 
 * ``run``: every ``run`` output on random problems (SIZE each of uniform,
   half-integer and rank-one data, n <= 6, m <= 5, at tol 1e-6, 1e-9 and
@@ -49,6 +50,15 @@ of counts are printed, each with the number of calls it covers:
   of Gram order below ``geometry._LANCZOS_ORDER`` come from ``eigvalsh``
   and the others from Lanczos. These sizes straddle that order, so the
   cells take both paths; the other lines' problems take only the first.
+* ``subspaces``: ``final_submanifold`` of every ``run`` output of the
+  ``run`` line, at the run's own tol, taken outside the ``lapack`` count.
+  Most of those complements are the larger side of phi's row basis, so
+  they come from Householder reflectors; the families at n = 40, 80 and
+  120 factor the basis in more than one panel.
+* ``exits``: ``run`` on the four corpus problems of ``EXIT_PROBLEMS``,
+  whatever SIZE, at each of the three tols: the count per exit of the
+  ``halts`` line, every one of which they take, and the ``decisions``
+  digest of those runs.
 
 Run it in two checkouts, each in its own process, and compare the lines: a
 change that keeps every rank decision and every output byte prints the
@@ -110,11 +120,19 @@ def _random_problem(kind: str, rng):
     return slq.validate(draw(n, n), draw(n, m), Q + Q.T, draw(n, m), R + R.T)
 
 
+KINDS = ("uniform", "half-integer", "rank-one")
+
+
+def _corpus_problem(kind: str, i: int):
+    """The run corpus's ``i``-th random problem of ``kind``."""
+    return _random_problem(kind, np.random.default_rng([KINDS.index(kind), i]))
+
+
 def _problems(size: int):
     """(problem, tol) pairs of the run corpus, in a fixed order."""
-    for index, kind in enumerate(("uniform", "half-integer", "rank-one")):
+    for kind in KINDS:
         for i in range(size):
-            problem = _random_problem(kind, np.random.default_rng([index, i]))
+            problem = _corpus_problem(kind, i)
             for tol in TOLS:
                 yield problem, tol
     for family, sizes in FAMILY_SIZES.items():
@@ -170,23 +188,48 @@ def _counted_lapack(counts: Counter):
             setattr(np.linalg, name, original)
 
 
-def run_digests(size: int) -> tuple[str, str, int, Counter, Counter]:
-    """The ``run`` and ``decisions`` digests, the number of runs, their exits and LAPACK calls."""
-    digest, decided, count, halts, lapack = hashlib.sha256(), hashlib.sha256(), 0, Counter(), Counter()
+def _decisions(result) -> bytes:
+    return repr((result.rank_history, result.steps, result.codim, result.halt_reason)).encode()
+
+
+def run_digests(size: int) -> tuple[str, str, str, int, Counter, Counter]:
+    """The ``run``, ``decisions`` and ``subspaces`` digests, the number of
+    runs, their exits and their LAPACK calls."""
+    digest, decided, subspaces = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
+    count, halts, lapack = 0, Counter(), Counter()
     for problem, tol in _problems(size):
         with _counted_lapack(lapack):
             result = slq.run(problem, tol)
+        _feed(subspaces, slq.final_submanifold(result))
         halts[_halt(result)] += 1
-        decisions = repr((result.rank_history, result.steps, result.codim, result.halt_reason))
-        digest.update(decisions.encode())
-        decided.update(decisions.encode())
+        decisions = _decisions(result)
+        digest.update(decisions)
+        decided.update(decisions)
         _feed(digest, result.phi.rows, result.row_basis, *(b.rows for b in result.blocks))
         _feed(digest, *result.selectors)
         for pf in result.partial_feedback:
             digest.update(repr(pf.level).encode())
             _feed(digest, pf.rate, pf.drift)
         count += 1
-    return digest.hexdigest(), decided.hexdigest(), count, halts, lapack
+    return digest.hexdigest(), decided.hexdigest(), subspaces.hexdigest(), count, halts, lapack
+
+
+# Corpus problems that together take every exit in HALTS at each of TOLS:
+# the first problem of the corpus to take feedback, empty-block and
+# stagnation, and the only one to take stagnation-full-split at SIZE 400.
+EXIT_PROBLEMS = (("uniform", 0), ("half-integer", 64), ("rank-one", 1), ("half-integer", 140))
+
+
+def exits_digest() -> tuple[Counter, str, int]:
+    """The exits of the EXIT_PROBLEMS runs, their ``decisions`` digest and their number."""
+    decided, halts = hashlib.sha256(), Counter()
+    for kind, i in EXIT_PROBLEMS:
+        problem = _corpus_problem(kind, i)
+        for tol in TOLS:
+            result = slq.run(problem, tol)
+            halts[_halt(result)] += 1
+            decided.update(_decisions(result))
+    return halts, decided.hexdigest(), sum(halts.values())
 
 
 def _pencils(seed: int):
@@ -255,6 +298,10 @@ def perturb_digest() -> tuple[str, int]:
     return digest.hexdigest(), count
 
 
+def _per_exit(halts: Counter) -> str:
+    return " ".join(f"{name}:{halts[name]}" for name in HALTS)
+
+
 def _size(argv: list[str]) -> int | None:
     """SIZE from the arguments: 400 when absent, None unless it is one positive integer."""
     if not argv:
@@ -271,17 +318,18 @@ def main(argv: list[str]) -> int:
     if size is None:
         print("usage: run_digest.py [SIZE], SIZE a positive integer (default 400)", file=sys.stderr)
         return 2
-    run_hex, decisions_hex, runs, halts, lapack = run_digests(size)
+    run_hex, decisions_hex, subspaces_hex, runs, halts, lapack = run_digests(size)
+    exit_halts, exits_hex, exit_runs = exits_digest()
     dae_hex, dae_decisions_hex, chains = dae_digests()
     sweeps_hex, records = sweeps_digest()
     perturb_hex, cells = perturb_digest()
-    exits = " ".join(f"{name}:{halts[name]}" for name in HALTS)
     calls = " ".join(f"{name}:{lapack[name]}" for name in LAPACK)
     for name, value, count in (
         ("run", run_hex, runs), ("decisions", decisions_hex, runs),
-        ("halts", exits, runs), ("lapack", calls, runs), ("dae", dae_hex, chains),
+        ("halts", _per_exit(halts), runs), ("lapack", calls, runs), ("dae", dae_hex, chains),
         ("dae-decisions", dae_decisions_hex, chains), ("sweeps", sweeps_hex, records),
-        ("perturb", perturb_hex, cells),
+        ("perturb", perturb_hex, cells), ("subspaces", subspaces_hex, runs),
+        ("exits", f"{_per_exit(exit_halts)} {exits_hex}", exit_runs),
     ):
         print(f"{name} {value} {count}")
     return 0
