@@ -1,12 +1,13 @@
 """Command-line front end: solve one problem, index a DAE, or sweep.
 
 Exit codes: 0 success, 1 usage error (among them a ``sweep --out`` path
-that cannot be written or a negative ``--seed``, rejected before the sweep
-runs), 2 unreadable or invalid input, 3 numerical failure (SVD
-non-convergence, or a recursion level whose arithmetic overflows), 141
-standard output closed before the output was all written (as by ``|
-head``; the status a shell reports for a process ended by SIGPIPE), with
-nothing printed to stderr.
+that cannot be written, a negative ``--seed`` or an unknown ``--family``,
+rejected before the sweep runs), 2 unreadable or invalid input, 3
+numerical failure (SVD non-convergence, a recursion level whose
+arithmetic overflows, or a DAE norm past the float range), 141 standard
+output closed before the output was all written (as by ``| head``; the
+status a shell reports for a process ended by SIGPIPE), with nothing
+printed to stderr.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from .experiments import (
     write_records_csv,
     write_slopes_csv,
 )
-from .problem import validate
+from .problem import _is_count, validate
 
 __all__ = ["main"]
 
@@ -136,9 +137,11 @@ def _parse_deltas(text: str) -> list[float]:
 
 def _read_json(path: str) -> dict:
     try:
-        text = Path(path).read_text()
+        text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise InputError(f"cannot read {path}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -148,28 +151,20 @@ def _read_json(path: str) -> dict:
     return data
 
 
-def _has_bool(value) -> bool:
-    return isinstance(value, bool) or (isinstance(value, list) and any(map(_has_bool, value)))
+def _numeric(value) -> bool:
+    """Whether value is a JSON number (true and false are not) or a list of such values."""
+    if isinstance(value, list):
+        return all(map(_numeric, value))
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _matrix_field(data: dict, name: str, rows: int, cols: int, path: str) -> np.ndarray:
+def _matrix_field(data: dict, name: str, path: str):
+    # The shape and finiteness are left to validate and LinearDAE.
     if name not in data:
         raise InputError(f"{path}: missing field {name!r}")
-    # float() reads JSON true as 1.0, so booleans are caught before it.
-    if _has_bool(data[name]):
-        raise InputError(f"{path}: field {name!r} contains a boolean entry")
-    try:
-        arr = np.asarray(data[name], dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InputError(f"{path}: field {name!r} is not numeric: {exc}") from exc
-    if arr.shape != (rows, cols):
-        square = " square" if rows == cols else ""
-        raise InputError(
-            f"{path}: field {name!r} must be a{square} {rows}x{cols} matrix, got shape {arr.shape}"
-        )
-    if not np.isfinite(arr).all():
-        raise InputError(f"{path}: field {name!r} contains non-finite entries")
-    return arr
+    if not _numeric(data[name]):
+        raise InputError(f"{path}: field {name!r} is not numeric: its entries must be JSON numbers")
+    return data[name]
 
 
 def _load_problem(path: str):
@@ -177,29 +172,26 @@ def _load_problem(path: str):
     for name in ("n", "m"):
         if name not in data:
             raise InputError(f"{path}: missing field {name!r}")
-        if isinstance(data[name], bool) or not isinstance(data[name], int) or data[name] < 1:
+        if not _is_count(data[name], 1):
             raise InputError(f"{path}: field {name!r} must be a positive integer")
-    n, m = data["n"], data["m"]
-    A = _matrix_field(data, "A", n, n, path)
-    B = _matrix_field(data, "B", n, m, path)
-    Q = _matrix_field(data, "Q", n, n, path)
-    N = _matrix_field(data, "N", n, m, path)
-    R = _matrix_field(data, "R", m, m, path)
     try:
-        return validate(A, B, Q, N, R)
+        problem = validate(*(_matrix_field(data, name, path) for name in "ABQNR"))
     except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
+    if (problem.n, problem.m) != (data["n"], data["m"]):
+        raise InputError(
+            f"{path}: fields 'n' and 'm' are {data['n']} and {data['m']}, "
+            f"but the matrices have n = {problem.n} and m = {problem.m}"
+        )
+    return problem
 
 
 def _load_dae(path: str) -> LinearDAE:
     data = _read_json(path)
-    # n is A's row count, so A must be a list of rows; _matrix_field reports a missing A.
-    rows = data.get("A", [[]])
-    if not (isinstance(rows, list) and rows and all(isinstance(row, list) for row in rows)):
-        raise InputError(f"{path}: field 'A' must be a square matrix")
-    A = _matrix_field(data, "A", len(rows), len(rows), path)
-    B = _matrix_field(data, "B", len(rows), len(rows), path)
-    return LinearDAE(A=A, B=B)
+    try:
+        return LinearDAE(A=_matrix_field(data, "A", path), B=_matrix_field(data, "B", path))
+    except ValueError as exc:
+        raise InputError(f"{path}: {exc}") from exc
 
 
 def _print_matrix(M: np.ndarray) -> None:
@@ -278,7 +270,7 @@ def _build_parser() -> _Parser:
     dae.set_defaults(func=_cmd_dae)
 
     sweep = sub.add_parser("sweep", help="perturbation sweep over a problem family")
-    sweep.add_argument("--family", type=int, choices=(1, 2, 3), required=True)
+    sweep.add_argument("--family", type=int, required=True)
     sweep.add_argument("--n", type=_parse_sizes, required=True, help="comma list of sizes")
     sweep.add_argument(
         "--deltas",

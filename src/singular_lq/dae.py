@@ -22,8 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algorithm import _nonsingular, _null_basis, _split
-from .problem import _as_matrix, _check_tol
+from .algorithm import _frobenius, _nonsingular, _null_basis, _split
+from .problem import _as_matrix, _check_tol, _is_count
 
 __all__ = [
     "LinearDAE",
@@ -72,10 +72,8 @@ class WeierstrassSpec:
     F: np.ndarray
 
     def __post_init__(self):
-        W = np.asarray(self.W, dtype=float)
-        Nnil = np.asarray(self.Nnil, dtype=float)
-        E = np.asarray(self.E, dtype=float)
-        F = np.asarray(self.F, dtype=float)
+        names = ("W", "Nnil", "E", "F")
+        W, Nnil, E, F = matrices = [_as_matrix(getattr(self, k), k) for k in names]
         d, q = W.shape[0], Nnil.shape[0]
         if W.shape != (d, d) or Nnil.shape != (q, q):
             raise ValueError("W and Nnil must be square")
@@ -83,14 +81,14 @@ class WeierstrassSpec:
             raise ValueError("Nnil must be at least 1x1")
         if E.shape != (d + q, d + q) or F.shape != (d + q, d + q):
             raise ValueError(f"E and F must be {(d + q, d + q)}")
-        if not 0 <= self.nu <= q - 1:
-            raise ValueError(f"nu must lie in [0, q-1], got {self.nu}")
+        if not (_is_count(self.nu, 0) and self.nu <= q - 1):
+            raise ValueError(f"nu must be an integer in [0, q-1], got {self.nu!r}")
         power = np.linalg.matrix_power(Nnil, self.nu) if self.nu else np.eye(q)
         if not np.any(power):
             raise ValueError(f"Nnil^{self.nu} vanishes; nu overstated")
         if np.any(power @ Nnil):
             raise ValueError(f"Nnil^{self.nu + 1} does not vanish; nu understated")
-        for name, M in (("W", W), ("Nnil", Nnil), ("E", E), ("F", F)):
+        for name, M in zip(names, matrices):
             object.__setattr__(self, name, M)
 
     @property
@@ -113,10 +111,12 @@ def dae_constraint_chain(dae: LinearDAE, tol: float = 1e-9) -> tuple[list[np.nda
 
     The cuts are ``tol`` times the original ||A|| and ||B||, never the
     shrinking pair's norms: deep in the chain its entries can be pure
-    roundoff, which a relative cut would read as full rank.
+    roundoff, which a relative cut would read as full rank. A norm past
+    the float range raises ``FloatingPointError``.
     """
     _check_tol(tol)
-    cut_a, cut_b = (tol * (np.linalg.norm(M, 2) or 1.0) for M in (dae.A, dae.B))
+    norms = _finite_norms(dae, lambda M: np.linalg.norm(M, 2))
+    cut_a, cut_b = (tol * (norm or 1.0) for norm in norms)
     A, B, basis = dae.A, dae.B, np.eye(dae.n)
     chain: list[np.ndarray] = []
     while True:
@@ -150,21 +150,36 @@ def build_weierstrass(spec: WeierstrassSpec) -> LinearDAE:
 def pencil_is_regular(dae: LinearDAE) -> bool:
     """Probabilistic regularity test: lambda A - B nonsingular somewhere.
 
-    Samples 16 random real lambda from ``np.random.default_rng(0)`` and asks
-    the nonsingularity test of :func:`~singular_lq.algorithm.regular_feedback`
-    whether lambda A - B has full rank at the relative cut 1e-12: every
-    singular value must exceed 1e-12 times the largest. An irregular pencil
-    is singular for every lambda, so any single full-rank sample certifies
-    regularity; a regular pencil fails all trials only if every sampled
-    lambda lands near a generalized eigenvalue, which has probability zero
-    under a continuous sampling distribution.
+    Samples 16 random real lambda, standard normal draws from
+    ``np.random.default_rng(0)`` times ||B||_F / ||A||_F (1 when either
+    norm is 0), so that lambda A and B are of one size at any scale of the
+    pencil. The test forms lambda A / ||A||_F minus B / ||B||_F, which is
+    that pencil divided by ||B||_F, so no product overflows. The
+    nonsingularity test of :func:`~singular_lq.algorithm.regular_feedback`
+    asks whether it has full rank at the relative cut 1e-12: every singular
+    value must exceed 1e-12 times the largest, which the division leaves
+    as it is. An
+    irregular pencil is singular for every lambda, so any single full-rank
+    sample certifies regularity; a regular pencil fails all trials only if
+    every sampled lambda lands near a generalized eigenvalue, which has
+    probability zero under a continuous sampling distribution. A norm past
+    the float range raises ``FloatingPointError``.
     """
+    A, B = (M / (norm or 1.0) for M, norm in zip((dae.A, dae.B), _finite_norms(dae, _frobenius)))
     rng = np.random.default_rng(0)
     for _ in range(16):
         lam = rng.standard_normal()
-        if _nonsingular(lam * dae.A - dae.B):
+        if _nonsingular(lam * A - B):
             return True
     return False
+
+
+def _finite_norms(dae: LinearDAE, norm) -> tuple[float, float]:
+    """norm(A) and norm(B), or FloatingPointError when either overflows."""
+    norms = norm(dae.A), norm(dae.B)
+    if not np.isfinite(norms).all():
+        raise FloatingPointError(f"overflow: ||A|| = {norms[0]:.3g}, ||B|| = {norms[1]:.3g}")
+    return norms
 
 
 def _random_orthogonal(dim: int, rng) -> np.ndarray:

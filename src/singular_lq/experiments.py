@@ -72,7 +72,7 @@ RECORD_HEADER = [f.name for f in fields(ExperimentRecord)]
 SLOPE_HEADER = [f.name for f in fields(SlopeSummary)]
 
 
-# The smallest n at which each family is defined.
+# The families, each with the smallest n at which it is defined.
 _SMALLEST_N = {1: 2, 2: 1, 3: 1}
 
 
@@ -214,8 +214,8 @@ def run_sweep(
     and then no basis is formed for it. Records come in (n, delta, trial)
     order. Every argument is checked before the first run.
     """
-    if family not in (1, 2, 3):
-        raise ValueError("family must be 1, 2 or 3")
+    if not (_is_count(family, 1) and family in _SMALLEST_N):
+        raise ValueError(f"family must be one of {sorted(_SMALLEST_N)}, got {family!r}")
     sizes = list(sizes)
     deltas = [float(d) for d in deltas]
     if not sizes or not deltas:

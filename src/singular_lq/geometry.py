@@ -8,6 +8,8 @@ from typing import Iterable, NamedTuple
 
 import numpy as np
 
+from .problem import _as_matrix
+
 __all__ = [
     "Subspace",
     "SubspaceDimensionMismatch",
@@ -50,12 +52,9 @@ class Subspace:
     basis: np.ndarray
 
     def __post_init__(self):
-        basis = np.asarray(self.basis, dtype=float)
-        if basis.ndim != 2:
-            raise ValueError(f"basis must be a matrix, got shape {basis.shape}")
+        basis = _as_matrix(self.basis, "basis")
         d = basis.shape[1]
-        with np.errstate(invalid="ignore"):  # inf * 0: a NaN deviation, rejected below
-            gram_dev = np.abs(basis.T @ basis - np.eye(d)).max() if d else 0.0
+        gram_dev = np.abs(basis.T @ basis - np.eye(d)).max() if d else 0.0
         if not gram_dev <= 1e-12 * max(d, 1):
             raise ValueError(f"basis columns not orthonormal (deviation {gram_dev:.3e})")
         object.__setattr__(self, "basis", basis)

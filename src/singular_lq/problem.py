@@ -24,7 +24,11 @@ __all__ = [
 
 
 def _as_matrix(value, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
+    """value as a finite 2-d float array; anything else raises ValueError naming it."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric, int > 1e308
+        raise ValueError(f"{name} is not a numeric matrix: {exc}") from exc
     if arr.ndim != 2:
         raise ValueError(f"{name} must be a 2-d matrix, got shape {arr.shape}")
     if not np.isfinite(arr).all():

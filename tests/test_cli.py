@@ -108,7 +108,7 @@ def test_solve_input_errors(tmp_path, capsys):
         payload[name] = entries
         boolean.write_text(json.dumps(payload))
         assert main(["solve", str(boolean)]) == 2
-        assert f"field {name!r} contains a boolean entry" in capsys.readouterr().err
+        assert f"field {name!r} is not numeric" in capsys.readouterr().err
 
 
 _ONE = {"n": 1, "m": 1, "A": [[1.0]], "B": [[1.0]], "Q": [[1.0]], "N": [[0.0]], "R": [[0.0]]}
@@ -130,15 +130,25 @@ _SWEEP = ["sweep", "--family", "2", "--n", "3", "--deltas"]
         (["solve"], [_ONE], 2, "err", "top level must be an object"),
         (["solve"], {k: v for k, v in _ONE.items() if k != "n"}, 2, "err", "missing field 'n'"),
         (["solve"], {**_ONE, "B": [["x"]]}, 2, "err", "field 'B' is not numeric"),
-        (["solve"], {**_ONE, "Q": [[float("nan")]]}, 2, "err",
-         "field 'Q' contains non-finite entries"),
+        (["solve"], {**_ONE, "Q": [[float("nan")]]}, 2, "err", "Q contains non-finite entries"),
         # Fields are lists of rows, as for dae: a flat row-major list is rejected.
-        (["solve"], {**_ONE, "A": [1.0]}, 2, "err",
-         "field 'A' must be a square 1x1 matrix, got shape (1,)"),
+        (["solve"], {**_ONE, "A": [1.0]}, 2, "err", "A must be a 2-d matrix, got shape (1,)"),
+        # A matrix entry must be a JSON number: not a string that reads as one, nor null.
+        (["solve"], {**_ONE, "A": [["1"]]}, 2, "err", "field 'A' is not numeric"),
+        (["solve"], {**_ONE, "N": [[None]]}, 2, "err", "field 'N' is not numeric"),
+        (["solve"], {**_ONE, "Q": [[10 ** 400]]}, 2, "err",
+         "Q is not a numeric matrix: int too large to convert to float"),
+        (["solve"], {**_ONE, "n": 2, "A": [[1.0, 0.0], [1.0]]}, 2, "err",
+         "A is not a numeric matrix"),
+        (["solve"], {**_ONE, "n": 2}, 2, "err",
+         "fields 'n' and 'm' are 2 and 1, but the matrices have n = 1 and m = 1"),
+        (["dae"], {"A": [["1"]], "B": [[1.0]]}, 2, "err", "field 'A' is not numeric"),
+        (["dae"], {"A": [[1.0]], "B": [[None]]}, 2, "err", "field 'B' is not numeric"),
     ],
     ids=["trials-0", "size-0", "no-sizes", "bad-range", "range-not-decades", "bad-delta",
          "no-delta-slope", "array-top-level", "missing-n", "non-numeric", "nan-entry",
-         "flat-field"],
+         "flat-field", "string-entry", "null-entry", "huge-int-entry", "ragged-field",
+         "declared-n-differs", "dae-string-entry", "dae-null-entry"],
 )
 def test_error_paths(tmp_path, capsys, args, payload, code, stream, text):
     if payload is not None:
@@ -147,6 +157,16 @@ def test_error_paths(tmp_path, capsys, args, payload, code, stream, text):
         args = args + [str(path)]
     assert main(args) == code
     assert text in getattr(capsys.readouterr(), stream)
+
+
+def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(json.dumps(_ONE).replace("1.0", "1.0\u00e9", 1).encode("latin-1"))
+    for command in ("solve", "dae"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {path}: not UTF-8 text: ")
+        assert "Traceback" not in captured.err
 
 
 def test_usage_errors(tmp_path, capsys):
@@ -187,6 +207,17 @@ def test_solve_exits_3_when_a_level_overflows(tmp_path, capsys):
     assert "numerical failure: overflow" in captured.err
 
 
+def test_dae_exits_3_when_a_norm_overflows(tmp_path, capsys):
+    # ||A|| = 2e308 is past the float range: the chain would cut at inf and
+    # report dimension 0 where the true dimension is 1.
+    path = tmp_path / "overflow.json"
+    path.write_text(json.dumps({"A": [[1e308, 1e308], [1e308, 1e308]], "B": [[1, 0], [0, 1]]}))
+    assert main(["dae", str(path)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "numerical failure: overflow" in captured.err
+
+
 def test_solve_ends_quietly_when_stdout_closes_early(tmp_path):
     # Family 3 at n = 40 prints far more than a pipe holds, so the CLI is
     # still writing when the reader stops after the first line, as head does.
@@ -221,14 +252,15 @@ def test_dae_command(tmp_path, capsys):
                     {"A": [[1.0]], "B": [[True]]}):
         bad.write_text(json.dumps(payload))
         assert main(["dae", str(bad)]) == 2
-        assert "contains a boolean entry" in capsys.readouterr().err
-    # A's row count sizes both fields, so A must be a non-empty list of rows:
-    # flat entries are rejected at every size.
-    for payload, name in (({"A": np.eye(2).tolist(), "B": np.eye(3, 2).tolist()}, "'B'"),
-                          ({"A": [], "B": []}, "'A'"), ({"A": 1.0, "B": [[1.0]]}, "'A'"),
-                          ({"A": [5.0], "B": [[1.0]]}, "'A' must be a square matrix"),
+        assert "is not numeric" in capsys.readouterr().err
+    # Each field must be a list of rows: flat entries are rejected at every size.
+    for payload, name in (({"A": np.eye(2).tolist(), "B": np.eye(3, 2).tolist()},
+                           "B must match A"),
+                          ({"A": [], "B": []}, "A must be a 2-d matrix"),
+                          ({"A": 1.0, "B": [[1.0]]}, "A must be a 2-d matrix"),
+                          ({"A": [5.0], "B": [[1.0]]}, "A must be a 2-d matrix, got shape (1,)"),
                           ({"A": [1.0, 0.0, 0.0, 1.0], "B": np.eye(2).tolist()},
-                           "'A' must be a square matrix"),
+                           "A must be a 2-d matrix, got shape (4,)"),
                           ({"B": [[1.0]]}, "missing field 'A'")):
         bad.write_text(json.dumps(payload))
         assert main(["dae", str(bad)]) == 2
@@ -344,6 +376,18 @@ def test_sweep_rejects_a_size_below_the_familys_smallest_before_any_run(capsys, 
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == "error: family 1 needs an integer n >= 2, got 1\n"
+
+
+def test_sweep_rejects_an_unknown_family_before_any_run(capsys, monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a run started before --family was checked")
+
+    monkeypatch.setattr(singular_lq.experiments, "run", no_run)
+    for family in ("0", "4", "-1"):
+        assert main(["sweep", "--family", family, "--n", "4", "--deltas", "1e-8"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: family must be one of [1, 2, 3], got {family}\n"
 
 
 def test_sweep_seed_reaches_the_records(tmp_path, capsys):

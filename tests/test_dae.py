@@ -175,6 +175,38 @@ def test_pencil_regularity_on_large_weierstrass_pencils():
         assert not pencil_is_regular(LinearDAE(A=dae.A @ drop, B=dae.B @ drop))
 
 
+def test_pencil_regularity_does_not_depend_on_scale():
+    # Unbalanced, lambda A swamps B under the relative cut from s = 1e15 on.
+    rng = np.random.default_rng(8)
+    dae = build_weierstrass(random_weierstrass_spec(rng, d_max=4, q_max=6, nu_max=5))
+    v = rng.standard_normal((dae.n, 1))
+    drop = np.eye(dae.n) - v @ v.T / (v.T @ v)
+    for s in (1e-200, 1e-15, 1.0, 1e15, 1e100, 1e200, 1e300):
+        assert pencil_is_regular(LinearDAE(A=s * np.ones((2, 2)), B=np.eye(2)))
+        assert pencil_is_regular(LinearDAE(A=np.eye(2), B=s * np.ones((2, 2))))
+        assert pencil_is_regular(LinearDAE(A=s * dae.A, B=dae.B))
+        assert not pencil_is_regular(LinearDAE(A=s * dae.A @ drop, B=dae.B @ drop))
+    # A zero side has ratio 1: the pencil is regular exactly when the other is invertible.
+    assert pencil_is_regular(LinearDAE(A=np.zeros((2, 2)), B=np.eye(2)))
+    assert not pencil_is_regular(LinearDAE(A=np.zeros((2, 2)), B=np.ones((2, 2))))
+    assert not pencil_is_regular(LinearDAE(A=np.zeros((2, 2)), B=np.zeros((2, 2))))
+
+
+def test_a_norm_past_the_float_range_raises():
+    # ||A||_2 = 2e308 is inf, so the chain's cut would be inf and read every
+    # rank as 0: 1 step and dimension 0, where the true dimension is 1.
+    for A, B in ((1e308 * np.ones((2, 2)), np.eye(2)), (np.eye(2), 1e308 * np.ones((2, 2)))):
+        dae = LinearDAE(A=A, B=B)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            dae_constraint_chain(dae)
+        with pytest.raises(FloatingPointError, match="overflow"):
+            pencil_is_regular(dae)
+    # Just inside the range, both still answer.
+    dae = LinearDAE(A=1e307 * np.ones((2, 2)), B=np.eye(2))
+    assert pencil_is_regular(dae)
+    assert [c.shape[1] for c in dae_constraint_chain(dae)[0]] == [1]
+
+
 def test_weierstrass_spec_validation():
     ok = dict(E=np.eye(4), F=np.eye(4))
     with pytest.raises(ValueError, match="overstated"):
@@ -191,6 +223,18 @@ def test_weierstrass_spec_validation():
     with pytest.raises(ValueError):
         WeierstrassSpec(W=np.eye(1), Nnil=np.zeros((3, 3)), nu=0,
                         E=np.eye(2), F=np.eye(4))
+    # Each matrix must be 2-d and finite, and nu an integer that is not a bool.
+    with pytest.raises(ValueError, match="^W must be a 2-d matrix, got shape"):
+        WeierstrassSpec(W=np.float64(1.0), Nnil=np.zeros((3, 3)), nu=0, **ok)
+    for name in ("W", "Nnil", "E", "F"):
+        fields = dict(W=np.eye(1), Nnil=np.zeros((3, 3)), nu=0, **ok)
+        fields[name] = fields[name].copy()
+        fields[name][0, 0] = np.nan
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite entries"):
+            WeierstrassSpec(**fields)
+    for nu in (True, 1.0, 0.5, -1, None):
+        with pytest.raises(ValueError, match="^nu must be an integer in"):
+            WeierstrassSpec(W=np.eye(1), Nnil=np.eye(3, k=1), nu=nu, **ok)
 
 
 @pytest.mark.parametrize(

@@ -149,8 +149,11 @@ def test_run_sweep_validation(monkeypatch):
         raise AssertionError("a run started before the arguments were checked")
 
     monkeypatch.setattr(experiments, "run", no_run)
-    with pytest.raises(ValueError, match="family"):
-        run_sweep(0, [4], [1e-8], 1e-9)
+    # A family is a key of _SMALLEST_N and a count: True and 2.0 hash as 1 and 2.
+    for family in (0, 4, True, 2.0, "2", None):
+        message = rf"^family must be one of \[1, 2, 3\], got {family!r}$"
+        with pytest.raises(ValueError, match=message):
+            run_sweep(family, [4], [1e-8], 1e-9)
     with pytest.raises(ValueError, match="non-empty"):
         run_sweep(2, [], [1e-8], 1e-9)
     with pytest.raises(ValueError, match="non-empty"):
