@@ -1,8 +1,12 @@
 """Command-line front end: solve one problem, index a DAE, or sweep.
 
-Exit codes: 0 success, 1 usage error (among them a ``sweep --out`` path
-that cannot be written, a negative ``--seed`` or an unknown ``--family``,
-rejected before the sweep runs), 2 unreadable or invalid input, 3
+The parser only reads argument syntax. The values of ``--tol``,
+``--seed``, ``--family``, ``--n``, ``--deltas`` and ``--trials`` are
+checked by the library, before any file is read or any run starts.
+
+Exit codes: 0 success, 1 usage error (among them a bad argument value
+and a ``sweep --out`` path that cannot be written), 2 unreadable or
+invalid input, 3
 numerical failure (SVD non-convergence, a recursion level whose
 arithmetic overflows, or a DAE norm past the float range), 141 standard
 output closed before the output was all written (as by ``| head``; the
@@ -29,7 +33,7 @@ from .experiments import (
     write_records_csv,
     write_slopes_csv,
 )
-from .problem import _is_count, validate
+from .problem import _check_tol, _is_count, validate
 
 __all__ = ["main"]
 
@@ -48,20 +52,6 @@ class _Parser(argparse.ArgumentParser):
     # input files, so remap.
     def error(self, message):
         self.exit(USAGE_ERROR, f"{self.prog}: error: {message}\n")
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not 0 < value < inf:
-        raise argparse.ArgumentTypeError(f"{text} is not positive and finite")
-    return value
-
-
-def _non_negative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"{text} is negative")
-    return value
 
 
 def _output_path(text: str) -> str:
@@ -87,10 +77,10 @@ def _parse_sizes(text: str) -> list[int]:
         token = token.strip()
         if not token:
             continue
-        n = int(token)
-        if n < 1:
-            raise argparse.ArgumentTypeError(f"size {n} is not positive")
-        sizes.append(n)
+        try:
+            sizes.append(int(token))
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(f"bad size {token!r}") from exc
     if not sizes:
         raise argparse.ArgumentTypeError("empty size list")
     return sizes
@@ -124,12 +114,9 @@ def _parse_deltas(text: str) -> list[float]:
             deltas.extend(10.0 ** e for e in range(e_lo, e_hi + step, step))
         else:
             try:
-                value = float(token)
+                deltas.append(float(token))
             except ValueError as exc:
                 raise argparse.ArgumentTypeError(f"bad delta {token!r}") from exc
-            if not 0 <= value < inf:
-                raise argparse.ArgumentTypeError("deltas must be non-negative and finite")
-            deltas.append(value)
     if not deltas:
         raise argparse.ArgumentTypeError("empty delta list")
     return deltas
@@ -200,6 +187,7 @@ def _print_matrix(M: np.ndarray) -> None:
 
 
 def _cmd_solve(args) -> int:
+    _check_tol(args.tol)
     problem = _load_problem(args.problem)
     result = run(problem, tol=args.tol)
     basis = final_submanifold(result)
@@ -212,6 +200,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_dae(args) -> int:
+    _check_tol(args.tol)
     dae = _load_dae(args.system)
     chain, steps = dae_constraint_chain(dae, tol=args.tol)
     print(f"steps={steps} dim={chain[-1].shape[1]}")
@@ -261,12 +250,12 @@ def _build_parser() -> _Parser:
 
     solve = sub.add_parser("solve", help="run the constraint recursion on a problem file")
     solve.add_argument("problem", help="JSON problem file with fields n, m, A, B, Q, N, R")
-    solve.add_argument("--tol", type=_positive_float, default=1e-6)
+    solve.add_argument("--tol", type=float, default=1e-6)
     solve.set_defaults(func=_cmd_solve)
 
     dae = sub.add_parser("dae", help="subspace chain of a linear DAE A xdot = B x")
     dae.add_argument("system", help="JSON file with square matrices A, B")
-    dae.add_argument("--tol", type=_positive_float, default=1e-9)
+    dae.add_argument("--tol", type=float, default=1e-9)
     dae.set_defaults(func=_cmd_dae)
 
     sweep = sub.add_parser("sweep", help="perturbation sweep over a problem family")
@@ -278,9 +267,9 @@ def _build_parser() -> _Parser:
         required=True,
         help="comma list of magnitudes; a..b expands decades (e.g. 1e-16..1e-1)",
     )
-    sweep.add_argument("--tol", type=_positive_float, default=1e-6)
+    sweep.add_argument("--tol", type=float, default=1e-6)
     sweep.add_argument("--trials", type=int, default=1)
-    sweep.add_argument("--seed", type=_non_negative_int, default=0)
+    sweep.add_argument("--seed", type=int, default=0)
     sweep.add_argument(
         "--out", type=_output_path, help="records CSV path (slope CSV lands beside it)"
     )

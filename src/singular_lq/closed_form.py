@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import ConstraintMatrix, LQProblem, _derivative, _is_count, primary_constraint
+from .problem import ConstraintMatrix, LQProblem, _as_matrix, _derivative, _is_count, primary_constraint
 
 __all__ = ["tilde_recurrence", "tilde_closed_form", "theorem2_blocks"]
 
@@ -94,10 +94,10 @@ def theorem2_blocks(
             f"need {k - 1} selectors for level {k}, got {len(u_selectors)}"
         )
     # Every selector is checked before the first product.
-    selectors = [np.asarray(sel, dtype=float) for sel in u_selectors[: k - 1]]
+    selectors = [_as_matrix(sel, f"selector {i}") for i, sel in enumerate(u_selectors[: k - 1], 1)]
     rows = problem.m
     for sel in selectors:
-        if sel.ndim != 2 or sel.shape[1] != rows:
+        if sel.shape[1] != rows:
             raise ValueError(
                 f"selector of shape {sel.shape} cannot follow a {rows}-row product; "
                 "selectors inconsistent with k"

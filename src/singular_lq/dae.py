@@ -19,6 +19,7 @@ imposed again on a basis that has drifted.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 
 import numpy as np
 
@@ -198,7 +199,15 @@ def random_weierstrass_spec(
 
     E and F are random orthogonal for ``max_cond = 1`` (the default);
     larger values mix in a diagonal with condition number up to max_cond.
+    d_max and q_max must be integers of at least 1, nu_max one of at least
+    0, and max_cond finite and at least 1; any other value raises
+    ValueError naming it, before anything is drawn.
     """
+    for name, value, low in (("d_max", d_max, 1), ("q_max", q_max, 1), ("nu_max", nu_max, 0)):
+        if not _is_count(value, low):
+            raise ValueError(f"{name} must be an integer of at least {low}, got {value!r}")
+    if not 1 <= max_cond < inf:
+        raise ValueError(f"max_cond must be finite and at least 1, got {max_cond!r}")
     d = int(rng.integers(1, d_max + 1))
     nu = int(rng.integers(0, min(nu_max, q_max - 1) + 1))
     q = int(rng.integers(nu + 1, q_max + 1))

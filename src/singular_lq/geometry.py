@@ -217,12 +217,11 @@ def perturb(M, delta: float, rng) -> np.ndarray:
     """M plus a dense random matrix of spectral norm uniform on (0, delta).
 
     delta = 0 and an empty M return a copy of M, drawing nothing; an M that
-    is not 2-d raises ValueError, drawing nothing. The draw is deterministic
-    for a given generator state: the direction first, then the magnitude.
+    is not 2-d, and a non-finite M, raise ValueError, drawing nothing. The
+    draw is deterministic for a given generator state: the direction first,
+    then the magnitude.
     """
-    M = np.asarray(M, dtype=float)
-    if M.ndim != 2:
-        raise ValueError(f"M must be a 2-d matrix, got shape {M.shape}")
+    M = _as_matrix(M, "M")
     if not 0 <= delta < inf:
         raise ValueError("delta must be non-negative and finite")
     if delta == 0.0 or M.size == 0:

@@ -10,7 +10,16 @@ import numpy as np
 import pytest
 
 import singular_lq
-from singular_lq import ConstraintMatrix, gen_experiment2, gen_experiment3, independent_rows, run
+from singular_lq import (
+    ConstraintMatrix,
+    LinearDAE,
+    dae_constraint_chain,
+    gen_experiment2,
+    gen_experiment3,
+    independent_rows,
+    run,
+    run_sweep,
+)
 from singular_lq.cli import main
 
 
@@ -120,7 +129,9 @@ _SWEEP = ["sweep", "--family", "2", "--n", "3", "--deltas"]
     [
         (_SWEEP + ["1e-9", "--trials", "0"], None, 1, "err", "error: trials must be at least 1"),
         (["sweep", "--family", "2", "--n", "0", "--deltas", "1e-9"], None, 1, "err",
-         "size 0 is not positive"),
+         "error: family 2 needs an integer n >= 1, got 0"),
+        (["sweep", "--family", "2", "--n", "3.0", "--deltas", "1e-9"], None, 1, "err",
+         "error: argument --n: bad size '3.0'"),
         (["sweep", "--family", "2", "--n", ",", "--deltas", "1e-9"], None, 1, "err",
          "empty size list"),
         (_SWEEP + ["1e-3..x"], None, 1, "err", "bad delta range '1e-3..x'"),
@@ -145,7 +156,7 @@ _SWEEP = ["sweep", "--family", "2", "--n", "3", "--deltas"]
         (["dae"], {"A": [["1"]], "B": [[1.0]]}, 2, "err", "field 'A' is not numeric"),
         (["dae"], {"A": [[1.0]], "B": [[None]]}, 2, "err", "field 'B' is not numeric"),
     ],
-    ids=["trials-0", "size-0", "no-sizes", "bad-range", "range-not-decades", "bad-delta",
+    ids=["trials-0", "size-0", "non-integer-size", "no-sizes", "bad-range", "range-not-decades", "bad-delta",
          "no-delta-slope", "array-top-level", "missing-n", "non-numeric", "nan-entry",
          "flat-field", "string-entry", "null-entry", "huge-int-entry", "ragged-field",
          "declared-n-differs", "dae-string-entry", "dae-null-entry"],
@@ -183,6 +194,72 @@ def test_usage_errors(tmp_path, capsys):
     assert main(["sweep", "--family", "2", "--n", "3", "--deltas", ""]) == 1
     assert main(["sweep", "--family", "9", "--n", "3", "--deltas", "1e-8"]) == 1
     capsys.readouterr()
+
+
+def _library_error(call) -> str:
+    with pytest.raises(ValueError) as info:
+        call()
+    return str(info.value)
+
+
+_SHIFT = {"A": np.eye(2, k=1).tolist(), "B": np.eye(2).tolist()}
+
+
+# Each bad argument value, as the CLI reads it and as the library is called with it.
+@pytest.mark.parametrize(
+    "args, library_call",
+    [
+        (["solve", "--tol", "0"], lambda: run(gen_experiment2(2), 0.0)),
+        (["solve", "--tol", "nan"], lambda: run(gen_experiment2(2), float("nan"))),
+        (["dae", "--tol", "0"], lambda: dae_constraint_chain(LinearDAE(**_SHIFT), 0.0)),
+        (["dae", "--tol", "nan"], lambda: dae_constraint_chain(LinearDAE(**_SHIFT), float("nan"))),
+        (_SWEEP + ["1e-9", "--tol", "0"], lambda: run_sweep(2, [3], [1e-9], 0.0)),
+        (_SWEEP + ["1e-9", "--tol", "nan"], lambda: run_sweep(2, [3], [1e-9], float("nan"))),
+        (_SWEEP + ["1e-9", "--seed", "-1"], lambda: run_sweep(2, [3], [1e-9], 1e-6, seed=-1)),
+        (["sweep", "--family", "2", "--n", "0", "--deltas", "1e-9"],
+         lambda: run_sweep(2, [0], [1e-9], 1e-6)),
+        (["sweep", "--family", "1", "--n", "1", "--deltas", "1e-9"],
+         lambda: run_sweep(1, [1], [1e-9], 1e-6)),
+        # argparse reads a lone "-1e-9" as an option, so the value is attached.
+        (_SWEEP[:-1] + ["--deltas=-1e-9"], lambda: run_sweep(2, [3], [-1e-9], 1e-6)),
+        (_SWEEP + ["nan"], lambda: run_sweep(2, [3], [float("nan")], 1e-6)),
+        (_SWEEP + ["1e-9", "--trials", "0"], lambda: run_sweep(2, [3], [1e-9], 1e-6, trials=0)),
+        (["sweep", "--family", "9", "--n", "3", "--deltas", "1e-9"],
+         lambda: run_sweep(9, [3], [1e-9], 1e-6)),
+    ],
+    ids=["solve-tol-0", "solve-tol-nan", "dae-tol-0", "dae-tol-nan", "sweep-tol-0",
+         "sweep-tol-nan", "seed-negative", "size-0", "size-below-family-1",
+         "delta-negative", "delta-nan", "trials-0", "family-9"],
+)
+def test_a_bad_argument_value_is_the_librarys_usage_error(
+    tmp_path, capsys, monkeypatch, args, library_call
+):
+    expected = f"error: {_library_error(library_call)}\n"
+
+    def untouched(*args, **kwargs):
+        raise AssertionError("a file was read or a run started before the arguments were checked")
+
+    for name in ("cli._read_json", "cli.run", "cli.dae_constraint_chain", "experiments.run"):
+        monkeypatch.setattr(f"singular_lq.{name}", untouched)
+    if args[0] == "solve":
+        args = args + [_write_problem(tmp_path / "p.json", gen_experiment2(2))]
+    elif args[0] == "dae":
+        path = tmp_path / "dae.json"
+        path.write_text(json.dumps(_SHIFT))
+        args = args + [str(path)]
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == expected
+
+
+def test_a_bad_tol_is_rejected_before_the_file_is_read(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    for command in ("solve", "dae"):
+        assert main([command, missing, "--tol", "0"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: tol must be positive and finite\n"
 
 
 def test_numerical_failure_exit_code(tmp_path, capsys, monkeypatch):
@@ -364,7 +441,7 @@ def test_sweep_rejects_a_negative_seed_before_any_run(capsys, monkeypatch):
         assert main(args) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "error: argument --seed: -1 is negative" in captured.err
+        assert captured.err == "error: seed must be a non-negative integer, got -1\n"
 
 
 def test_sweep_rejects_a_size_below_the_familys_smallest_before_any_run(capsys, monkeypatch):

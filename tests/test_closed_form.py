@@ -183,7 +183,23 @@ def test_theorem2_selector_validation(monkeypatch):
     for k in (2.5, "2", None, True):
         with pytest.raises(ValueError, match="^k must be an integer of at least 1"):
             theorem2_blocks(problem, result.selectors, k)
-    for selector in (np.eye(5), np.ones(1), np.float64(1.0), np.ones((1, 1, 1))):
-        with pytest.raises(ValueError, match="selectors inconsistent with k"):
+    with pytest.raises(ValueError, match="selectors inconsistent with k"):
+        theorem2_blocks(problem, [np.eye(5)], 2)
+    for selector in (np.ones(1), np.float64(1.0), np.ones((1, 1, 1))):
+        with pytest.raises(ValueError, match=r"^selector 1 must be a 2-d matrix, got shape"):
             theorem2_blocks(problem, [selector], 2)
 
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_theorem2_rejects_a_non_finite_selector_before_any_product(monkeypatch, bad):
+    problem = gen_experiment2(3)
+    selectors = [sel.copy() for sel in run(problem, tol=1e-6).selectors]
+    selectors[-1][0, 0] = bad
+
+    def no_closed_form(*args, **kwargs):
+        raise AssertionError("a tilde block was formed before the selectors were checked")
+
+    monkeypatch.setattr(closed_form, "tilde_closed_form", no_closed_form)
+    k = len(selectors) + 1
+    with pytest.raises(ValueError, match=f"^selector {k - 1} contains non-finite entries$"):
+        theorem2_blocks(problem, selectors, k)

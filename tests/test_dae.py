@@ -237,6 +237,24 @@ def test_weierstrass_spec_validation():
             WeierstrassSpec(W=np.eye(1), Nnil=np.eye(3, k=1), nu=nu, **ok)
 
 
+def test_random_weierstrass_spec_checks_its_arguments_before_drawing():
+    rng = np.random.default_rng(3)
+    state = rng.bit_generator.state
+    for name, value in (("d_max", 0), ("d_max", 2.5), ("d_max", True), ("q_max", 0),
+                        ("q_max", None), ("nu_max", -1), ("nu_max", 1.0),
+                        ("max_cond", np.inf), ("max_cond", np.nan), ("max_cond", 0.5)):
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            random_weierstrass_spec(rng, **{name: value})
+    assert rng.bit_generator.state == state
+    # The smallest valid values, and numpy integers, still draw.
+    spec = random_weierstrass_spec(rng, d_max=1, q_max=1, nu_max=0, max_cond=1)
+    assert (spec.W.shape, spec.Nnil.shape, spec.nu) == ((1, 1), (1, 1), 0)
+    first, second = np.random.default_rng(4), np.random.default_rng(4)
+    drawn = random_weierstrass_spec(first, d_max=np.int64(3), max_cond=np.float64(10.0))
+    again = random_weierstrass_spec(second, d_max=3, max_cond=10.0)
+    assert all(np.array_equal(getattr(drawn, f), getattr(again, f)) for f in ("W", "Nnil", "E", "F"))
+
+
 @pytest.mark.parametrize(
     "item, nu, d", [(67, 59, 27), (91, 53, 30), (306, 54, 30), (352, 56, 28)]
 )

@@ -267,6 +267,18 @@ def test_perturb_rejects_a_matrix_that_is_not_2d_before_drawing(M):
     assert rng.bit_generator.state == state
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_perturb_rejects_a_non_finite_matrix_before_drawing(bad):
+    M = np.eye(3)
+    M[1, 2] = bad
+    rng = np.random.default_rng(7)
+    state = rng.bit_generator.state
+    for delta in (0.0, 1e-3):
+        with pytest.raises(ValueError, match=r"^M contains non-finite entries$"):
+            perturb(M, delta, rng)
+    assert rng.bit_generator.state == state
+
+
 @pytest.mark.parametrize("shape", [(0, 3), (3, 0)])
 def test_perturb_of_an_empty_matrix_is_a_copy(shape):
     # An empty direction has norm 0 and cannot be scaled to a drawn
