@@ -38,13 +38,14 @@ place, ``_count``. ``_svd_rank`` feeds it values alone from LAPACK, and
 shape, one row included. It divides :func:`run`'s rho when its norm is
 above tol, :func:`svd_split`'s and the DAE chain's A_k, and, on M', gives
 every SVD null basis (``_null_basis``).
-From the primary block on, the row filter carries phi's rows and a QR
-factor of them, which starts empty and only grows; every diagonal entry
-of its R is positive. Each rank decision is one of two kinds, both made
-projected off phi's basis. A block of several rows is factored by
-CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto, ScalA 2014;
-Yamamoto et al., ETNA 44, 2015): two Gram products and two Choleskys,
-which hand over R^-1 = R1^-1 R2^-1 with no Householder QR. Its guard
+From the primary block on, the row filter carries a QR factor of phi's
+rows, which starts empty and only grows, and a list of the row arrays it
+kept: views of the levels' blocks, gathered into phi once, at the end.
+Every diagonal entry of its R is positive. Each rank decision is one of
+two kinds, both made projected off phi's basis. A block of several rows
+is factored by CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto,
+ScalA 2014; Yamamoto et al., ETNA 44, 2015): two Gram products and two
+Choleskys, which hand over R^-1 = R1^-1 R2^-1 with no Householder QR. Its guard
 rejects the block when the first Cholesky fails, when a step overflows,
 divides by zero or makes a NaN, or when the first pass lost
 orthogonality, ||Q1' Q1 - I||_F > 1e-2 (``_LOSS_CUT``), the regime past
@@ -224,31 +225,43 @@ def _split(M: np.ndarray, tol: float, relative: bool) -> SvdSplit:
 
 
 class _RowFactor:
-    """Rows of full row rank with Q' and R^-1 of their thin QR rows' = Q R.
+    """Q' and R^-1 of the thin QR rows' = Q R of rows of full row rank, and those rows.
 
     The factor starts with no rows for a given width and grows only by
     :meth:`extend`, up to ``capacity`` rows: the caller's bound on the rank,
-    at most the width, since the rows keep full row rank. ``rows``, ``qt``
-    and ``inv_r`` are views of buffers allocated once at that capacity, so
-    appending k rows writes only them and k new columns of Q and R^-1. The
-    rows' and R^-1's Frobenius norms are carried along, so the certificate
-    re-reads neither.
+    at most the width, since the rows keep full row rank. ``qt`` and
+    ``inv_r`` are views of buffers allocated once at that capacity, so
+    appending k rows writes only k new columns of Q and R^-1. The rows are
+    not copied: ``kept`` records each appended row array as it was passed
+    (in :func:`run`, views of its blocks), and :attr:`rows` gathers them
+    into one new array. The rows' and R^-1's Frobenius norms are carried
+    along, so the certificate re-reads neither.
     """
 
     def __init__(self, width: int, capacity: int):
-        self._rows, self._qt = np.empty((capacity, width)), np.empty((capacity, width))
-        self._inv_r = np.zeros((capacity, capacity))
-        self.rows, self.qt, self.inv_r = self._rows[:0], self._qt[:0], self._inv_r[:0, :0]
+        self._qt, self._inv_r = np.empty((capacity, width)), np.zeros((capacity, capacity))
+        self.qt, self.inv_r = self._qt[:0], self._inv_r[:0, :0]
+        self.kept: list[np.ndarray] = []
         self.norm = self.inv_norm = 0.0
+
+    @property
+    def rank(self) -> int:
+        """The number of kept rows, which is their rank."""
+        return self.qt.shape[0]
+
+    @property
+    def rows(self) -> np.ndarray:
+        """The kept rows, stacked into a new (rank, width) array."""
+        return np.concatenate(self.kept) if self.kept else np.empty((0, self._qt.shape[1]))
 
     def extend(self, rows: np.ndarray, qt: np.ndarray, tail: np.ndarray, g: np.ndarray,
                norm: float, tail_norm: float) -> None:
         """Append rows with Q' rows qt and grown norm ``norm``; R^-1 gains [-g tail; tail]."""
-        c, k = self.rows.shape[0], rows.shape[0]
+        c, k = self.rank, rows.shape[0]
         off = -g @ tail
-        self._rows[c : c + k], self._qt[c : c + k] = rows, qt
+        self._qt[c : c + k] = qt
         self._inv_r[:c, c : c + k], self._inv_r[c : c + k, c : c + k] = off, tail
-        self._grow(k, norm, _frobenius(off), tail_norm)
+        self._grow(rows, norm, _frobenius(off), tail_norm)
 
     def extend_row(self, row: np.ndarray, projected: np.ndarray, beta: float, g: np.ndarray,
                    g_norm: float, norm: float) -> None:
@@ -259,17 +272,17 @@ class _RowFactor:
         -g / beta formed as g times -(1 / beta), as :meth:`extend` forms -g
         tail. Its norm is taken from ``g_norm`` = ||g||_F, as ||g|| / beta.
         """
-        c, inv = self.rows.shape[0], 1.0 / beta
-        self._rows[c : c + 1] = row
+        c, inv = self.rank, 1.0 / beta
         np.divide(projected, beta, out=self._qt[c : c + 1])
         np.multiply(g, -inv, out=self._inv_r[:c, c : c + 1])
         self._inv_r[c, c] = inv
-        self._grow(1, norm, g_norm / beta, inv)
+        self._grow(row, norm, g_norm / beta, inv)
 
-    def _grow(self, k: int, norm: float, *inv_norms: float) -> None:
-        """Take k more rows into the views; R^-1's norm grows by its new blocks' norms."""
-        c = self.rows.shape[0] + k
-        self.rows, self.qt, self.inv_r = self._rows[:c], self._qt[:c], self._inv_r[:c, :c]
+    def _grow(self, rows: np.ndarray, norm: float, *inv_norms: float) -> None:
+        """Keep rows and take them into the views; R^-1's norm grows by its new blocks' norms."""
+        self.kept.append(rows)
+        c = self.rank + rows.shape[0]
+        self.qt, self.inv_r = self._qt[:c], self._inv_r[:c, :c]
         self.norm = norm
         self.inv_norm = math.hypot(self.inv_norm, *inv_norms)
 
@@ -350,7 +363,7 @@ def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
     then noise along Q, counted only because tol is below the SVD's
     rounding.
     """
-    c, (k, width) = factor.rows.shape[0], M.shape
+    c, (k, width) = factor.rank, M.shape
     basis_t = factor.qt
     coef = M @ basis_t.T
     projected = M - coef @ basis_t
@@ -380,7 +393,7 @@ def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
     if s > tol:
         inv_low += grow / s
     if inv_low >= cut or tol - slack < s <= tol:
-        if _svd_rank(np.vstack([factor.rows, M]), tol) <= c:
+        if _svd_rank(np.vstack([*factor.kept, M]), tol) <= c:
             return False
         projected -= (projected @ basis_t.T) @ basis_t
         beta = _frobenius(projected)
@@ -405,8 +418,8 @@ def _independent_rows_array(M: np.ndarray, tol: float, factor: _RowFactor) -> _R
 
     A block of several rows is appended whole when :func:`_appended`
     certifies that every row adds rank; otherwise, and for a single row,
-    each row is decided on its own. The returned factor's rows are views
-    of its buffers.
+    each row is decided on its own. The factor keeps views of M's rows,
+    not copies.
     """
     if len(M) == 1:
         _appended(M, tol, factor)
@@ -421,7 +434,7 @@ def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:
     rows = _checked(phi.rows, tol, "phi")
     factor = _RowFactor(rows.shape[1], min(rows.shape))
     rows = _independent_rows_array(rows, tol, factor).rows
-    return ConstraintMatrix(rows=rows.copy(), n=phi.n, m=phi.m)
+    return ConstraintMatrix(rows=rows, n=phi.n, m=phi.m)
 
 
 def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
@@ -454,7 +467,7 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
         while True:
             blocks.append(block)
             rows = block.rows.shape[0]
-            phi_rank = _independent_rows_array(block.rows, tol, factor).rows.shape[0]
+            phi_rank = _independent_rows_array(block.rows, tol, factor).rank
             # s_1 <= ||rho||_F, so a rho within tol in norm has rank 0 unsplit.
             split = _split(block.rho, tol, False) if _frobenius(block.rho) > tol else None
             rank = split.rank if split else 0
@@ -480,9 +493,11 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
                 selectors.append(np.eye(rows))
             block = ConstraintMatrix(deriv, problem.n, problem.m)
 
-    # phi and its basis are views of the factor's buffers: keep compact copies.
+    # R^-1 is done with: free its buffer before phi is gathered from the
+    # blocks and its basis, a view of the Q' buffer, is copied out compact.
+    factor.inv_r = factor._inv_r = None
     return AlgorithmResult(
-        phi=ConstraintMatrix(rows=factor.rows.copy(), n=problem.n, m=problem.m),
+        phi=ConstraintMatrix(rows=factor.rows, n=problem.n, m=problem.m),
         steps=max(len(blocks) - stalled, 1),
         halt_reason=STAGNATION if stalled and rank < prev_rows else FEEDBACK,
         rank_history=rank_history,

@@ -2,7 +2,9 @@
 
 The parser only reads argument syntax. The values of ``--tol``,
 ``--seed``, ``--family``, ``--n``, ``--deltas`` and ``--trials`` are
-checked by the library, before any file is read or any run starts.
+checked by the library, before any file is read or any run starts. A
+negative value may follow its option as a separate argument, as in
+``--tol -1e-6``.
 
 Exit codes: 0 success, 1 usage error (among them a bad argument value
 and a ``sweep --out`` path that cannot be written), 2 unreadable or
@@ -19,6 +21,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from math import inf, isclose, log10
 from pathlib import Path
@@ -48,6 +51,15 @@ class InputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads an argument that starts with a dash as an option
+        # unless it looks like a negative number, and on Python 3.10 and 3.11
+        # that pattern has no exponent, so "--tol -1e-6" took "-1e-6" for an
+        # option. This is newer argparse's pattern: a dash, then a digit or
+        # a point and a digit.
+        self._negative_number_matcher = re.compile(r"-\.?\d")
+
     # argparse exits with 2 on usage errors; this tool reserves 2 for bad
     # input files, so remap.
     def error(self, message):

@@ -192,6 +192,42 @@ def _compared(result, row_side: bool) -> Subspace:
     return Subspace(result.row_basis if row_side else final_submanifold(result))
 
 
+def _size_records(family: int, n: int, deltas, tol: float, trials: int, seed: int):
+    """The records of one size, in (delta, trial) order; every array of the size dies on return."""
+    problem = _exact_problem(family, n, seed)
+    exact = run(problem, tol)
+    # One side per size, so every perturbed run meets the exact one there.
+    row_side = 2 * exact.codim < exact.phi.width
+    codim, exact_steps, exact_space = exact.codim, exact.steps, _compared(exact, row_side)
+    # Only these outlive the exact run's result, which goes before any perturbed run.
+    del exact
+    records = []
+    for delta in deltas:
+        for trial in range(trials):
+            rng = _cell_rng(seed, family, n, delta, trial)
+            result = run(_perturbed_problem(family, problem, delta, rng), tol)
+            alpha: float | None = None
+            if result.codim == codim:
+                alpha = max_principal_angle(exact_space, _compared(result, row_side))
+            records.append(
+                ExperimentRecord(
+                    family=family,
+                    n=n,
+                    delta=delta,
+                    tol=tol,
+                    seed=seed,
+                    trial=trial,
+                    exact_steps=exact_steps,
+                    steps=result.steps,
+                    codim=result.codim,
+                    alpha=alpha,
+                )
+            )
+            # Free this run's blocks and phi before the next run builds its own.
+            del result
+    return records
+
+
 def run_sweep(
     family: int,
     sizes,
@@ -213,6 +249,12 @@ def run_sweep(
     (``mismatch``) exactly when its codim differs from the exact run's,
     and then no basis is formed for it. Records come in (n, delta, trial)
     order. Every argument is checked before the first run.
+
+    At most one run's result is alive at a time. Of the exact run, the
+    sweep keeps only its codim, its steps and the compared ``Subspace``,
+    and drops its result before the size's first perturbed run; each
+    perturbed result is dropped once its record is made, and a size's
+    problem and exact side before the next size is generated.
     """
     if not (_is_count(family, 1) and family in _SMALLEST_N):
         raise ValueError(f"family must be one of {sorted(_SMALLEST_N)}, got {family!r}")
@@ -232,34 +274,7 @@ def run_sweep(
 
     records = []
     for n in sizes:
-        problem = _exact_problem(family, n, seed)
-        exact = run(problem, tol)
-        # One side per size, so every perturbed run meets the exact one there.
-        row_side = 2 * exact.codim < exact.phi.width
-        exact_space = _compared(exact, row_side)
-        for delta in deltas:
-            for trial in range(trials):
-                rng = _cell_rng(seed, family, n, delta, trial)
-                result = run(_perturbed_problem(family, problem, delta, rng), tol)
-                alpha: float | None = None
-                if result.codim == exact.codim:
-                    alpha = max_principal_angle(exact_space, _compared(result, row_side))
-                records.append(
-                    ExperimentRecord(
-                        family=family,
-                        n=n,
-                        delta=delta,
-                        tol=tol,
-                        seed=seed,
-                        trial=trial,
-                        exact_steps=exact.steps,
-                        steps=result.steps,
-                        codim=result.codim,
-                        alpha=alpha,
-                    )
-                )
-                # Free this run's blocks and phi before the next run builds its own.
-                del result
+        records.extend(_size_records(family, n, deltas, tol, trials, seed))
     return records
 
 

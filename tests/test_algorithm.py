@@ -7,6 +7,7 @@ shared rounding artifact.
 
 import contextlib
 import operator
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -488,13 +489,14 @@ def test_row_filter_drops_the_factor_when_part_of_a_block_adds_rank():
 
 def test_grown_factor_spans_phi_and_inverts_its_r(monkeypatch):
     # Family 3 at n = 100 appends one row a level to a factor that starts
-    # empty at the primary block. Its buffers are allocated once, at the
-    # run's width 2n + 1 = 201, and never regrown.
+    # empty at the primary block. Its Q' and R^-1 buffers are allocated
+    # once, at the run's width 2n + 1 = 201, and never regrown. The run
+    # frees R^-1's buffer before it returns, so the spy holds on to both.
     factors = []
 
     def spy(M, tol, factor):
         out = _appended(M, tol, factor)
-        factors.append((factor, factor._rows, factor._qt, factor._inv_r))
+        factors.append((factor, factor._qt, factor._inv_r))
         return out
 
     monkeypatch.setattr("singular_lq.algorithm._appended", spy)
@@ -504,17 +506,52 @@ def test_grown_factor_spans_phi_and_inverts_its_r(monkeypatch):
         result = run(problem, 1e-6)
         factor, *buffers = factors[-1]
         assert all(f is factor and all(map(operator.is_, b, buffers)) for f, *b in factors)
-        assert [b.shape for b in buffers] == [(201, 201)] * 3
+        assert [b.shape for b in buffers] == [(201, 201)] * 2
+        assert factor.inv_r is None
+        qt, inv_r = buffers[0][:100], buffers[1][:100, :100]
         basis, rows = result.row_basis, result.phi.rows
         assert result.codim == 100 and basis.shape == (201, 100)
         assert np.abs(basis.T @ basis - np.eye(100)).max() <= 1e-14
         reference = Subspace(np.linalg.qr(rows.T)[0])
         assert max_principal_angle(Subspace(basis), reference) <= 1e-12
-        assert np.abs(factor.inv_r @ (basis.T @ rows.T) - np.eye(100)).max() <= 1e-12
+        assert np.abs(inv_r @ (basis.T @ rows.T) - np.eye(100)).max() <= 1e-12
         # The result owns compact copies, not views of the factor's buffers.
         for array in (basis, rows):
             assert array.base is None and array.flags.c_contiguous
-        assert np.array_equal(rows, factor.rows) and np.array_equal(basis, factor.qt.T)
+        assert np.array_equal(rows, factor.rows) and np.array_equal(basis, qt.T)
+        # The factor kept views of the blocks' rows, not copies of them.
+        assert all(any(np.shares_memory(k, b.rows) for b in result.blocks) for k in factor.kept)
+
+
+def _held_bytes(result) -> int:
+    """Bytes of the arrays a run's result keeps alive, each view counted once, by its base."""
+    arrays = [result.phi.rows, result.row_basis, *result.selectors]
+    arrays += [block.rows for block in result.blocks]
+    arrays += [a for pf in result.partial_feedback for a in (pf.rate, pf.drift)]
+    bases = {}
+    for array in arrays:
+        while array.base is not None:
+            array = array.base
+        bases[id(array)] = array.nbytes
+    return sum(bases.values())
+
+
+def test_run_peaks_within_a_multiple_of_what_its_result_holds():
+    # Family 1 at n = 100: three blocks of 100, 99 and 99 rows, width 300,
+    # and phi of 298 rows. Past its result, the run holds the row filter's
+    # Q' and R^-1 buffers and one level's temporaries; phi is gathered from
+    # the blocks only after R^-1's buffer is freed. The traced peak reads
+    # 1.46 times the result's bytes; a filter that copies each kept row
+    # into a buffer of its own reads 1.95.
+    problem = _exact_problem(1, 100, 0)
+    tracemalloc.start()
+    try:
+        result = run(problem, 1e-6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert result.codim == 298
+    assert peak <= 1.7 * _held_bytes(result)
 
 
 @pytest.mark.parametrize("gap", [1.0, 1e-12])

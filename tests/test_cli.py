@@ -183,7 +183,11 @@ def test_a_file_that_is_not_utf8_is_an_input_error(tmp_path, capsys):
 def test_usage_errors(tmp_path, capsys):
     path = _write_problem(tmp_path / "p.json", gen_experiment2(2))
     assert main(["solve", path, "--tol", "0"]) == 1
+    capsys.readouterr()
+    # The separate "-1e-6" is the value of --tol, which the library rejects.
     assert main(["solve", path, "--tol", "-1e-6"]) == 1
+    expected = _library_error(lambda: run(gen_experiment2(2), -1e-6))
+    assert capsys.readouterr().err == f"error: {expected}\n"
     for bad in ("nan", "inf"):
         assert main(["solve", path, "--tol", bad]) == 1
         assert main(["dae", path, "--tol", bad]) == 1
@@ -220,8 +224,12 @@ _SHIFT = {"A": np.eye(2, k=1).tolist(), "B": np.eye(2).tolist()}
          lambda: run_sweep(2, [0], [1e-9], 1e-6)),
         (["sweep", "--family", "1", "--n", "1", "--deltas", "1e-9"],
          lambda: run_sweep(1, [1], [1e-9], 1e-6)),
-        # argparse reads a lone "-1e-9" as an option, so the value is attached.
         (_SWEEP[:-1] + ["--deltas=-1e-9"], lambda: run_sweep(2, [3], [-1e-9], 1e-6)),
+        # A negative value in its own argument is still the option's value.
+        (["solve", "--tol", "-1e-6"], lambda: run(gen_experiment2(2), -1e-6)),
+        (["dae", "--tol", "-1e-9"], lambda: dae_constraint_chain(LinearDAE(**_SHIFT), -1e-9)),
+        (_SWEEP + ["-1e-9"], lambda: run_sweep(2, [3], [-1e-9], 1e-6)),
+        (_SWEEP + ["-1e-9,1e-8"], lambda: run_sweep(2, [3], [-1e-9, 1e-8], 1e-6)),
         (_SWEEP + ["nan"], lambda: run_sweep(2, [3], [float("nan")], 1e-6)),
         (_SWEEP + ["1e-9", "--trials", "0"], lambda: run_sweep(2, [3], [1e-9], 1e-6, trials=0)),
         (["sweep", "--family", "9", "--n", "3", "--deltas", "1e-9"],
@@ -229,7 +237,9 @@ _SHIFT = {"A": np.eye(2, k=1).tolist(), "B": np.eye(2).tolist()}
     ],
     ids=["solve-tol-0", "solve-tol-nan", "dae-tol-0", "dae-tol-nan", "sweep-tol-0",
          "sweep-tol-nan", "seed-negative", "size-0", "size-below-family-1",
-         "delta-negative", "delta-nan", "trials-0", "family-9"],
+         "delta-negative", "solve-tol-negative-apart", "dae-tol-negative-apart",
+         "delta-negative-apart", "delta-list-negative-apart", "delta-nan", "trials-0",
+         "family-9"],
 )
 def test_a_bad_argument_value_is_the_librarys_usage_error(
     tmp_path, capsys, monkeypatch, args, library_call

@@ -1,5 +1,8 @@
 """Problem families, perturbation rules, sweep records, slope fits."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -142,6 +145,25 @@ def test_run_sweep_records_regenerate_bit_for_bit():
     assert len(first) == 4
     assert [(r.delta, r.trial) for r in first] == [(1e-8, 0), (1e-8, 1), (1e-6, 0), (1e-6, 1)]
     assert all(r.exact_steps == 3 and r.family == 2 and r.n == 4 for r in first)
+
+
+def test_run_sweep_keeps_no_earlier_run_alive(monkeypatch):
+    # A sweep holds one run's result at a time: the exact run's is dropped
+    # before its size's first perturbed run, and each perturbed run's once
+    # its record is made. Family 1 at two sizes, two deltas and two trials.
+    original, results = experiments.run, []
+
+    def watched(problem, tol):
+        gc.collect()
+        alive = sum(ref() is not None for ref in results)
+        assert not alive, f"{alive} earlier results alive when run {len(results) + 1} starts"
+        result = original(problem, tol)
+        results.append(weakref.ref(result))
+        return result
+
+    monkeypatch.setattr(experiments, "run", watched)
+    records = run_sweep(1, [3, 5], [1e-9, 1e-6], 1e-6, trials=2)
+    assert len(records) == 8 and len(results) == 2 * (1 + 4)
 
 
 def test_run_sweep_validation(monkeypatch):
