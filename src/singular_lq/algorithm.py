@@ -22,6 +22,21 @@ derivatives are determined), and counts max(levels - stalled, 1) steps.
 Comparing r with the previous level's row count is the published loop's
 quirk, kept as it is.
 
+A one-row level of rank 0, as every level of family 3 is, can only stop
+when its row adds no rank, and its derivative is the next block as it
+is. So :func:`run` derives ahead while each next level is again one row
+with a rho within tol in norm, up to ``_BATCH`` levels and the width phi
+has left, and offers the stacked rows to the row filter as one block.
+Appended whole, the block's certificate puts the stacked values above
+tol, and by interlacing every prefix's smallest value too, so each level
+kept its row as it would have alone and went on: each is recorded as
+one level at a time records it, its block a view of the stack. Declined,
+the levels run one at a time, with the derivatives already taken. A
+derivative that overflows while taken ahead ends the lookahead at the
+level it was taken for, and an overflow inside the block's filter
+declines the block, so the run raises only where one level at a time
+does.
+
 Rank conventions. The standalone :func:`numerical_rank` and
 :func:`svd_split` use the relative rule ``s_i > tol * s_1``, which is scale
 invariant and what the split residual bound is stated against, and so
@@ -45,7 +60,9 @@ Every diagonal entry of its R is positive. Each rank decision is one of
 two kinds, both made projected off phi's basis. A block of several rows
 is factored by CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto,
 ScalA 2014; Yamamoto et al., ETNA 44, 2015): two Gram products and two
-Choleskys, which hand over R^-1 = R1^-1 R2^-1 with no Householder QR. Its guard
+Choleskys, which hand over R^-1 = R1^-1 R2^-1 with no Householder QR; each
+row of its Q' is then divided by its own norm, as a single row's q is,
+and R^-1's columns by the same norms. Its guard
 rejects the block when the first Cholesky fails, when a step overflows,
 divides by zero or makes a NaN, or when the first pass lost
 orthogonality, ||Q1' Q1 - I||_F > 1e-2 (``_LOSS_CUT``), the regime past
@@ -58,8 +75,9 @@ guard rejects, or the certificate declines, has its rows ranked one at
 a time, like a one-row block: the row's R is the norm beta of its
 projection P, with no LAPACK call, and the stacked SVD of [phi; row]
 decides instead whenever a derived bound cannot certify it. No SVD of a
-block or of its R is taken. A one-row block goes to the one-row decision
-as it is. Rows are appended by Gram-Schmidt with reorthogonalisation; a
+block or of its R is taken. A one-row block that :func:`run` could not
+stack with the levels after it goes to the one-row decision as it is.
+Rows are appended by Gram-Schmidt with reorthogonalisation; a
 single row is written straight into the factor's buffers, its q = P /
 beta and an R^-1 column ending in 1 / beta, with no matrix product.
 Bases that decide no rank are not SVDs: the row filter leaves phi with
@@ -99,6 +117,9 @@ _EPS = np.finfo(float).eps
 # The largest loss of orthogonality ||Q1' Q1 - I||_F of CholeskyQR2's first
 # pass that the second pass is trusted to repair (:func:`_cholesky_qr2`).
 _LOSS_CUT = 1e-2
+# The most one-row, rank-0 levels :func:`run` offers the row filter as one
+# block (README, Performance: 16 ran a family-3 stream fastest).
+_BATCH = 16
 
 
 @dataclass(frozen=True)
@@ -300,7 +321,11 @@ def _cholesky_qr2(P: np.ndarray):
     R1^-T P, then R2' R2 = Q1' Q1 and Q' = R2^-T Q1', so R = R2 R1 and R^-1 =
     R1^-1 R2^-1. Each pass is one Gram product, one Cholesky, one inverse
     of its triangular factor and one product, and the second makes Q
-    orthonormal to rounding while cond(P) is below about eps^-1/2. R's
+    orthonormal to rounding while cond(P) is below about eps^-1/2. Each
+    row of Q' is then divided by its own norm, as a single row's q = P /
+    beta is, and each column of R^-1 by the same norm, so Q R is still P'
+    and the rows' norms are 1 to rounding (on exact family 3 at n = 100
+    this halves the row basis's distance from orthonormality). R's
     diagonal is positive, as the Choleskys' are. P is rejected when the
     first Cholesky fails, when any step overflows, divides by zero or makes
     a NaN, or when the first pass lost orthogonality: ||Q1' Q1 - I||_F,
@@ -317,7 +342,13 @@ def _cholesky_qr2(P: np.ndarray):
                 return None
             again = np.linalg.cholesky(gram)
             inv_second = np.linalg.inv(again.T)
-            return inv_second.T @ qt, inv_first @ inv_second
+            qt, inv_r = inv_second.T @ qt, inv_first @ inv_second
+            # Each row of Q' divided by its own norm, as a single row's q = P /
+            # beta is, and R^-1's columns by the same norms: Q R is unchanged.
+            norms = np.sqrt(np.einsum("ij,ij->i", qt, qt))
+            qt /= norms[:, None]
+            inv_r /= norms
+            return qt, inv_r
     except (np.linalg.LinAlgError, FloatingPointError):
         return None
 
@@ -437,6 +468,44 @@ def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:
     return ConstraintMatrix(rows=rows, n=phi.n, m=phi.m)
 
 
+def _rank_zero_levels(row: np.ndarray, problem: LQProblem, tol: float, limit: int):
+    """The rows of the one-row, rank-0 levels from ``row`` on, up to ``limit``, and the derivative after them.
+
+    Each row is the derivative of the one before, taken ahead while it has
+    a rho within tol in norm. Returns those rows, ``row`` first, and a list
+    that holds the derivative which ended the run when one was taken: the
+    next level's row, whose rho is above tol. A derivative that overflows
+    or makes a NaN ends the run at the level it was taken for, with
+    nothing after it, so the level raises only if the recursion reaches it.
+    """
+    level_rows = [row]
+    try:
+        while len(level_rows) < limit:
+            deriv = _derivative(ConstraintMatrix(level_rows[-1], problem.n, problem.m), problem)
+            if _frobenius(deriv[:, 2 * problem.n :]) > tol:
+                return level_rows, [deriv]
+            level_rows.append(deriv)
+    except FloatingPointError:
+        pass
+    return level_rows, []
+
+
+def _batch_appended(level_rows: list[np.ndarray], tol: float, factor: _RowFactor):
+    """The stacked rows when there are several and :func:`_appended` takes them as one block, else None.
+
+    The factor then keeps the stack whole. An overflow or NaN inside the
+    block's factorisation declines it, like any other decline: its rows
+    are then ranked level by level, where the recursion may stop first.
+    """
+    if len(level_rows) < 2:
+        return None
+    stack = np.concatenate(level_rows)
+    try:
+        return stack if _appended(stack, tol, factor) else None
+    except FloatingPointError:
+        return None
+
+
 def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     """Run the constraint recursion on a validated problem.
 
@@ -454,28 +523,55 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     least 1 (a problem with no effective constraints stabilizes at the
     first level). A level whose arithmetic overflows or makes a NaN raises
     ``FloatingPointError``.
+
+    A one-row level whose rho is within tol in norm first takes the levels
+    after it that are again such levels, up to ``_BATCH`` in all, and
+    offers their stacked rows to the row filter as one block; see the
+    module docstring. Appended whole, every level is recorded as the body
+    records it, (0, rank of phi) in ``rank_history`` and the identity
+    selector, with its block a view of the stack; declined, each level
+    goes through the body, with the derivatives already taken.
     """
     _check_tol(tol)
-    width = 2 * problem.n + problem.m
+    n, m = problem.n, problem.m
+    width = 2 * n + m
     block, factor = primary_constraint(problem), _RowFactor(width, width)
-    prev_rows, prev_rank = problem.m, 0
+    prev_rows, prev_rank = m, 0
     blocks: list[ConstraintMatrix] = []
     rank_history: list[tuple[int, int]] = []
     feedbacks: list[PartialFeedback] = []
     selectors: list[np.ndarray] = []
+    ahead: list[np.ndarray] = []  # derivatives taken ahead: the next levels' rows, in order
     with np.errstate(over="raise", invalid="raise"):
         while True:
-            blocks.append(block)
             rows = block.rows.shape[0]
-            phi_rank = _independent_rows_array(block.rows, tol, factor).rank
             # s_1 <= ||rho||_F, so a rho within tol in norm has rank 0 unsplit.
-            split = _split(block.rho, tol, False) if _frobenius(block.rho) > tol else None
+            unsplit = _frobenius(block.rho) <= tol
+            if unsplit and rows == 1 and not ahead:
+                level_rows, ahead = _rank_zero_levels(block.rows, problem, tol,
+                                                      min(_BATCH, width - factor.rank))
+                stack = _batch_appended(level_rows, tol, factor)
+                if stack is not None:
+                    # Each prefix of the stack keeps its rows too (interlacing):
+                    # every level kept its row and went on, as one level at a time.
+                    k = len(stack)
+                    blocks += [ConstraintMatrix(stack[i : i + 1], n, m) for i in range(k)]
+                    rank_history += [(0, r) for r in range(factor.rank - k + 1, factor.rank + 1)]
+                    selectors += list(np.ones((k, 1, 1)))
+                    prev_rows, prev_rank = 1, factor.rank
+                    last = ConstraintMatrix(level_rows[-1], n, m)
+                    block = ConstraintMatrix(ahead.pop() if ahead else _derivative(last, problem), n, m)
+                    continue
+                ahead = level_rows[1:] + ahead
+            blocks.append(block)
+            phi_rank = _independent_rows_array(block.rows, tol, factor).rank
+            split = None if unsplit else _split(block.rho, tol, False)
             rank = split.rank if split else 0
             rank_history.append((rank, phi_rank))
             # The level's derivative, split by U': its u_top rows determine part
             # of udot, its u_bottom rows are the next constraint block. At rank 0
             # nothing is determined and the derivative passes on unrotated.
-            deriv = _derivative(block, problem)
+            deriv = ahead.pop(0) if ahead else _derivative(block, problem)
             if rank:
                 feedbacks.append(PartialFeedback(
                     level=len(blocks),
@@ -491,13 +587,13 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
                 deriv = split.u_bottom @ deriv
             else:
                 selectors.append(np.eye(rows))
-            block = ConstraintMatrix(deriv, problem.n, problem.m)
+            block = ConstraintMatrix(deriv, n, m)
 
     # R^-1 is done with: free its buffer before phi is gathered from the
     # blocks and its basis, a view of the Q' buffer, is copied out compact.
     factor.inv_r = factor._inv_r = None
     return AlgorithmResult(
-        phi=ConstraintMatrix(rows=factor.rows, n=problem.n, m=problem.m),
+        phi=ConstraintMatrix(rows=factor.rows, n=n, m=m),
         steps=max(len(blocks) - stalled, 1),
         halt_reason=STAGNATION if stalled and rank < prev_rows else FEEDBACK,
         rank_history=rank_history,

@@ -130,9 +130,27 @@ class ConstraintMatrix:
         return self.rows[:, 2 * self.n :]
 
 
+# Rows per panel of :func:`_asymmetry`: its temporaries hold at most this many rows.
+_PANEL_ROWS = 64
+
+
+def _asymmetry(M: np.ndarray) -> float:
+    """max |M - M'| over the square M, compared one row panel at a time.
+
+    Panel j holds rows j..j+b of M - M' from the diagonal on, so the panels
+    cover every entry on or above the diagonal, and |M - M'| is symmetric
+    bit for bit: the maximum is that of the whole difference, with no
+    full-size temporary.
+    """
+    dev, b = 0.0, _PANEL_ROWS
+    for j in range(0, len(M), b):
+        panel = M[j : j + b, j:] - M[j:, j : j + b].T
+        dev = max(dev, np.abs(panel, out=panel).max(initial=0.0))
+    return dev
+
+
 def _check_symmetry(M: np.ndarray, name: str) -> None:
-    diff = M - M.T  # the only full-size temporary
-    dev = np.abs(diff, out=diff).max(initial=0.0)
+    dev = _asymmetry(M)
     scale = max(1.0, M.max(initial=0.0), -M.min(initial=0.0))
     if dev > 1e-12 * scale:
         raise ValueError(

@@ -1194,6 +1194,126 @@ def test_run_raises_when_a_level_overflows():
     assert (result.steps, result.halt_reason) == (base.steps, base.halt_reason)
 
 
+def _outcome(problem, tol=1e-6):
+    """What run decides and records, with every array as its shape and bytes,
+    or the FloatingPointError it raised."""
+    try:
+        result = run(problem, tol)
+    except FloatingPointError:
+        return FloatingPointError
+    arrays = [result.phi.rows, *(b.rows for b in result.blocks), *result.selectors]
+    return (result.rank_history, result.steps, result.codim, result.halt_reason,
+            [(a.shape, a.tobytes()) for a in arrays])
+
+
+def _batches(monkeypatch):
+    """One entry per block of several levels the lookahead offers the row
+    filter from here on: (phi's rank before it, its rows, whether it was appended)."""
+    original, batches = algorithm._batch_appended, []
+
+    def spy(level_rows, tol, factor):
+        rank, stack = factor.rank, original(level_rows, tol, factor)
+        if len(level_rows) > 1:
+            batches.append((rank, len(level_rows), stack is not None))
+        return stack
+
+    monkeypatch.setattr(algorithm, "_batch_appended", spy)
+    return batches
+
+
+def test_lookahead_changes_no_decision(monkeypatch):
+    # The families, exact and perturbed, and random problems: run with the
+    # lookahead and with one level at a time (_BATCH = 1) records the same
+    # ranks, steps, codim and halt, and the same phi, blocks and selectors
+    # to the byte.
+    rng = np.random.default_rng(151)
+    problems = []
+    for family, n in ((1, 5), (1, 20), (2, 5), (2, 25), (3, 5), (3, 40), (3, 80)):
+        exact = _exact_problem(family, n, 0)
+        problems.append(exact)
+        problems += [_perturbed_problem(family, exact, delta, _cell_rng(2, family, n, delta, trial))
+                     for delta in (1e-9, 1e-5) for trial in range(2)]
+    problems += [make(rng) for make in (uniform_problem, _rank_one_problem) for _ in range(40)]
+    batches = _batches(monkeypatch)
+    ahead = [_outcome(problem, tol) for problem in problems for tol in (1e-6, 1e-9)]
+    monkeypatch.setattr(algorithm, "_BATCH", 1)
+    assert [_outcome(problem, tol) for problem in problems for tol in (1e-6, 1e-9)] == ahead
+    appended = sum(whole for _, _, whole in batches)
+    assert appended >= 50 and len(batches) > appended
+
+
+def test_family3_declines_only_the_batch_that_holds_the_dependent_row(monkeypatch):
+    # Exact family 3 at n = 40: 41 one-row levels of rank 0, whose last row
+    # adds no rank. The lookahead appends levels 1-16 and 17-32 whole; the
+    # batch from level 33 on holds level 41 and is declined, and its levels
+    # are ranked one at a time up to the stall.
+    batches = _batches(monkeypatch)
+    result = run(gen_experiment3(40), 1e-6)
+    assert (result.steps, result.codim, result.halt_reason) == (40, 40, STAGNATION)
+    assert batches == [(0, algorithm._BATCH, True), (16, 16, True), (32, 16, False)]
+    rank, rows, _ = batches[-1]
+    assert rank < len(result.rank_history) <= rank + rows
+    # The appended levels' blocks are views of one stacked array each.
+    for start in (0, 16):
+        stack = result.blocks[start].rows.base
+        assert stack.shape == (16, 81)
+        assert all(block.rows.base is stack for block in result.blocks[start : start + 16])
+
+
+@pytest.mark.parametrize("args, overflows", [
+    # Width 3: the lookahead takes levels 1-3, and level 5's row overflows.
+    (([[1e100]], [[1.0]], [[0.0]], [[0.0]], [[0.0]]), True),
+    # Width 7: level 5's row overflows while the lookahead derives it.
+    ((1e100 * np.eye(3), np.ones((3, 1)), np.zeros((3, 3)), np.zeros((3, 1)), [[0.0]]), True),
+    # Rows of norm 1.5e308: the stack's norm overflows inside the row filter.
+    (([[1.0]], [[1.5e308]], [[0.0]], [[0.0]], [[0.0]]), False),
+])
+def test_lookahead_never_raises_past_the_stall(monkeypatch, args, overflows):
+    # Each problem stalls at level 2, and a level or a stack beyond it
+    # overflows. An overflow while the lookahead derives ends it, and one
+    # while the filter takes the stack declines the stack: the run stops
+    # where one level at a time stops, and raises nothing.
+    problem = validate(*args)
+    result = run(problem)
+    assert (result.steps, result.codim, result.halt_reason) == (1, 1, STAGNATION)
+    assert result.rank_history == [(0, 1), (0, 1)]
+    if overflows:
+        block = result.blocks[-1]
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            for _ in range(3):
+                block = ConstraintMatrix(_derivative(block, problem), problem.n, problem.m)
+    monkeypatch.setattr(algorithm, "_BATCH", 1)
+    assert _outcome(problem) == _outcome(validate(*args))
+
+
+def _scaled_one_row_problem(rng):
+    """m = 1 and R = 0, with entries scaled by up to 1e120: rows that grow
+    by ||A|| a level until they overflow. Two thirds keep rho at zero on
+    every level, as family 3 does: N = B with Q = A + A', or N = Q = 0."""
+    n = int(rng.integers(1, 4))
+    g = lambda *shape: rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(0.0, 120.0)
+    A, B = g(n, n), g(n, 1)
+    kind = rng.integers(3)
+    if kind == 0:
+        Q, N = A + A.T, B.copy()
+    elif kind == 1:
+        Q, N = np.zeros((n, n)), np.zeros((n, 1))
+    else:
+        q = g(n, n)
+        Q, N = q + q.T, g(n, 1)
+    return validate(A, B, Q, N, [[0.0]])
+
+
+def test_lookahead_raises_only_where_one_level_at_a_time_does(monkeypatch):
+    rng = np.random.default_rng(163)
+    problems = [_scaled_one_row_problem(rng) for _ in range(300)]
+    ahead = [_outcome(problem) for problem in problems]
+    monkeypatch.setattr(algorithm, "_BATCH", 1)
+    single = [_outcome(problem) for problem in problems]
+    assert ahead == single
+    assert 10 <= single.count(FloatingPointError) <= 290
+
+
 def test_run_splits_one_derivative_per_level():
     # Each level's derivative, one (c, 2n + m) matrix, is split by U': the
     # u_top rows are the recorded partial feedback, the u_bottom rows the

@@ -1,5 +1,7 @@
 """Problem container, Pontryagin quantities, and the regular-feedback path."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from singular_lq import (
     regular_feedback,
     validate,
 )
-from singular_lq.problem import _derivative
+from singular_lq.problem import _asymmetry, _derivative
 
 
 def test_validate_accepts_zero_1x1():
@@ -29,6 +31,20 @@ def test_validate_rejects_asymmetric_q():
                r"exceeds 1\.0e-12 \* max\(1, \|Q\|\)$")
     with pytest.raises(ValueError, match=message):
         validate(ok, ok, [[0.0, 1.0], [0.0, 0.0]], ok, ok)
+
+
+@pytest.mark.parametrize("n", [1, 5, 63, 64, 65, 130, 200])
+def test_asymmetry_is_the_maximum_of_the_whole_difference(n):
+    # Row panels of M - M' give its maximum bit for bit, and validate reports it.
+    rng = np.random.default_rng(n)
+    for scale in (1e-14, 1.0):
+        M = rng.standard_normal((n, n))
+        M = M + M.T + scale * rng.standard_normal((n, n))
+        dev = np.abs(M - M.T).max()
+        assert _asymmetry(M) == dev
+        if dev > 1e-12 * max(1.0, np.abs(M).max()):
+            with pytest.raises(ValueError, match=re.escape(f"max |Q - Q'| = {dev:.3e} exceeds")):
+                validate(np.eye(n), np.ones((n, 1)), M, np.ones((n, 1)), [[0.0]])
 
 
 def test_validate_rejects_asymmetric_r():
