@@ -1,41 +1,16 @@
 """Recursive constraint generation for singular LQ problems.
 
-Starting from the primary constraint rows [-N' | B' | -R], each level
-differentiates its rows once along the dynamics (two products, one with
-the problem's stored [[A, B], [Q, N]] and one with A') and splits that derivative
-by the left factor U' of the SVD of its control coefficient rho, as in the
-Gotay-Nester algorithm: the rows along rho's range determine part of the
-control derivative (the level's partial feedback), and the rows along its
-left null space carry no udot term and form the next block of constraint
-rows. A rho within tol in Frobenius norm has rank 0, since s_1 <= ||rho||_F,
-and is not split; a level of rank 0, so found or from its SVD, determines
-nothing, records the identity selector and passes its derivative on
-unrotated as the next block. Every level, the primary one included,
-filters its rows into phi, ranks rho, records its ranks and partial
-feedback, and then tests one stop rule. With r the level's split rank,
-rows its row count, prev_rows the previous level's row count (m at level
-1) and phi *stalled* when it gained no rank over the previous level, the
-recursion stops at the first level with r >= prev_rows, stalled, or r ==
-rows (the next block would be empty). It halts with STAGNATION when stalled and r < prev_rows (gauge
-directions remain), with FEEDBACK otherwise (the remaining control
-derivatives are determined), and counts max(levels - stalled, 1) steps.
-Comparing r with the previous level's row count is the published loop's
-quirk, kept as it is.
-
-A one-row level of rank 0, as every level of family 3 is, can only stop
-when its row adds no rank, and its derivative is the next block as it
-is. So :func:`run` derives ahead while each next level is again one row
-with a rho within tol in norm, up to ``_BATCH`` levels and the width phi
-has left, and offers the stacked rows to the row filter as one block.
-Appended whole, the block's certificate puts the stacked values above
-tol, and by interlacing every prefix's smallest value too, so each level
-kept its row as it would have alone and went on: each is recorded as
-one level at a time records it, its block a view of the stack. Declined,
-the levels run one at a time, with the derivatives already taken. A
-derivative that overflows while taken ahead ends the lookahead at the
-level it was taken for, and an overflow inside the block's filter
-declines the block, so the run raises only where one level at a time
-does.
+Starting from the primary constraint rows [-N' | B' | -R], each level of
+:func:`run` differentiates its rows once along the dynamics (two
+products, one with the problem's stored [[A, B], [Q, N]] and one with A')
+and splits that derivative by the left factor U' of the SVD of its
+control coefficient rho, as in the Gotay-Nester algorithm: the rows along
+rho's range determine part of the control derivative, and the rows along
+its left null space carry no udot term and form the next block of
+constraint rows. :func:`run` states the level step and its stop rule, and
+:class:`AlgorithmResult` what a run records. The determined relations are
+not recorded: :func:`feedback_rate_map` rebuilds them from the result, by
+the same split of the same rho.
 
 Rank conventions. The standalone :func:`numerical_rank` and
 :func:`svd_split` use the relative rule ``s_i > tol * s_1``, which is scale
@@ -94,13 +69,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .geometry import _complement
-from .problem import ConstraintMatrix, LQProblem, _as_matrix, _check_tol, _derivative, primary_constraint
+from .problem import (
+    ConstraintMatrix, LQProblem, _as_matrix, _check_tol, _derivative, _frozen, primary_constraint,
+)
 
 __all__ = [
     "FEEDBACK",
     "STAGNATION",
     "SvdSplit",
-    "PartialFeedback",
     "AlgorithmResult",
     "numerical_rank",
     "svd_split",
@@ -138,23 +114,8 @@ class SvdSplit:
 
 
 @dataclass(frozen=True)
-class PartialFeedback:
-    """Determined part of the control derivative at one level.
-
-    On the final submanifold the determined components satisfy
-    rate @ udot + drift @ (x, p, u) = 0: rate is u_top @ rho and drift is
-    u_top times the (x, p, u) coefficients of the derivative of this
-    level's rows, the rows that the split of rho makes explicit in udot.
-    """
-
-    level: int
-    rate: np.ndarray
-    drift: np.ndarray
-
-
-@dataclass(frozen=True)
 class AlgorithmResult:
-    """Outcome of the constraint recursion.
+    """What :func:`run` decided, and the problem and tolerance it ran on.
 
     steps counts constraint levels that refined the submanifold (the
     recursion index): every level, less the last one when phi gained no
@@ -164,21 +125,23 @@ class AlgorithmResult:
     level's row count (gauge directions remain), FEEDBACK otherwise (every
     remaining control derivative determined; this includes a split that
     would leave an empty new block). rank_history holds one (rank rho,
-    rank phi) pair per generated level; selectors, for each level that
-    passed rows on, the factor that took its derivative to the next block:
-    the u_bottom factor of its split, or the identity at a level of rank 0;
-    blocks the raw per-level rows before independence filtering,
-    blocks[k - 1] at level k. row_basis is an orthonormal basis of phi's
-    row space, shape (2n + m, codim): the Q factor of phi' that the row
-    filter carried to the last level. tol is the tolerance the run used.
+    rank phi) pair per level; selectors, for each level that passed rows
+    on, the factor that took its derivative to the next block: the
+    u_bottom factor of its split, or the identity at a level of rank 0,
+    one read-only 1 x 1 array for every one-row level of the run;
+    blocks each level's rows before independence filtering, blocks[k - 1]
+    at level k. row_basis is an orthonormal basis of phi's row space,
+    shape (2n + m, codim): the Q factor of phi' that the row filter carried
+    to the last level. problem is the problem the run took, and tol its
+    tolerance.
     """
 
+    problem: LQProblem
     phi: ConstraintMatrix
     steps: int
     halt_reason: str
     row_basis: np.ndarray
     rank_history: list[tuple[int, int]]
-    partial_feedback: list[PartialFeedback]
     selectors: list[np.ndarray]
     blocks: list[ConstraintMatrix]
     tol: float
@@ -509,28 +472,35 @@ def _batch_appended(level_rows: list[np.ndarray], tol: float, factor: _RowFactor
 def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     """Run the constraint recursion on a validated problem.
 
-    Returns the filtered constraint matrix, step count, codimension, halt
-    reason and the per-level trace. Every rank decision inside the loop uses
-    the absolute rule ``s > tol``; see the module docstring.
-
-    Each level, from the primary block on, goes through one body: filter
-    the block into phi, rank rho (a split, unless ||rho||_F <= tol makes
-    it rank 0), record the ranks, differentiate, record the partial
-    feedback, then stop when r >= prev_rows, phi stalled or r == rows, or
-    else take u_bottom times the derivative as the next block (the
-    derivative itself at rank 0). STAGNATION is stalled with r <
-    prev_rows; steps is the level count less one when phi stalled, and at
-    least 1 (a problem with no effective constraints stabilizes at the
-    first level). A level whose arithmetic overflows or makes a NaN raises
+    Every rank decision inside the loop uses the absolute rule ``s > tol``;
+    see the module docstring. Each level, from the primary block on, goes
+    through one body: filter the block into phi, rank rho (a split, unless
+    ||rho||_F <= tol makes it rank 0), record the ranks and differentiate.
+    With r the split rank, rows the block's row count, prev_rows the
+    previous level's (m at level 1) and phi *stalled* when it gained no
+    rank over the previous level, the run then stops when r >= prev_rows,
+    phi stalled or r == rows (the next block would be empty). Otherwise it
+    records the selector and takes u_bottom times the derivative as the
+    next block, the derivative itself at rank 0. Comparing r with the
+    previous level's row count is the published loop's quirk, kept as it
+    is. A level whose arithmetic overflows or makes a NaN raises
     ``FloatingPointError``.
 
-    A one-row level whose rho is within tol in norm first takes the levels
-    after it that are again such levels, up to ``_BATCH`` in all, and
-    offers their stacked rows to the row filter as one block; see the
-    module docstring. Appended whole, every level is recorded as the body
-    records it, (0, rank of phi) in ``rank_history`` and the identity
-    selector, with its block a view of the stack; declined, each level
-    goes through the body, with the derivatives already taken.
+    A one-row level of rank 0, as every level of family 3 is, can only
+    stop when its row adds no rank, and its derivative is the next block
+    as it is. So a one-row level whose rho is within tol in norm first
+    derives ahead while each next level is again such a level, up to
+    ``_BATCH`` levels and the width phi has left, and offers the stacked
+    rows to the row filter as one block. Appended whole, the block's
+    certificate puts the stacked values above tol, and by interlacing
+    every prefix's smallest value too, so each level kept its row as it
+    would have alone: the body records each with rank 0 and phi's rank
+    after its row, its block a view of the stack, and neither ranks nor
+    filters it again. Declined, the levels go through the body one at a
+    time, with the derivatives already taken. A derivative that overflows
+    while taken ahead ends the lookahead at the level it was taken for,
+    and an overflow inside the block's filter declines the block, so the
+    run raises only where one level at a time does.
     """
     _check_tol(tol)
     n, m = problem.n, problem.m
@@ -539,65 +509,61 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     prev_rows, prev_rank = m, 0
     blocks: list[ConstraintMatrix] = []
     rank_history: list[tuple[int, int]] = []
-    feedbacks: list[PartialFeedback] = []
     selectors: list[np.ndarray] = []
     ahead: list[np.ndarray] = []  # derivatives taken ahead: the next levels' rows, in order
+    certified = 0  # levels of an appended stack not yet recorded, this one included
+    one = _frozen(np.ones((1, 1)))  # every one-row, rank-0 level's selector, shared
     with np.errstate(over="raise", invalid="raise"):
         while True:
             rows = block.rows.shape[0]
-            # s_1 <= ||rho||_F, so a rho within tol in norm has rank 0 unsplit.
-            unsplit = _frobenius(block.rho) <= tol
-            if unsplit and rows == 1 and not ahead:
+            # s_1 <= ||rho||_F, so a rho within tol in norm has rank 0 unsplit,
+            # as every level of an appended stack has; those start no lookahead.
+            unsplit = certified > 0 or _frobenius(block.rho) <= tol
+            if unsplit and rows == 1 and not (ahead or certified):
                 level_rows, ahead = _rank_zero_levels(block.rows, problem, tol,
                                                       min(_BATCH, width - factor.rank))
                 stack = _batch_appended(level_rows, tol, factor)
                 if stack is not None:
                     # Each prefix of the stack keeps its rows too (interlacing):
-                    # every level kept its row and went on, as one level at a time.
-                    k = len(stack)
-                    blocks += [ConstraintMatrix(stack[i : i + 1], n, m) for i in range(k)]
-                    rank_history += [(0, r) for r in range(factor.rank - k + 1, factor.rank + 1)]
-                    selectors += list(np.ones((k, 1, 1)))
-                    prev_rows, prev_rank = 1, factor.rank
-                    last = ConstraintMatrix(level_rows[-1], n, m)
-                    block = ConstraintMatrix(ahead.pop() if ahead else _derivative(last, problem), n, m)
-                    continue
+                    # every level kept its row, its block a view of the stack.
+                    certified = len(stack)
+                    level_rows = [stack[i : i + 1] for i in range(certified)]
+                    block = ConstraintMatrix(level_rows[0], n, m)
                 ahead = level_rows[1:] + ahead
             blocks.append(block)
-            phi_rank = _independent_rows_array(block.rows, tol, factor).rank
+            if certified:
+                certified -= 1
+                phi_rank = factor.rank - certified
+            else:
+                phi_rank = _independent_rows_array(block.rows, tol, factor).rank
             split = None if unsplit else _split(block.rho, tol, False)
             rank = split.rank if split else 0
             rank_history.append((rank, phi_rank))
-            # The level's derivative, split by U': its u_top rows determine part
-            # of udot, its u_bottom rows are the next constraint block. At rank 0
-            # nothing is determined and the derivative passes on unrotated.
+            # The level's derivative, taken before the stop test so that a level
+            # whose derivative overflows raises even when it is the last.
             deriv = ahead.pop(0) if ahead else _derivative(block, problem)
-            if rank:
-                feedbacks.append(PartialFeedback(
-                    level=len(blocks),
-                    rate=split.u_top @ block.rho,
-                    drift=split.u_top @ deriv,
-                ))
             stalled = phi_rank <= prev_rank
             if rank >= prev_rows or stalled or rank == rows:
                 break
             prev_rows, prev_rank = rows, phi_rank
+            # The u_bottom rows of the derivative are the next block; at rank 0
+            # the derivative passes on unrotated.
             if rank:
                 selectors.append(split.u_bottom)
                 deriv = split.u_bottom @ deriv
             else:
-                selectors.append(np.eye(rows))
+                selectors.append(one if rows == 1 else np.eye(rows))
             block = ConstraintMatrix(deriv, n, m)
 
     # R^-1 is done with: free its buffer before phi is gathered from the
     # blocks and its basis, a view of the Q' buffer, is copied out compact.
     factor.inv_r = factor._inv_r = None
     return AlgorithmResult(
+        problem=problem,
         phi=ConstraintMatrix(rows=factor.rows, n=n, m=m),
         steps=max(len(blocks) - stalled, 1),
         halt_reason=STAGNATION if stalled and rank < prev_rows else FEEDBACK,
         rank_history=rank_history,
-        partial_feedback=feedbacks,
         selectors=selectors,
         blocks=blocks,
         row_basis=factor.qt.T.copy(),
@@ -641,11 +607,26 @@ def _null_basis(M: np.ndarray, cut: float) -> np.ndarray:
     return _split(M.T, cut, False).u_bottom.T
 
 
+def _feedback_relations(result: AlgorithmResult):
+    """(level, rate, drift) for each level of the run that determined part of udot.
+
+    A level of split rank r > 0 determines rate @ udot + drift @ (x, p, u)
+    = 0 on the final submanifold: rate is u_top @ rho and drift u_top
+    times the level's derivative, u_top the top r rows of U' from the same
+    split of rho that the run took.
+    """
+    for level, (block, (rank, _)) in enumerate(zip(result.blocks, result.rank_history), 1):
+        if rank:
+            u_top = _split(block.rho, result.tol, False).u_top
+            yield level, u_top @ block.rho, u_top @ _derivative(block, result.problem)
+
+
 def feedback_rate_map(result: AlgorithmResult) -> np.ndarray:
     """Minimal-norm linear map L with udot = L @ (x, p, u).
 
-    Stacks the recorded per-level feedback relations and solves them in
-    the least-squares sense. When the stacked ``rate`` rows have full row
+    Stacks the run's determined relations, rate @ udot + drift @ (x, p, u)
+    = 0, one group per level of split rank above 0, and solves them in the
+    least-squares sense. When the stacked ``rate`` rows have full row
     rank the stacked system is consistent, so the returned udot satisfies
     every determined relation, on the final submanifold in particular.
     Each level's split only makes that level's own rows independent, so
@@ -656,11 +637,9 @@ def feedback_rate_map(result: AlgorithmResult) -> np.ndarray:
     compromise. With no determined directions (all rho blocks zero) the
     map is zero: the control derivative is pure gauge.
     """
-    m = result.phi.m
-    width = result.phi.width
-    if not result.partial_feedback:
-        return np.zeros((m, width))
-    lhs = np.vstack([pf.rate for pf in result.partial_feedback])
-    rhs = np.vstack([pf.drift for pf in result.partial_feedback])
-    solution, *_ = np.linalg.lstsq(lhs, -rhs, rcond=None)
+    relations = list(_feedback_relations(result))
+    if not relations:
+        return np.zeros((result.phi.m, result.phi.width))
+    _, rates, drifts = zip(*relations)
+    solution, *_ = np.linalg.lstsq(np.vstack(rates), -np.vstack(drifts), rcond=None)
     return solution

@@ -206,9 +206,11 @@ def _size_records(family: int, n: int, deltas, tol: float, trials: int, seed: in
         for trial in range(trials):
             rng = _cell_rng(seed, family, n, delta, trial)
             result = run(_perturbed_problem(family, problem, delta, rng), tol)
-            alpha: float | None = None
-            if result.codim == codim:
-                alpha = max_principal_angle(exact_space, _compared(result, row_side))
+            steps, perturbed_codim = result.steps, result.codim
+            compared = _compared(result, row_side) if perturbed_codim == codim else None
+            # Free this run's problem, blocks and phi before the angle and the next run.
+            del result
+            alpha = None if compared is None else max_principal_angle(exact_space, compared)
             records.append(
                 ExperimentRecord(
                     family=family,
@@ -218,13 +220,11 @@ def _size_records(family: int, n: int, deltas, tol: float, trials: int, seed: in
                     seed=seed,
                     trial=trial,
                     exact_steps=exact_steps,
-                    steps=result.steps,
-                    codim=result.codim,
+                    steps=steps,
+                    codim=perturbed_codim,
                     alpha=alpha,
                 )
             )
-            # Free this run's blocks and phi before the next run builds its own.
-            del result
     return records
 
 
@@ -253,8 +253,9 @@ def run_sweep(
     At most one run's result is alive at a time. Of the exact run, the
     sweep keeps only its codim, its steps and the compared ``Subspace``,
     and drops its result before the size's first perturbed run; each
-    perturbed result is dropped once its record is made, and a size's
-    problem and exact side before the next size is generated.
+    perturbed result, and the perturbed problem it holds, is dropped once
+    its compared side is taken, before the angle, and a size's problem and
+    exact side before the next size is generated.
     """
     if not (_is_count(family, 1) and family in _SMALLEST_N):
         raise ValueError(f"family must be one of {sorted(_SMALLEST_N)}, got {family!r}")
@@ -291,8 +292,10 @@ def slope_summary(records, axis: str) -> SlopeSummary:
 
     Uses only usable records (finite positive alpha, steps equal to the
     exact count); trials at the same axis value are averaged in log space
-    before the fit. The records must come from a single family.
+    before the fit. The records must come from a single family; any
+    iterable of them is read once.
     """
+    records = list(records)
     families = {r.family for r in records}
     if len(families) != 1:
         raise ValueError("records must come from a single family")

@@ -23,14 +23,18 @@ __all__ = [
 ]
 
 
-def _as_matrix(value, name: str) -> np.ndarray:
-    """value as a finite 2-d float array; anything else raises ValueError naming it."""
+def _as_matrix(value, name: str, ndim: int = 2) -> np.ndarray:
+    """value as a finite float array of ndim dimensions, a matrix unless ndim is 1.
+
+    Anything else raises ValueError naming it.
+    """
+    kind = "matrix" if ndim == 2 else "vector"
     try:
         arr = np.asarray(value, dtype=float)
     except (TypeError, ValueError, OverflowError) as exc:  # ragged, non-numeric, int > 1e308
-        raise ValueError(f"{name} is not a numeric matrix: {exc}") from exc
-    if arr.ndim != 2:
-        raise ValueError(f"{name} must be a 2-d matrix, got shape {arr.shape}")
+        raise ValueError(f"{name} is not a numeric {kind}: {exc}") from exc
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be a {ndim}-d {kind}, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains non-finite entries")
     return arr
@@ -192,8 +196,12 @@ def validate(A, B, Q, N, R) -> LQProblem:
 
 
 def hamiltonian(problem: LQProblem, x, p, u) -> float:
-    """Pontryagin Hamiltonian p'(Ax + Bu) - L(x, u) at the point (x, p, u)."""
-    x, p, u = (np.asarray(v, dtype=float).reshape(-1) for v in (x, p, u))
+    """Pontryagin Hamiltonian p'(Ax + Bu) - L(x, u) at the point (x, p, u).
+
+    x, p and u must be finite 1-d vectors of lengths n, n and m; anything
+    else raises ValueError naming the argument.
+    """
+    x, p, u = (_as_matrix(v, name, ndim=1) for v, name in ((x, "x"), (p, "p"), (u, "u")))
     if x.shape != (problem.n,) or p.shape != (problem.n,):
         raise ValueError(f"x and p must have length n = {problem.n}")
     if u.shape != (problem.m,):
@@ -214,7 +222,7 @@ def _derivative(block: ConstraintMatrix, problem: LQProblem) -> np.ndarray:
 
     Returns the (c, 2n + m) matrix [sigma A + beta Q, -beta A', sigma B +
     beta N]: the one place the level map is written, shared by the
-    recursion, its partial feedback and the unprojected tilde blocks. Its
+    recursion, its feedback relations and the unprojected tilde blocks. Its
     x and u columns are one product, [sigma beta] times the problem's
     stored [[A, B], [Q, N]], and its p columns a second. The rho u term
     contributes rho udot, which the caller splits off. The dynamics are

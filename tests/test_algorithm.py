@@ -6,6 +6,7 @@ shared rounding artifact.
 """
 
 import contextlib
+import dataclasses
 import operator
 import tracemalloc
 import warnings
@@ -40,6 +41,7 @@ from singular_lq import (
 from singular_lq.algorithm import (
     _appended,
     _cholesky_qr2,
+    _feedback_relations,
     _independent_rows_array,
     _null_basis,
     _RowFactor,
@@ -527,7 +529,6 @@ def _held_bytes(result) -> int:
     """Bytes of the arrays a run's result keeps alive, each view counted once, by its base."""
     arrays = [result.phi.rows, result.row_basis, *result.selectors]
     arrays += [block.rows for block in result.blocks]
-    arrays += [a for pf in result.partial_feedback for a in (pf.rate, pf.drift)]
     bases = {}
     for array in arrays:
         while array.base is not None:
@@ -541,8 +542,8 @@ def test_run_peaks_within_a_multiple_of_what_its_result_holds():
     # and phi of 298 rows. Past its result, the run holds the row filter's
     # Q' and R^-1 buffers and one level's temporaries; phi is gathered from
     # the blocks only after R^-1's buffer is freed. The traced peak reads
-    # 1.46 times the result's bytes; a filter that copies each kept row
-    # into a buffer of its own reads 1.95.
+    # 1.66 times the result's bytes; a filter that copies each kept row
+    # into a buffer of its own reads 1.86.
     problem = _exact_problem(1, 100, 0)
     tracemalloc.start()
     try:
@@ -552,6 +553,24 @@ def test_run_peaks_within_a_multiple_of_what_its_result_holds():
         tracemalloc.stop()
     assert result.codim == 298
     assert peak <= 1.7 * _held_bytes(result)
+
+
+def test_result_records_its_problem_and_what_run_decides():
+    problem = gen_experiment2(3)
+    result = run(problem, 1e-6)
+    assert [field.name for field in dataclasses.fields(result)] == [
+        "problem", "phi", "steps", "halt_reason", "row_basis", "rank_history",
+        "selectors", "blocks", "tol",
+    ]
+    assert result.problem is problem
+
+
+def test_one_row_levels_share_one_read_only_identity_selector():
+    result = run(gen_experiment3(40), 1e-6)
+    assert len(result.selectors) == 40
+    assert all(selector is result.selectors[0] for selector in result.selectors)
+    assert np.array_equal(result.selectors[0], np.eye(1))
+    assert not result.selectors[0].flags.writeable
 
 
 @pytest.mark.parametrize("gap", [1.0, 1e-12])
@@ -1316,20 +1335,25 @@ def test_lookahead_raises_only_where_one_level_at_a_time_does(monkeypatch):
 
 def test_run_splits_one_derivative_per_level():
     # Each level's derivative, one (c, 2n + m) matrix, is split by U': the
-    # u_top rows are the recorded partial feedback, the u_bottom rows the
-    # next block, to the byte. A rank-0 level records the identity selector
-    # and passes its derivative on unrotated.
+    # u_top rows are the level's determined relations, one group for each
+    # level of rank above 0, the u_bottom rows the next block, to the byte.
+    # A rank-0 level records the identity selector and passes its
+    # derivative on unrotated.
     rng = np.random.default_rng(59)
     tol = 1e-9
     checked = unrotated = 0
     for _ in range(60):
         problem = uniform_problem(rng) if rng.integers(2) else _halves_problem(rng)
         result = run(problem, tol)
-        for pf in result.partial_feedback:
-            block = result.blocks[pf.level - 1]
+        relations = list(_feedback_relations(result))
+        ranked = [k for k, (rank, _) in enumerate(result.rank_history, 1) if rank]
+        assert [level for level, *_ in relations] == ranked
+        for level, rate, drift in relations:
+            block = result.blocks[level - 1]
             split = _split(block.rho, tol, False)
-            assert pf.rate.tobytes() == (split.u_top @ block.rho).tobytes()
-            assert pf.drift.tobytes() == (split.u_top @ _derivative(block, problem)).tobytes()
+            assert rate.shape[0] == result.rank_history[level - 1][0]
+            assert rate.tobytes() == (split.u_top @ block.rho).tobytes()
+            assert drift.tobytes() == (split.u_top @ _derivative(block, problem)).tobytes()
             checked += 1
         levels = zip(result.blocks, result.blocks[1:], result.selectors, result.rank_history)
         for block, following, selector, (rank, _) in levels:
@@ -1490,7 +1514,7 @@ def test_feedback_rate_map_is_zero_without_determined_directions():
     # Unperturbed family 3 has a zero rho at every level: udot is pure gauge.
     problem = gen_experiment3(6)
     result = run(problem, tol=1e-9)
-    assert result.partial_feedback == []
+    assert list(_feedback_relations(result)) == []
     width = 2 * problem.n + problem.m
     assert np.array_equal(feedback_rate_map(result), np.zeros((problem.m, width)))
 
@@ -1507,9 +1531,8 @@ def _dependent_feedback_problem():
 
 
 def _stacked_feedback(result):
-    rate = np.vstack([pf.rate for pf in result.partial_feedback])
-    drift = np.vstack([pf.drift for pf in result.partial_feedback])
-    return rate, drift
+    _, rates, drifts = zip(*_feedback_relations(result))
+    return np.vstack(rates), np.vstack(drifts)
 
 
 def test_dependent_feedback_rows_halt_with_feedback():

@@ -356,6 +356,17 @@ def test_slope_report_averages_trials_in_log_space():
     assert abs(slope_summary(records, "delta").slope - expected) <= 1e-12
 
 
+def test_slope_summary_reads_an_iterator_once():
+    # The family check and the usable filter read the same records, so a
+    # one-pass iterable gives the list's slope, not "got 0" groups.
+    by_delta = _synthetic_records()
+    by_n = [_record(1e-8, 1e-8 * n, n=n) for n in (2, 4, 8)]
+    for records, axis in ((by_delta, "delta"), (by_n, "n")):
+        summary = slope_summary(iter(records), axis)
+        assert summary == slope_summary(records, axis)
+        assert abs(summary.slope - 1.0) <= 1e-12 and summary.num_points == 3
+
+
 def test_slope_report_needs_two_groups():
     with pytest.raises(ValueError, match="two usable"):
         slope_summary([_record(1e-8, 1e-8), _record(1e-8, 2e-8)], "delta")

@@ -1,4 +1,12 @@
-"""Package surface: each module's ``__all__`` is the one list of its public names."""
+"""Package surface: each module's ``__all__`` is the one list of its public names,
+and the README's quick start runs as written."""
+
+import contextlib
+import io
+import re
+from pathlib import Path
+
+import numpy as np
 
 import singular_lq
 from singular_lq import algorithm, closed_form, dae, experiments, geometry, problem
@@ -28,3 +36,16 @@ def test_package_exports_each_module_name_once():
             assert getattr(singular_lq, name) is getattr(module, name)
     assert set(names) - _EARLIER == {"records_to_csv", "RECORD_HEADER", "SLOPE_HEADER"}
 
+
+
+def test_readme_quick_start_runs_as_written():
+    readme = Path(__file__).resolve().parent.parent / "README.md"
+    (block,) = re.findall(r"## Python quick start\n\n```python\n(.*?)```", readme.read_text("utf-8"), re.S)
+    assert "# 3 3 feedback" in block and "# (2n+1, 2n-2) orthonormal" in block
+    namespace, printed = {}, io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        exec(block, namespace)
+    assert printed.getvalue() == "3 3 feedback\n"
+    basis = namespace["basis"]
+    assert basis.shape == (9, 6)
+    assert abs(basis.T @ basis - np.eye(6)).max() <= 1e-12

@@ -163,6 +163,31 @@ def test_hamiltonian_rejects_wrong_lengths():
         hamiltonian(problem, np.zeros(3), np.zeros(3), np.zeros(2))
 
 
+def test_hamiltonian_takes_only_finite_vectors():
+    # A 2 x 2 x at n = 4 is not the vector of its four entries, and an
+    # infinite entry is not a point: each raises, naming the argument.
+    problem = gen_experiment2(4)
+    x, p, u = np.zeros(4), np.zeros(4), np.zeros(1)
+    for args, name in (
+        ((np.ones((2, 2)), p, u), "x"),
+        ((x, p.reshape(4, 1), u), "p"),
+        ((x, p, 0.0), "u"),
+        ((x, p, [[0.0]]), "u"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} must be a 1-d vector"):
+            hamiltonian(problem, *args)
+    for args, name in (
+        ((np.array([np.inf, 0, 0, 0]), p, u), "x"),
+        ((x, np.array([0, 0, np.nan, 0]), u), "p"),
+        ((x, p, [-np.inf]), "u"),
+    ):
+        with pytest.raises(ValueError, match=f"^{name} contains non-finite"):
+            hamiltonian(problem, *args)
+    with pytest.raises(ValueError, match="^x is not a numeric vector"):
+        hamiltonian(problem, ["a"] * 4, p, u)
+    assert hamiltonian(problem, [1.0, 0, 0, 0], [1.0, 0, 0, 0], [0.0]) == 0.5
+
+
 def test_values_match_exact_rational_evaluation():
     # dyadic entries embed exactly in Fractions, so any drift is a real bug
     rng = np.random.default_rng(41)

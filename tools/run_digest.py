@@ -15,7 +15,9 @@ the number of calls it covers:
   1e-12..1e-4 with two trials, at tol 1e-6 and 1e-9). It covers
   ``rank_history``, ``steps``, ``codim``, ``halt_reason`` and the shapes
   and bytes of ``phi.rows``, ``row_basis``, every block, every selector and
-  every partial feedback.
+  every determined relation (level, rate and drift) that
+  ``feedback_rate_map`` stacks, rebuilt from the result outside the
+  ``lapack`` count.
 * ``decisions``: the same ``run`` calls, over ``rank_history``, ``steps``,
   ``codim`` and ``halt_reason`` alone. A change that moves the low bits of
   the outputs, and so the ``run`` digest, keeps this one when it keeps
@@ -85,6 +87,7 @@ ROOT = Path(__file__).resolve().parent.parent
 sys.path[:0] = [str(ROOT / "src"), str(ROOT / "perfbench")]
 
 import singular_lq as slq  # noqa: E402
+from singular_lq.algorithm import _feedback_relations  # noqa: E402
 from singular_lq.experiments import (  # noqa: E402
     _cell_rng, _exact_problem, _perturbed_problem, records_to_csv,
 )
@@ -207,9 +210,9 @@ def run_digests(size: int) -> tuple[str, str, str, int, Counter, Counter]:
         decided.update(decisions)
         _feed(digest, result.phi.rows, result.row_basis, *(b.rows for b in result.blocks))
         _feed(digest, *result.selectors)
-        for pf in result.partial_feedback:
-            digest.update(repr(pf.level).encode())
-            _feed(digest, pf.rate, pf.drift)
+        for level, rate, drift in _feedback_relations(result):
+            digest.update(repr(level).encode())
+            _feed(digest, rate, drift)
         count += 1
     return digest.hexdigest(), decided.hexdigest(), subspaces.hexdigest(), count, halts, lapack
 
