@@ -7,10 +7,13 @@ and splits that derivative by the left factor U' of the SVD of its
 control coefficient rho, as in the Gotay-Nester algorithm: the rows along
 rho's range determine part of the control derivative, and the rows along
 its left null space carry no udot term and form the next block of
-constraint rows. :func:`run` states the level step and its stop rule, and
-:class:`AlgorithmResult` what a run records. The determined relations are
-not recorded: :func:`feedback_rate_map` rebuilds them from the result, by
-the same split of the same rho.
+constraint rows. That split alone fixes the next block, so the levels
+depend on the problem and tol, not on phi: ``_levels`` states the level
+step once, :func:`run` the row filter and the stop rule over its levels,
+and :class:`AlgorithmResult` what a run decides. Neither the levels nor
+the relations they determine are stored: a result replays its levels
+from the same generator on request, and :func:`feedback_rate_map` reads
+the relations from that replay.
 
 Rank conventions. The standalone :func:`numerical_rank` and
 :func:`svd_split` use the relative rule ``s_i > tol * s_1``, which is scale
@@ -30,7 +33,8 @@ above tol, :func:`svd_split`'s and the DAE chain's A_k, and, on M', gives
 every SVD null basis (``_null_basis``).
 From the primary block on, the row filter carries a QR factor of phi's
 rows, which starts empty and only grows, and a list of the row arrays it
-kept: views of the levels' blocks, gathered into phi once, at the end.
+kept: views of the rows :func:`run` offered it, a level's block or a stack
+of levels, gathered into phi once, at the end.
 Every diagonal entry of its R is positive. Each rank decision is one of
 two kinds, both made projected off phi's basis. A block of several rows
 is factored by CholeskyQR2 (Fukaya, Nakatsukasa, Yanagisawa & Yamamoto,
@@ -70,7 +74,7 @@ import numpy as np
 
 from .geometry import _complement
 from .problem import (
-    ConstraintMatrix, LQProblem, _as_matrix, _check_tol, _derivative, _frozen, primary_constraint,
+    ConstraintMatrix, LQProblem, _as_matrix, _check_tol, _derivative, primary_constraint,
 )
 
 __all__ = [
@@ -125,15 +129,15 @@ class AlgorithmResult:
     level's row count (gauge directions remain), FEEDBACK otherwise (every
     remaining control derivative determined; this includes a split that
     would leave an empty new block). rank_history holds one (rank rho,
-    rank phi) pair per level; selectors, for each level that passed rows
-    on, the factor that took its derivative to the next block: the
-    u_bottom factor of its split, or the identity at a level of rank 0,
-    one read-only 1 x 1 array for every one-row level of the run;
-    blocks each level's rows before independence filtering, blocks[k - 1]
-    at level k. row_basis is an orthonormal basis of phi's row space,
-    shape (2n + m, codim): the Q factor of phi' that the row filter carried
-    to the last level. problem is the problem the run took, and tol its
-    tolerance.
+    rank phi) pair per level. row_basis is an orthonormal basis of phi's
+    row space, shape (2n + m, codim): the Q factor of phi' that the row
+    filter carried to the last level. problem is the problem the run
+    took, and tol its tolerance.
+
+    The levels themselves are not stored: they depend on the problem and
+    tol alone (:func:`_levels`), so :attr:`blocks` and :attr:`selectors`
+    replay the run's ``len(rank_history)`` levels on first read, once per
+    result.
     """
 
     problem: LQProblem
@@ -142,13 +146,41 @@ class AlgorithmResult:
     halt_reason: str
     row_basis: np.ndarray
     rank_history: list[tuple[int, int]]
-    selectors: list[np.ndarray]
-    blocks: list[ConstraintMatrix]
     tol: float
+    # The replay is cached in a slot, so the instance dict holds the fields
+    # alone: ``AlgorithmResult(**result.__dict__)`` rebuilds a result, and a
+    # copy or pickle, which takes that dict as its state, leaves the cache out.
+    # A class with slots has weak references only when it lists them.
+    __slots__ = ("__dict__", "__weakref__", "_replay")
+
+    def __getstate__(self):
+        return self.__dict__
 
     @property
     def codim(self) -> int:
         return self.phi.rows.shape[0]
+
+    @property
+    def _replayed(self) -> list[tuple[ConstraintMatrix, SvdSplit | None]]:
+        """The run's levels, (block, split), one per ``rank_history`` entry, replayed on first read."""
+        if not hasattr(self, "_replay"):
+            levels = zip(self.rank_history, _levels(self.problem, self.tol))
+            object.__setattr__(self, "_replay", [level for _, level in levels])
+        return self._replay
+
+    @property
+    def blocks(self) -> list[ConstraintMatrix]:
+        """Each level's rows before independence filtering, blocks[k - 1] at level k."""
+        return [block for block, _ in self._replayed]
+
+    @property
+    def selectors(self) -> list[np.ndarray]:
+        """For each level that passed rows on, the factor that took its derivative to the next block.
+
+        That is the u_bottom factor of its split, or the identity at a level of rank 0.
+        """
+        return [split.u_bottom if split and split.rank else np.eye(len(block.rows))
+                for block, split in self._replayed[:-1]]
 
 
 def _frobenius(M: np.ndarray) -> float:
@@ -431,141 +463,120 @@ def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:
     return ConstraintMatrix(rows=rows, n=phi.n, m=phi.m)
 
 
-def _rank_zero_levels(row: np.ndarray, problem: LQProblem, tol: float, limit: int):
-    """The rows of the one-row, rank-0 levels from ``row`` on, up to ``limit``, and the derivative after them.
+def _levels(problem: LQProblem, tol: float):
+    """The levels of the recursion on ``problem`` at ``tol``, as (block, split), the primary block first.
 
-    Each row is the derivative of the one before, taken ahead while it has
-    a rho within tol in norm. Returns those rows, ``row`` first, and a list
-    that holds the derivative which ended the run when one was taken: the
-    next level's row, whose rho is above tol. A derivative that overflows
-    or makes a NaN ends the run at the level it was taken for, with
-    nothing after it, so the level raises only if the recursion reaches it.
+    split is None when ||rho||_F <= tol, since s_1 <= ||rho||_F makes rho's
+    rank 0 then, and rho's split at the absolute cut otherwise. The next
+    block is u_bottom times the level's derivative when the split rank is
+    above 0, and the derivative itself otherwise. No level depends on phi,
+    so :func:`run`, its lookahead and the replay of its result read the
+    same levels.
     """
-    level_rows = [row]
-    try:
-        while len(level_rows) < limit:
-            deriv = _derivative(ConstraintMatrix(level_rows[-1], problem.n, problem.m), problem)
-            if _frobenius(deriv[:, 2 * problem.n :]) > tol:
-                return level_rows, [deriv]
-            level_rows.append(deriv)
-    except FloatingPointError:
-        pass
-    return level_rows, []
+    block = primary_constraint(problem)
+    while True:
+        split = None if _frobenius(block.rho) <= tol else _split(block.rho, tol, False)
+        yield block, split
+        rows = _derivative(block, problem)
+        if split and split.rank:
+            rows = split.u_bottom @ rows
+        block = ConstraintMatrix(rows, problem.n, problem.m)
 
 
-def _batch_appended(level_rows: list[np.ndarray], tol: float, factor: _RowFactor):
-    """The stacked rows when there are several and :func:`_appended` takes them as one block, else None.
+def _batch_appended(level_rows: list[np.ndarray], tol: float, factor: _RowFactor) -> bool:
+    """Whether there are several level rows and :func:`_appended` takes them stacked, as one block.
 
     The factor then keeps the stack whole. An overflow or NaN inside the
     block's factorisation declines it, like any other decline: its rows
     are then ranked level by level, where the recursion may stop first.
     """
-    if len(level_rows) < 2:
-        return None
-    stack = np.concatenate(level_rows)
     try:
-        return stack if _appended(stack, tol, factor) else None
+        return len(level_rows) > 1 and _appended(np.concatenate(level_rows), tol, factor)
     except FloatingPointError:
-        return None
+        return False
 
 
 def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     """Run the constraint recursion on a validated problem.
 
     Every rank decision inside the loop uses the absolute rule ``s > tol``;
-    see the module docstring. Each level, from the primary block on, goes
-    through one body: filter the block into phi, rank rho (a split, unless
-    ||rho||_F <= tol makes it rank 0), record the ranks and differentiate.
-    With r the split rank, rows the block's row count, prev_rows the
-    previous level's (m at level 1) and phi *stalled* when it gained no
-    rank over the previous level, the run then stops when r >= prev_rows,
-    phi stalled or r == rows (the next block would be empty). Otherwise it
-    records the selector and takes u_bottom times the derivative as the
-    next block, the derivative itself at rank 0. Comparing r with the
-    previous level's row count is the published loop's quirk, kept as it
-    is. A level whose arithmetic overflows or makes a NaN raises
-    ``FloatingPointError``.
+    see the module docstring. The levels come from :func:`_levels`, which
+    ranks rho (a split, unless ||rho||_F <= tol makes it rank 0) and forms
+    the next block. Each level goes through one body: filter the block
+    into phi, record the ranks and pull the next level, whose derivative
+    is taken before the stop test so that a level whose arithmetic
+    overflows or makes a NaN raises ``FloatingPointError`` even when it is
+    the last. With r the split rank, rows the block's row count, prev_rows
+    the previous level's (m at level 1) and phi *stalled* when it gained
+    no rank over the previous level, the run then stops when r >=
+    prev_rows, phi stalled or r == rows (the next block would be empty).
+    Comparing r with the previous level's row count is the published
+    loop's quirk, kept as it is.
 
     A one-row level of rank 0, as every level of family 3 is, can only
     stop when its row adds no rank, and its derivative is the next block
     as it is. So a one-row level whose rho is within tol in norm first
-    derives ahead while each next level is again such a level, up to
-    ``_BATCH`` levels and the width phi has left, and offers the stacked
-    rows to the row filter as one block. Appended whole, the block's
+    pulls the levels after it while each is again such a level, up to
+    ``_BATCH`` levels and the width phi has left, and offers their rows,
+    stacked, to the row filter as one block. Appended whole, the block's
     certificate puts the stacked values above tol, and by interlacing
     every prefix's smallest value too, so each level kept its row as it
     would have alone: the body records each with rank 0 and phi's rank
-    after its row, its block a view of the stack, and neither ranks nor
-    filters it again. Declined, the levels go through the body one at a
-    time, with the derivatives already taken. A derivative that overflows
-    while taken ahead ends the lookahead at the level it was taken for,
-    and an overflow inside the block's filter declines the block, so the
-    run raises only where one level at a time does.
+    after its row, and does not filter it again. Declined, the levels go
+    through the body one at a time. A pull that raises while the lookahead
+    runs is held, and raised when the loop reaches that level, and an
+    overflow inside the block's filter declines the block, so the run
+    raises only where one level at a time does.
     """
     _check_tol(tol)
-    n, m = problem.n, problem.m
-    width = 2 * n + m
-    block, factor = primary_constraint(problem), _RowFactor(width, width)
-    prev_rows, prev_rank = m, 0
-    blocks: list[ConstraintMatrix] = []
+    width = 2 * problem.n + problem.m
+    factor = _RowFactor(width, width)
+    prev_rows, prev_rank = problem.m, 0
     rank_history: list[tuple[int, int]] = []
-    selectors: list[np.ndarray] = []
-    ahead: list[np.ndarray] = []  # derivatives taken ahead: the next levels' rows, in order
+    ahead: list = []  # levels pulled past this one, in order, or the error a pull raised
     certified = 0  # levels of an appended stack not yet recorded, this one included
-    one = _frozen(np.ones((1, 1)))  # every one-row, rank-0 level's selector, shared
     with np.errstate(over="raise", invalid="raise"):
+        levels = _levels(problem, tol)
+        block, split = next(levels)
         while True:
             rows = block.rows.shape[0]
-            # s_1 <= ||rho||_F, so a rho within tol in norm has rank 0 unsplit,
-            # as every level of an appended stack has; those start no lookahead.
-            unsplit = certified > 0 or _frobenius(block.rho) <= tol
-            if unsplit and rows == 1 and not (ahead or certified):
-                level_rows, ahead = _rank_zero_levels(block.rows, problem, tol,
-                                                      min(_BATCH, width - factor.rank))
-                stack = _batch_appended(level_rows, tol, factor)
-                if stack is not None:
-                    # Each prefix of the stack keeps its rows too (interlacing):
-                    # every level kept its row, its block a view of the stack.
-                    certified = len(stack)
-                    level_rows = [stack[i : i + 1] for i in range(certified)]
-                    block = ConstraintMatrix(level_rows[0], n, m)
-                ahead = level_rows[1:] + ahead
-            blocks.append(block)
+            if split is None and rows == 1 and not (ahead or certified):
+                stack, limit = [block.rows], min(_BATCH, width - factor.rank)
+                while len(stack) < limit:
+                    try:
+                        ahead.append(next(levels))
+                    except FloatingPointError as error:
+                        ahead.append(error)
+                    if isinstance(ahead[-1], FloatingPointError) or ahead[-1][1] is not None:
+                        break
+                    stack.append(ahead[-1][0].rows)
+                certified = len(stack) if _batch_appended(stack, tol, factor) else 0
             if certified:
                 certified -= 1
                 phi_rank = factor.rank - certified
             else:
                 phi_rank = _independent_rows_array(block.rows, tol, factor).rank
-            split = None if unsplit else _split(block.rho, tol, False)
             rank = split.rank if split else 0
             rank_history.append((rank, phi_rank))
-            # The level's derivative, taken before the stop test so that a level
-            # whose derivative overflows raises even when it is the last.
-            deriv = ahead.pop(0) if ahead else _derivative(block, problem)
+            # Pulled before the stop test: a last level whose derivative overflows raises.
+            level = ahead.pop(0) if ahead else next(levels)
+            if isinstance(level, FloatingPointError):
+                raise level
             stalled = phi_rank <= prev_rank
             if rank >= prev_rows or stalled or rank == rows:
                 break
             prev_rows, prev_rank = rows, phi_rank
-            # The u_bottom rows of the derivative are the next block; at rank 0
-            # the derivative passes on unrotated.
-            if rank:
-                selectors.append(split.u_bottom)
-                deriv = split.u_bottom @ deriv
-            else:
-                selectors.append(one if rows == 1 else np.eye(rows))
-            block = ConstraintMatrix(deriv, n, m)
+            block, split = level
 
     # R^-1 is done with: free its buffer before phi is gathered from the
-    # blocks and its basis, a view of the Q' buffer, is copied out compact.
+    # kept rows and its basis, a view of the Q' buffer, is copied out compact.
     factor.inv_r = factor._inv_r = None
     return AlgorithmResult(
         problem=problem,
-        phi=ConstraintMatrix(rows=factor.rows, n=n, m=m),
-        steps=max(len(blocks) - stalled, 1),
+        phi=ConstraintMatrix(rows=factor.rows, n=problem.n, m=problem.m),
+        steps=max(len(rank_history) - stalled, 1),
         halt_reason=STAGNATION if stalled and rank < prev_rows else FEEDBACK,
         rank_history=rank_history,
-        selectors=selectors,
-        blocks=blocks,
         row_basis=factor.qt.T.copy(),
         tol=tol,
     )
@@ -612,13 +623,12 @@ def _feedback_relations(result: AlgorithmResult):
 
     A level of split rank r > 0 determines rate @ udot + drift @ (x, p, u)
     = 0 on the final submanifold: rate is u_top @ rho and drift u_top
-    times the level's derivative, u_top the top r rows of U' from the same
-    split of rho that the run took.
+    times the level's derivative, u_top the top r rows of U' from the
+    level's split in the result's replay.
     """
-    for level, (block, (rank, _)) in enumerate(zip(result.blocks, result.rank_history), 1):
-        if rank:
-            u_top = _split(block.rho, result.tol, False).u_top
-            yield level, u_top @ block.rho, u_top @ _derivative(block, result.problem)
+    for level, (block, split) in enumerate(result._replayed, 1):
+        if split and split.rank:
+            yield level, split.u_top @ block.rho, split.u_top @ _derivative(block, result.problem)
 
 
 def feedback_rate_map(result: AlgorithmResult) -> np.ndarray:

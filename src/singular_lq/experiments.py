@@ -208,7 +208,7 @@ def _size_records(family: int, n: int, deltas, tol: float, trials: int, seed: in
             result = run(_perturbed_problem(family, problem, delta, rng), tol)
             steps, perturbed_codim = result.steps, result.codim
             compared = _compared(result, row_side) if perturbed_codim == codim else None
-            # Free this run's problem, blocks and phi before the angle and the next run.
+            # Free this run's problem and phi before the angle and the next run.
             del result
             alpha = None if compared is None else max_principal_angle(exact_space, compared)
             records.append(

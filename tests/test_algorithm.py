@@ -6,8 +6,10 @@ shared rounding artifact.
 """
 
 import contextlib
+import copy
 import dataclasses
 import operator
+import pickle
 import tracemalloc
 import warnings
 
@@ -20,6 +22,7 @@ from problems import exact_matrices, halves_problem, shapes_of_calls, uniform_pr
 from singular_lq import (
     FEEDBACK,
     STAGNATION,
+    AlgorithmResult,
     ConstraintMatrix,
     LinearDAE,
     Subspace,
@@ -493,18 +496,21 @@ def test_grown_factor_spans_phi_and_inverts_its_r(monkeypatch):
     # Family 3 at n = 100 appends one row a level to a factor that starts
     # empty at the primary block. Its Q' and R^-1 buffers are allocated
     # once, at the run's width 2n + 1 = 201, and never regrown. The run
-    # frees R^-1's buffer before it returns, so the spy holds on to both.
-    factors = []
+    # frees R^-1's buffer before it returns, so the spy holds on to both,
+    # and to the rows it was offered.
+    factors, offered = [], []
 
     def spy(M, tol, factor):
         out = _appended(M, tol, factor)
         factors.append((factor, factor._qt, factor._inv_r))
+        offered.append(M)
         return out
 
     monkeypatch.setattr("singular_lq.algorithm._appended", spy)
     exact = _exact_problem(3, 100, 0)
     for problem in (exact, _perturbed_problem(3, exact, 1e-9, _cell_rng(0, 3, 100, 1e-9, 0))):
         factors.clear()
+        offered.clear()
         result = run(problem, 1e-6)
         factor, *buffers = factors[-1]
         assert all(f is factor and all(map(operator.is_, b, buffers)) for f, *b in factors)
@@ -521,8 +527,11 @@ def test_grown_factor_spans_phi_and_inverts_its_r(monkeypatch):
         for array in (basis, rows):
             assert array.base is None and array.flags.c_contiguous
         assert np.array_equal(rows, factor.rows) and np.array_equal(basis, qt.T)
-        # The factor kept views of the blocks' rows, not copies of them.
-        assert all(any(np.shares_memory(k, b.rows) for b in result.blocks) for k in factor.kept)
+        # The factor kept views of the rows it was offered, not copies of
+        # them; the result's blocks are a replay, which shares none of them.
+        for kept in factor.kept:
+            assert any(np.shares_memory(kept, rows) for rows in offered)
+            assert not any(np.shares_memory(kept, block.rows) for block in result.blocks)
 
 
 def _held_bytes(result) -> int:
@@ -537,40 +546,55 @@ def _held_bytes(result) -> int:
     return sum(bases.values())
 
 
+def _traced_run(problem, tol=1e-6):
+    """run(problem, tol), and the traced bytes current after it and at its peak."""
+    tracemalloc.start()
+    try:
+        result = run(problem, tol)
+        return (result, *tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+
+
 def test_run_peaks_within_a_multiple_of_what_its_result_holds():
     # Family 1 at n = 100: three blocks of 100, 99 and 99 rows, width 300,
     # and phi of 298 rows. Past its result, the run holds the row filter's
     # Q' and R^-1 buffers and one level's temporaries; phi is gathered from
-    # the blocks only after R^-1's buffer is freed. The traced peak reads
-    # 1.66 times the result's bytes; a filter that copies each kept row
-    # into a buffer of its own reads 1.86.
-    problem = _exact_problem(1, 100, 0)
-    tracemalloc.start()
-    try:
-        result = run(problem, 1e-6)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    # the kept rows only after R^-1's buffer is freed. The bound is taken
+    # against phi, row_basis and the replayed blocks and selectors, which
+    # the result no longer stores. The traced peak reads 1.62 times those
+    # bytes; a filter that copies each kept row into a buffer of its own
+    # reads 1.86.
+    result, _, peak = _traced_run(_exact_problem(1, 100, 0))
     assert result.codim == 298
     assert peak <= 1.7 * _held_bytes(result)
+
+
+def test_result_holds_no_levels_and_replays_them_once(monkeypatch):
+    # Family 1 at n = 202: the result keeps phi and row_basis, not the
+    # blocks and selectors, which a read replays, once for all three reads.
+    result, current, _ = _traced_run(_exact_problem(1, 202, 0))
+    replays = []
+    levels = algorithm._levels
+    monkeypatch.setattr(algorithm, "_levels", lambda *args: replays.append(args) or levels(*args))
+    assert current <= 0.65 * _held_bytes(result)
+    assert result.blocks and result.selectors and feedback_rate_map(result).any()
+    assert result.blocks[1] is result.blocks[1] and len(replays) == 1
+    # The replay stays out of the dict of fields: a result rebuilt from it,
+    # a copy and a pickled one replay their own levels.
+    for other in (AlgorithmResult(**vars(result)), copy.copy(result),
+                  pickle.loads(pickle.dumps(result))):
+        assert other.blocks[1].rows.tobytes() == result.blocks[1].rows.tobytes()
+    assert len(replays) == 4
 
 
 def test_result_records_its_problem_and_what_run_decides():
     problem = gen_experiment2(3)
     result = run(problem, 1e-6)
     assert [field.name for field in dataclasses.fields(result)] == [
-        "problem", "phi", "steps", "halt_reason", "row_basis", "rank_history",
-        "selectors", "blocks", "tol",
+        "problem", "phi", "steps", "halt_reason", "row_basis", "rank_history", "tol",
     ]
     assert result.problem is problem
-
-
-def test_one_row_levels_share_one_read_only_identity_selector():
-    result = run(gen_experiment3(40), 1e-6)
-    assert len(result.selectors) == 40
-    assert all(selector is result.selectors[0] for selector in result.selectors)
-    assert np.array_equal(result.selectors[0], np.eye(1))
-    assert not result.selectors[0].flags.writeable
 
 
 @pytest.mark.parametrize("gap", [1.0, 1e-12])
@@ -1108,9 +1132,11 @@ def test_rank_zero_levels_pass_their_derivative_on_unrotated(monkeypatch):
     problem = _perturbed_problem(1, _exact_problem(1, n, 1), delta, _cell_rng(1, 1, n, delta, 0))
     shapes.clear()
     result = run(problem, tol)
+    # The run's own splits, before a read of its blocks replays them.
+    assert shapes == [(n, n), (n - 1, n)]
     level2 = result.blocks[1]
     assert [rank for rank, _ in result.rank_history] == [1, 0, n - 1]
-    assert np.linalg.norm(level2.rho) <= tol and shapes == [(n, n), (n - 1, n)]
+    assert np.linalg.norm(level2.rho) <= tol
     assert np.array_equal(result.selectors[1], np.eye(n - 1))
     assert result.blocks[2].rows.tobytes() == _derivative(level2, problem).tobytes()
     for k, block in enumerate(result.blocks, start=1):
@@ -1199,7 +1225,7 @@ def _scaled_problem(problem, scale):
                     scale * problem.R)
 
 
-def test_run_raises_when_a_level_overflows():
+def test_run_raises_when_a_level_overflows(monkeypatch):
     # Level 2 multiplies two entries of 1e200. Unchecked, run ranked the inf
     # and NaN rows that follow and returned steps=1, stagnation.
     with pytest.raises(FloatingPointError):
@@ -1211,18 +1237,50 @@ def test_run_raises_when_a_level_overflows():
     result = run(_scaled_problem(gen_experiment2(5), 1e100), tol=1e-6 * 1e100)
     assert result.rank_history == base.rank_history == [(0, 1), (0, 2), (1, 3)]
     assert (result.steps, result.halt_reason) == (base.steps, base.halt_reason)
+    # This run stalls at level 2, whose own derivative overflows: a level's
+    # derivative is taken before the stop test, so the last level raises,
+    # with the lookahead and one level at a time.
+    stalled = validate([[1e200]], [[1.0]], [[0.0]], [[0.0]], [[0.0]])
+    for batch in (algorithm._BATCH, 1):
+        monkeypatch.setattr(algorithm, "_BATCH", batch)
+        with pytest.raises(FloatingPointError):
+            run(stalled)
+
+
+def _filtered_run(problem, tol=1e-6):
+    """run(problem, tol), and the row arrays its loop offered the row filter,
+    level by level: each level's rows, or each row of a stack appended whole."""
+    offered = []
+    independent_rows_array = algorithm._independent_rows_array
+    batch_appended = algorithm._batch_appended
+
+    def filter_spy(M, tol, factor):
+        offered.append(M)
+        return independent_rows_array(M, tol, factor)
+
+    def batch_spy(level_rows, tol, factor):
+        appended = batch_appended(level_rows, tol, factor)
+        offered.extend(level_rows if appended else [])
+        return appended
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(algorithm, "_independent_rows_array", filter_spy)
+        patch.setattr(algorithm, "_batch_appended", batch_spy)
+        return run(problem, tol), offered
 
 
 def _outcome(problem, tol=1e-6):
-    """What run decides and records, with every array as its shape and bytes,
-    or the FloatingPointError it raised."""
+    """What run decides, with phi and the rows its loop offered the row filter
+    as shapes and bytes, or the FloatingPointError it raised. The blocks the
+    result replays must be those rows, to the byte."""
     try:
-        result = run(problem, tol)
+        result, offered = _filtered_run(problem, tol)
     except FloatingPointError:
         return FloatingPointError
-    arrays = [result.phi.rows, *(b.rows for b in result.blocks), *result.selectors]
+    offered = [(rows.shape, rows.tobytes()) for rows in offered]
+    assert [(block.rows.shape, block.rows.tobytes()) for block in result.blocks] == offered
     return (result.rank_history, result.steps, result.codim, result.halt_reason,
-            [(a.shape, a.tobytes()) for a in arrays])
+            [(result.phi.rows.shape, result.phi.rows.tobytes()), *offered])
 
 
 def _batches(monkeypatch):
@@ -1231,10 +1289,10 @@ def _batches(monkeypatch):
     original, batches = algorithm._batch_appended, []
 
     def spy(level_rows, tol, factor):
-        rank, stack = factor.rank, original(level_rows, tol, factor)
+        rank, appended = factor.rank, original(level_rows, tol, factor)
         if len(level_rows) > 1:
-            batches.append((rank, len(level_rows), stack is not None))
-        return stack
+            batches.append((rank, len(level_rows), appended))
+        return appended
 
     monkeypatch.setattr(algorithm, "_batch_appended", spy)
     return batches
@@ -1243,8 +1301,9 @@ def _batches(monkeypatch):
 def test_lookahead_changes_no_decision(monkeypatch):
     # The families, exact and perturbed, and random problems: run with the
     # lookahead and with one level at a time (_BATCH = 1) records the same
-    # ranks, steps, codim and halt, and the same phi, blocks and selectors
-    # to the byte.
+    # ranks, steps, codim and halt, and the same phi, and its loop offers
+    # the row filter the same rows, to the byte: the blocks the result
+    # replays.
     rng = np.random.default_rng(151)
     problems = []
     for family, n in ((1, 5), (1, 20), (2, 5), (2, 25), (3, 5), (3, 40), (3, 80)):
@@ -1266,17 +1325,20 @@ def test_family3_declines_only_the_batch_that_holds_the_dependent_row(monkeypatc
     # adds no rank. The lookahead appends levels 1-16 and 17-32 whole; the
     # batch from level 33 on holds level 41 and is declined, and its levels
     # are ranked one at a time up to the stall.
-    batches = _batches(monkeypatch)
+    batches, factors = _batches(monkeypatch), []
+
+    def spy(M, tol, factor):
+        factors.append(factor)
+        return _appended(M, tol, factor)
+
+    monkeypatch.setattr(algorithm, "_appended", spy)
     result = run(gen_experiment3(40), 1e-6)
     assert (result.steps, result.codim, result.halt_reason) == (40, 40, STAGNATION)
     assert batches == [(0, algorithm._BATCH, True), (16, 16, True), (32, 16, False)]
     rank, rows, _ = batches[-1]
     assert rank < len(result.rank_history) <= rank + rows
-    # The appended levels' blocks are views of one stacked array each.
-    for start in (0, 16):
-        stack = result.blocks[start].rows.base
-        assert stack.shape == (16, 81)
-        assert all(block.rows.base is stack for block in result.blocks[start : start + 16])
+    # The factor keeps each appended stack as one array, and levels 33-40 a row each.
+    assert [kept.shape for kept in factors[-1].kept] == [(16, 81)] * 2 + [(1, 81)] * 8
 
 
 @pytest.mark.parametrize("args, overflows", [

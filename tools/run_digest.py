@@ -16,8 +16,9 @@ the number of calls it covers:
   ``rank_history``, ``steps``, ``codim``, ``halt_reason`` and the shapes
   and bytes of ``phi.rows``, ``row_basis``, every block, every selector and
   every determined relation (level, rate and drift) that
-  ``feedback_rate_map`` stacks, rebuilt from the result outside the
-  ``lapack`` count.
+  ``feedback_rate_map`` stacks. The result stores no blocks or selectors:
+  they and the relations are hashed from the result's replay of its
+  levels, outside the ``lapack`` count.
 * ``decisions``: the same ``run`` calls, over ``rank_history``, ``steps``,
   ``codim`` and ``halt_reason`` alone. A change that moves the low bits of
   the outputs, and so the ``run`` digest, keeps this one when it keeps
