@@ -32,13 +32,19 @@ _SKETCH_SPREAD = 1e3
 _PANEL = 32
 
 # Gram order from which _spectral_norm finds the top eigenvalue by Lanczos
-# rather than eigvalsh: the first order of the timing table in the README's
-# Performance section at which Lanczos is the faster. Lanczos tests for
-# convergence every _LANCZOS_STRIDE steps, since an eigensolve of its
+# rather than eigvalsh: the first order at which a single float64 Lanczos
+# pass was the faster. The two passes of _top_eigenvalue win from about
+# order 150 on; the README's Performance section times both. Lanczos tests
+# for convergence every _LANCZOS_STRIDE steps, since an eigensolve of its
 # tridiagonal costs about as much as a step there; the seed fixes its start.
 _LANCZOS_ORDER = 200
 _LANCZOS_STRIDE = 8
 _LANCZOS_SEED = 19801
+
+# The float32 pass of _top_eigenvalue stops once its top Ritz residual is
+# within this many float32 epsilons of the Ritz value: within 7% of the
+# fastest value at each order the README's Performance section times.
+_SINGLE_STOP = 30
 
 
 class SubspaceDimensionMismatch(ValueError):
@@ -160,36 +166,71 @@ def _spectral_norm(M: np.ndarray) -> float:
 
     It only scales random directions, so it decides no rank and spends no
     SVD. Below the Gram order ``_LANCZOS_ORDER`` the eigenvalue comes from
-    ``eigvalsh``; from there on from ``_top_eigenvalue``, Lanczos on the
-    Gram matrix, which needs the start vector not to be orthogonal to the
-    top singular vector. Its start is fixed, so that holds with probability
-    one when M is drawn from a continuous distribution, as every caller's
-    direction is. Empty and zero matrices have norm 0.
+    ``eigvalsh``; from there on from ``_top_eigenvalue``, two-pass Lanczos
+    on the Gram matrix, which needs the start vector not to be orthogonal
+    to the top singular vector. Its start is fixed, so that holds with
+    probability one when M is drawn from a continuous distribution, as
+    every caller's direction is. Empty and zero matrices have norm 0.
     """
     gram = M.T @ M if M.shape[0] >= M.shape[1] else M @ M.T
     if len(gram) < _LANCZOS_ORDER:
         return float(np.sqrt(np.max(np.linalg.eigvalsh(gram), initial=0.0)))
-    return float(np.sqrt(max(_top_eigenvalue(gram), 0.0)))
+    return float(np.sqrt(_top_eigenvalue(gram)))
 
 
 def _top_eigenvalue(gram: np.ndarray) -> float:
-    """Top eigenvalue of a symmetric positive semidefinite matrix, by Lanczos.
+    """Top eigenvalue of a symmetric positive semidefinite matrix, by Lanczos in two passes.
 
-    Each step multiplies the newest Krylov vector by ``gram`` and
-    orthogonalises the product against every earlier vector by classical
-    Gram-Schmidt, twice (full reorthogonalisation); the coefficients build
-    the tridiagonal T. Every ``_LANCZOS_STRIDE`` steps the top Ritz pair
-    (theta, y) of T is tested. With residual r = beta |y_last| and gap
-    theta minus the next Ritz value, Parlett's gap bound gives lambda_1 -
-    theta <= r^2 / gap (The Symmetric Eigenvalue Problem, 1980), so the loop
-    stops when r^2 <= eps theta max(gap, eps theta). Otherwise it runs to
-    k = n, where T is the matrix's exact tridiagonal form. Only the Krylov
-    rows in use are written.
+    The first pass runs on ``gram`` cast to float32, from the fixed-seed
+    start, and stops once its top Ritz pair's residual r is at float32
+    level, r <= ``_SINGLE_STOP`` eps32 theta: a float32 product reads half
+    the bytes of a float64 one. The largest diagonal entry bounds every
+    entry of a semidefinite matrix; the cast divides by it when it lies
+    outside (1e-30, 1e30), so float32 neither overflows nor flushes the
+    matrix to zero. A zero diagonal means a zero matrix. The Ritz vector
+    starts the second pass, on the float64 ``gram``, which then needs far
+    fewer steps. That pass stops on Parlett's gap bound, lambda_1 - theta
+    <= r^2 / gap (The Symmetric Eigenvalue Problem, 1980), once r^2 <= eps
+    theta max(gap, eps theta). Either pass also stops at k = n, where T is
+    the matrix's exact tridiagonal form. The value comes from the float64
+    pass alone; the float32 pass only picks its start.
+
+    The certificate's limit: the gap is read from the Ritz values, which
+    interlace the spectrum, so it can exceed the true gap lambda_1 -
+    lambda_2. A top pair closer than about sqrt(eps gap) to each other can
+    be certified at a value between them. On 600 x 600 matrices with
+    singular values 1 and 1 - 1e-9 above the rest, uniform on [0, 0.999],
+    2 of 8 random draws gave a norm off by 1.0e-9 relative, with this loop
+    and with a single float64 pass alike. Gaussian directions, the only
+    ones ``perturb`` scales, have such a pair with negligible probability.
     """
-    order, eps = len(gram), np.finfo(float).eps
-    krylov = np.empty((order, order))
+    eps32, eps = float(np.finfo(np.float32).eps), float(np.finfo(float).eps)
+    scale = gram.diagonal().max()
+    if not scale > 0.0:
+        return 0.0
+    single = (gram if 1e-30 < scale < 1e30 else gram / scale).astype(np.float32)
+    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(len(gram))
+    _, start = _lanczos(single, start, lambda r, theta, gap: r <= _SINGLE_STOP * eps32 * theta)
+    return _lanczos(
+        gram, start, lambda r, theta, gap: r * r <= eps * theta * max(gap, eps * theta)
+    )[0]
+
+
+def _lanczos(gram: np.ndarray, start: np.ndarray, converged) -> tuple[float, np.ndarray]:
+    """Top Ritz pair (theta, x) of ``gram`` on the Krylov space of ``start``.
+
+    Each step multiplies the newest Krylov vector by ``gram``, in its
+    precision, and orthogonalises the product against every earlier vector
+    by classical Gram-Schmidt, twice (full reorthogonalisation); the
+    coefficients build the tridiagonal T in float64. Every
+    ``_LANCZOS_STRIDE`` steps the top Ritz pair (theta, y) of T is tested:
+    with residual r = beta |y_last| and gap theta minus the next Ritz
+    value, the loop stops when ``converged(r, theta, gap)`` holds, or at
+    k = n. theta is clipped at 0. Only the Krylov rows in use are written.
+    """
+    order = len(gram)
+    krylov = np.empty((order, order), dtype=gram.dtype)
     diag, off = np.zeros(order), np.zeros(order)
-    start = np.random.default_rng(_LANCZOS_SEED).standard_normal(order)
     krylov[0] = start / np.linalg.norm(start)
     k = 1
     while True:
@@ -204,11 +245,10 @@ def _top_eigenvalue(gram: np.ndarray) -> float:
             band = off[: k - 1]
             tri = np.diag(diag[:k]) + np.diag(band, 1) + np.diag(band, -1)
             ritz, vectors = np.linalg.eigh(tri)
-            theta = ritz[-1]
+            theta = max(float(ritz[-1]), 0.0)
             gap = theta - ritz[-2] if k > 1 else 0.0
-            floor = eps * max(theta, 0.0)
-            if k == order or (off[k - 1] * vectors[-1, -1]) ** 2 <= floor * max(gap, floor):
-                return float(theta)
+            if k == order or converged(off[k - 1] * abs(vectors[-1, -1]), theta, gap):
+                return theta, vectors[:, -1] @ used
         krylov[k] = w / off[k - 1]
         k += 1
 

@@ -229,12 +229,14 @@ def test_perturb_zero_delta_copies():
 
 
 def test_perturb_spectral_norm_bound():
+    # 3 x 4 takes the eigvalsh route; 600 x 600 the two-pass Lanczos route.
     rng = np.random.default_rng(13)
-    M = np.zeros((3, 4))
-    for _ in range(1000):
-        delta = float(10.0 ** rng.uniform(-12, 0))
-        moved = perturb(M, delta, rng)
-        assert 0.0 <= np.linalg.norm(moved, 2) < delta
+    for shape, draws in (((3, 4), 1000), ((600, 600), 20)):
+        M = np.zeros(shape)
+        for _ in range(draws):
+            delta = float(10.0 ** rng.uniform(-12, 0))
+            moved = perturb(M, delta, rng)
+            assert 0.0 <= np.linalg.norm(moved, 2) < delta, shape
 
 
 def test_perturb_deterministic_and_validating():
@@ -334,6 +336,15 @@ def test_spectral_norm_matches_the_two_norm(monkeypatch):
     assert lanczos_orders == [min(M.shape) for M in matrices if min(M.shape) >= crossover]
     assert len(lanczos_orders) == 8
     assert _spectral_norm(np.zeros((3, 2))) == _spectral_norm(np.zeros((600, 600))) == 0.0
+
+
+def test_spectral_norm_on_the_lanczos_route_does_not_depend_on_the_scale():
+    # The float32 pass would overflow on a Gram matrix past 3.4e38, as here
+    # at 1e25, and flush one below 1e-38 to zero, unless it is scaled first.
+    M = np.random.default_rng(29).standard_normal((600, 600))
+    expected = np.linalg.norm(M, 2)
+    for scale in (1e-30, 1e25):
+        assert abs(_spectral_norm(scale * M) - scale * expected) <= 1e-13 * scale * expected
 
 
 def test_loglog_fit_recovers_power_laws():

@@ -51,8 +51,10 @@ the number of calls it covers:
   family 1 at n = 182, 202 and 260 and family 2 at n = 150, 300 and 600,
   at deltas 1e-12, 1e-8 and 1e-4, trial 0 and seed 0. Perturbation norms
   of Gram order below ``geometry._LANCZOS_ORDER`` come from ``eigvalsh``
-  and the others from Lanczos. These sizes straddle that order, so the
-  cells take both paths; the other lines' problems take only the first.
+  and the others from two-pass Lanczos: a float32 pass finds the top
+  vector and a float64 pass, started from it, certifies the eigenvalue.
+  These sizes straddle that order, so the cells take both paths; the
+  other lines' problems take only the first.
 * ``subspaces``: ``final_submanifold`` of every ``run`` output of the
   ``run`` line, at the run's own tol, taken outside the ``lapack`` count.
   Most of those complements are the larger side of phi's row basis, so
