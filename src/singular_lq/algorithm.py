@@ -8,12 +8,13 @@ control coefficient rho, as in the Gotay-Nester algorithm: the rows along
 rho's range determine part of the control derivative, and the rows along
 its left null space carry no udot term and form the next block of
 constraint rows. That split alone fixes the next block, so the levels
-depend on the problem and tol, not on phi: ``_levels`` states the level
-step once, :func:`run` the row filter and the stop rule over its levels,
-and :class:`AlgorithmResult` what a run decides. Neither the levels nor
-the relations they determine are stored: a result replays its levels
-from the same generator on request, and :func:`feedback_rate_map` reads
-the relations from that replay.
+depend on the problem and tol, not on phi. The level step is two pure
+functions, ``_split_of`` (a block's split) and ``_next_block`` (the block
+its split passes on); :func:`run` states the row filter and the stop rule
+over its levels, and :class:`AlgorithmResult` what a run decides. Neither
+the levels nor the relations they determine are stored: a result replays
+its levels with the same two functions on request, and
+:func:`feedback_rate_map` reads the relations from that replay.
 
 Rank conventions. The standalone :func:`numerical_rank` and
 :func:`svd_split` use the relative rule ``s_i > tol * s_1``, which is scale
@@ -135,9 +136,9 @@ class AlgorithmResult:
     took, and tol its tolerance.
 
     The levels themselves are not stored: they depend on the problem and
-    tol alone (:func:`_levels`), so :attr:`blocks` and :attr:`selectors`
-    replay the run's ``len(rank_history)`` levels on first read, once per
-    result.
+    tol alone, so :attr:`blocks` and :attr:`selectors` replay the run's
+    ``len(rank_history)`` levels on first read, once per result, with the
+    level step :func:`run` takes (:func:`_split_of`, :func:`_next_block`).
     """
 
     problem: LQProblem
@@ -164,8 +165,12 @@ class AlgorithmResult:
     def _replayed(self) -> list[tuple[ConstraintMatrix, SvdSplit | None]]:
         """The run's levels, (block, split), one per ``rank_history`` entry, replayed on first read."""
         if not hasattr(self, "_replay"):
-            levels = zip(self.rank_history, _levels(self.problem, self.tol))
-            object.__setattr__(self, "_replay", [level for _, level in levels])
+            block = primary_constraint(self.problem)
+            replay = [(block, _split_of(block, self.tol))]
+            for _ in self.rank_history[1:]:
+                block = _next_block(*replay[-1], self.problem)
+                replay.append((block, _split_of(block, self.tol)))
+            object.__setattr__(self, "_replay", replay)
         return self._replay
 
     @property
@@ -463,24 +468,25 @@ def independent_rows(phi: ConstraintMatrix, tol: float) -> ConstraintMatrix:
     return ConstraintMatrix(rows=rows, n=phi.n, m=phi.m)
 
 
-def _levels(problem: LQProblem, tol: float):
-    """The levels of the recursion on ``problem`` at ``tol``, as (block, split), the primary block first.
+def _split_of(block: ConstraintMatrix, tol: float) -> SvdSplit | None:
+    """A level's split of rho at the absolute cut, or None when ||rho||_F <= tol.
 
-    split is None when ||rho||_F <= tol, since s_1 <= ||rho||_F makes rho's
-    rank 0 then, and rho's split at the absolute cut otherwise. The next
-    block is u_bottom times the level's derivative when the split rank is
-    above 0, and the derivative itself otherwise. No level depends on phi,
-    so :func:`run`, its lookahead and the replay of its result read the
-    same levels.
+    s_1 <= ||rho||_F makes rho's rank 0 then, and no SVD is taken.
     """
-    block = primary_constraint(problem)
-    while True:
-        split = None if _frobenius(block.rho) <= tol else _split(block.rho, tol, False)
-        yield block, split
-        rows = _derivative(block, problem)
-        if split and split.rank:
-            rows = split.u_bottom @ rows
-        block = ConstraintMatrix(rows, problem.n, problem.m)
+    return None if _frobenius(block.rho) <= tol else _split(block.rho, tol, False)
+
+
+def _next_block(block: ConstraintMatrix, split: SvdSplit | None, problem: LQProblem):
+    """The next level's block: u_bottom times the derivative at split rank above 0, else the derivative.
+
+    The level's split alone fixes it, and no level depends on phi, so
+    :func:`run`, its lookahead and the replay of its result derive the
+    same levels from the primary block on.
+    """
+    rows = _derivative(block, problem)
+    if split and split.rank:
+        rows = split.u_bottom @ rows
+    return ConstraintMatrix(rows, problem.n, problem.m)
 
 
 def _batch_appended(level_rows: list[np.ndarray], tol: float, factor: _RowFactor) -> bool:
@@ -500,73 +506,70 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     """Run the constraint recursion on a validated problem.
 
     Every rank decision inside the loop uses the absolute rule ``s > tol``;
-    see the module docstring. The levels come from :func:`_levels`, which
-    ranks rho (a split, unless ||rho||_F <= tol makes it rank 0) and forms
-    the next block. Each level goes through one body: filter the block
-    into phi, record the ranks and pull the next level, whose derivative
-    is taken before the stop test so that a level whose arithmetic
-    overflows or makes a NaN raises ``FloatingPointError`` even when it is
-    the last. With r the split rank, rows the block's row count, prev_rows
-    the previous level's (m at level 1) and phi *stalled* when it gained
-    no rank over the previous level, the run then stops when r >=
-    prev_rows, phi stalled or r == rows (the next block would be empty).
-    Comparing r with the previous level's row count is the published
-    loop's quirk, kept as it is.
+    see the module docstring. Each level goes through one body: split its
+    rho (:func:`_split_of`, rank 0 with no SVD when ||rho||_F <= tol),
+    filter its block into phi, record the ranks and derive the next block
+    (:func:`_next_block`). The derivative is taken before the stop test,
+    so that a level whose arithmetic overflows or makes a NaN raises
+    ``FloatingPointError`` even when it is the last, but the next block's
+    rho is split only when the loop reaches it. With r the split rank,
+    rows the block's row count, prev_rows the previous level's (m at level
+    1) and phi *stalled* when it gained no rank over the previous level,
+    the run then stops when r >= prev_rows, phi stalled or r == rows (the
+    next block would be empty). Comparing r with the previous level's row
+    count is the published loop's quirk, kept as it is.
 
     A one-row level of rank 0, as every level of family 3 is, can only
     stop when its row adds no rank, and its derivative is the next block
     as it is. So a one-row level whose rho is within tol in norm first
-    pulls the levels after it while each is again such a level, up to
+    derives the levels after it while each is again such a level, up to
     ``_BATCH`` levels and the width phi has left, and offers their rows,
     stacked, to the row filter as one block. Appended whole, the block's
     certificate puts the stacked values above tol, and by interlacing
     every prefix's smallest value too, so each level kept its row as it
-    would have alone: the body records each with rank 0 and phi's rank
-    after its row, and does not filter it again. Declined, the levels go
-    through the body one at a time. A pull that raises while the lookahead
-    runs is held, and raised when the loop reaches that level, and an
-    overflow inside the block's filter declines the block, so the run
-    raises only where one level at a time does.
+    would have alone. Each of them adds a row, so none can stop the run,
+    and the stack is recorded in one step, each level with rank 0 and
+    phi's rank after its row. Declined, its levels go through the body one
+    at a time. An overflow while the lookahead derives simply ends it:
+    deriving that level again when the loop reaches it raises the same
+    error. An overflow inside the block's filter declines the block. So
+    the run raises only where one level at a time does.
     """
     _check_tol(tol)
     width = 2 * problem.n + problem.m
     factor = _RowFactor(width, width)
     prev_rows, prev_rank = problem.m, 0
     rank_history: list[tuple[int, int]] = []
-    ahead: list = []  # levels pulled past this one, in order, or the error a pull raised
-    certified = 0  # levels of an appended stack not yet recorded, this one included
+    ahead: list[ConstraintMatrix] = []  # blocks derived past this level, in order
     with np.errstate(over="raise", invalid="raise"):
-        levels = _levels(problem, tol)
-        block, split = next(levels)
+        block = primary_constraint(problem)
         while True:
-            rows = block.rows.shape[0]
-            if split is None and rows == 1 and not (ahead or certified):
-                stack, limit = [block.rows], min(_BATCH, width - factor.rank)
-                while len(stack) < limit:
-                    try:
-                        ahead.append(next(levels))
-                    except FloatingPointError as error:
-                        ahead.append(error)
-                    if isinstance(ahead[-1], FloatingPointError) or ahead[-1][1] is not None:
-                        break
-                    stack.append(ahead[-1][0].rows)
-                certified = len(stack) if _batch_appended(stack, tol, factor) else 0
-            if certified:
-                certified -= 1
-                phi_rank = factor.rank - certified
-            else:
-                phi_rank = _independent_rows_array(block.rows, tol, factor).rank
+            split, rows = _split_of(block, tol), block.rows.shape[0]
+            if split is None and rows == 1 and not ahead:
+                stack, limit = [block], min(_BATCH, width - factor.rank)
+                try:
+                    while len(stack) < limit:
+                        ahead = [_next_block(stack[-1], None, problem)]
+                        if _frobenius(ahead[0].rho) > tol:
+                            break
+                        stack.append(ahead.pop())
+                except FloatingPointError:
+                    pass
+                if _batch_appended([level.rows for level in stack], tol, factor):
+                    rank_history += [(0, r + 1) for r in range(factor.rank - len(stack), factor.rank)]
+                    prev_rows, prev_rank = 1, factor.rank
+                    block = ahead.pop() if ahead else _next_block(stack[-1], None, problem)
+                    continue
+                ahead = stack[1:] + ahead
+            phi_rank = _independent_rows_array(block.rows, tol, factor).rank
             rank = split.rank if split else 0
             rank_history.append((rank, phi_rank))
-            # Pulled before the stop test: a last level whose derivative overflows raises.
-            level = ahead.pop(0) if ahead else next(levels)
-            if isinstance(level, FloatingPointError):
-                raise level
+            # Derived before the stop test: a last level whose derivative overflows raises.
+            following = ahead.pop(0) if ahead else _next_block(block, split, problem)
             stalled = phi_rank <= prev_rank
             if rank >= prev_rows or stalled or rank == rows:
                 break
-            prev_rows, prev_rank = rows, phi_rank
-            block, split = level
+            prev_rows, prev_rank, block = rows, phi_rank, following
 
     # R^-1 is done with: free its buffer before phi is gathered from the
     # kept rows and its basis, a view of the Q' buffer, is copied out compact.

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .problem import ConstraintMatrix, LQProblem, _as_matrix, _derivative, _is_count, primary_constraint
+from .algorithm import _next_block
+from .problem import ConstraintMatrix, LQProblem, _as_matrix, _is_count, primary_constraint
 
 __all__ = ["tilde_recurrence", "tilde_closed_form", "theorem2_blocks"]
 
@@ -26,11 +27,15 @@ def _check_level(k, name: str) -> None:
 
 @np.errstate(over="raise", invalid="raise")
 def tilde_recurrence(problem: LQProblem, k_max: int) -> list[ConstraintMatrix]:
-    """Tilde blocks for levels 1..k_max via the recurrence, level k at index k - 1."""
+    """Tilde blocks for levels 1..k_max via the recurrence, level k at index k - 1.
+
+    A tilde block is a level of the recursion with no selector: each is the
+    block before it passed on by the recursion's own step with no split.
+    """
     _check_level(k_max, "k_max")
     out = [primary_constraint(problem)]
     for _ in range(1, k_max):
-        out.append(ConstraintMatrix(_derivative(out[-1], problem), problem.n, problem.m))
+        out.append(_next_block(out[-1], None, problem))
     return out
 
 

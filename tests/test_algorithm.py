@@ -573,10 +573,12 @@ def test_run_peaks_within_a_multiple_of_what_its_result_holds():
 def test_result_holds_no_levels_and_replays_them_once(monkeypatch):
     # Family 1 at n = 202: the result keeps phi and row_basis, not the
     # blocks and selectors, which a read replays, once for all three reads.
+    # A replay starts from the primary block, and calls for it once.
     result, current, _ = _traced_run(_exact_problem(1, 202, 0))
     replays = []
-    levels = algorithm._levels
-    monkeypatch.setattr(algorithm, "_levels", lambda *args: replays.append(args) or levels(*args))
+    primary = algorithm.primary_constraint
+    monkeypatch.setattr(algorithm, "primary_constraint",
+                        lambda *args: replays.append(args) or primary(*args))
     assert current <= 0.65 * _held_bytes(result)
     assert result.blocks and result.selectors and feedback_rate_map(result).any()
     assert result.blocks[1] is result.blocks[1] and len(replays) == 1
@@ -1393,6 +1395,33 @@ def test_lookahead_raises_only_where_one_level_at_a_time_does(monkeypatch):
     single = [_outcome(problem) for problem in problems]
     assert ahead == single
     assert 10 <= single.count(FloatingPointError) <= 290
+
+
+def test_run_splits_each_recorded_level_once(monkeypatch):
+    # A level's rho is split only when the loop reaches it, so a run that
+    # stops takes no split of a level past its last. run's only other SVD
+    # is the one-row fallback's, which computes values alone.
+    rng = np.random.default_rng(5)
+    problems = [_scaled_one_row_problem(rng) for _ in range(300)]
+    svd, splits = np.linalg.svd, []
+
+    def spy(*args, **kwargs):
+        splits[-1] += kwargs.get("compute_uv", True) is not False
+        return svd(*args, **kwargs)
+
+    returned = 0
+    for tol in (1e-6, 1e-9):
+        for problem in problems:
+            splits.append(0)
+            with monkeypatch.context() as patch:
+                patch.setattr(np.linalg, "svd", spy)
+                try:
+                    result = run(problem, tol)
+                except FloatingPointError:
+                    continue
+            returned += 1
+            assert splits[-1] == sum(split is not None for _, split in result._replayed)
+    assert returned >= 300
 
 
 def test_run_splits_one_derivative_per_level():

@@ -428,11 +428,23 @@ def test_sweep_rejects_an_unwritable_out_before_sweeping(tmp_path, capsys, monke
 
     monkeypatch.setattr(singular_lq.cli, "run_sweep", no_sweep)
     (tmp_path / "taken.slopes.csv").mkdir()
-    for out, text in (
-        (tmp_path / "missing" / "r.csv", "no directory"),
-        (tmp_path, "is a directory"),
-        (tmp_path / "taken.csv", "taken.slopes.csv: it is a directory"),
+    (tmp_path / "kept.csv").write_text("")
+    access = os.access
+    # os.access grants root every write, and tests may run as root, so each
+    # check of write access is reached by denying it for one path.
+    for out, denied, text in (
+        (tmp_path / "missing" / "r.csv", None, "no directory"),
+        (tmp_path, None, "is a directory"),
+        (tmp_path / "taken.csv", None, "taken.slopes.csv: it is a directory"),
+        (tmp_path / "r.csv", tmp_path, f"directory {tmp_path} is not writable"),
+        (tmp_path / "kept.csv", tmp_path / "kept.csv", "kept.csv: not writable"),
     ):
+        def denying(path, mode, denied=denied):
+            if denied and os.path.abspath(path) == str(denied) and mode & os.W_OK:
+                return False
+            return access(path, mode)
+
+        monkeypatch.setattr(singular_lq.cli.os, "access", denying)
         args = ["sweep", "--family", "2", "--n", "5", "--deltas", "1e-10..1e-8", "--out", str(out)]
         assert main(args) == 1
         captured = capsys.readouterr()

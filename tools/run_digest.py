@@ -32,9 +32,10 @@ the number of calls it covers:
 * ``lapack``: how many LAPACK factorisations those ``run`` calls made
   through ``np.linalg``: values-only SVDs (``svd-values``), which in
   ``run`` are only the row filter's stacked-SVD fallbacks for one row,
-  SVDs with singular vectors (``svd-full``), QRs (``qr``), inverses
-  (``inv``) and Choleskys (``cholesky``, at most two for each multi-row
-  block the row filter factors by CholeskyQR2).
+  SVDs with singular vectors (``svd-full``), of which ``run`` takes one
+  per recorded level with ||rho||_F > tol and none past its last level,
+  QRs (``qr``), inverses (``inv``) and Choleskys (``cholesky``, at most
+  two for each multi-row block the row filter factors by CholeskyQR2).
 * ``dae``: ``dae_constraint_chain`` (every basis of the chain and the step
   count) and the ``pencil_is_regular`` verdict on the 480-item pencil pools
   of the ``dae-chains`` benchmark workload at seeds 1 and 11, plus each of
