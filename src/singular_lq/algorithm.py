@@ -55,11 +55,12 @@ guard rejects, or the certificate declines, has its rows ranked one at
 a time, like a one-row block: the row's R is the norm beta of its
 projection P, with no LAPACK call, and the stacked SVD of [phi; row]
 decides instead whenever a derived bound cannot certify it. No SVD of a
-block or of its R is taken. A one-row block that :func:`run` could not
-stack with the levels after it goes to the one-row decision as it is.
-Rows are appended by Gram-Schmidt with reorthogonalisation; a
-single row is written straight into the factor's buffers, its q = P /
-beta and an R^-1 column ending in 1 / beta, with no matrix product.
+block or of its R is taken. A one-row block, such as a level that
+:func:`run` could not stack with the levels after it, goes through the
+same row loop. Rows are appended by Gram-Schmidt with
+reorthogonalisation; a single row is written straight into the factor's
+buffers, its q = P / beta and an R^-1 column ending in 1 / beta, with no
+matrix product.
 Bases that decide no rank are not SVDs: the row filter leaves phi with
 full row rank at the run's tolerance, so the final submanifold there is
 the orthogonal complement of phi's carried row basis (``row_basis``),
@@ -448,13 +449,11 @@ def _independent_rows_array(M: np.ndarray, tol: float, factor: _RowFactor) -> _R
     empty input adds no row.
 
     A block of several rows is appended whole when :func:`_appended`
-    certifies that every row adds rank; otherwise, and for a single row,
-    each row is decided on its own. The factor keeps views of M's rows,
-    not copies.
+    certifies that every row adds rank. Otherwise each row is decided on
+    its own, by the same loop whether the block was declined or is one
+    row. The factor keeps views of M's rows, not copies.
     """
-    if len(M) == 1:
-        _appended(M, tol, factor)
-    elif len(M) > 1 and not _appended(M, tol, factor):
+    if len(M) < 2 or not _appended(M, tol, factor):
         for row in M:
             _appended(row[None, :], tol, factor)
     return factor
@@ -492,14 +491,9 @@ def _next_block(block: ConstraintMatrix, split: SvdSplit | None, problem: LQProb
 def _batch_appended(level_rows: list[np.ndarray], tol: float, factor: _RowFactor) -> bool:
     """Whether there are several level rows and :func:`_appended` takes them stacked, as one block.
 
-    The factor then keeps the stack whole. An overflow or NaN inside the
-    block's factorisation declines it, like any other decline: its rows
-    are then ranked level by level, where the recursion may stop first.
+    The factor then keeps the stack whole.
     """
-    try:
-        return len(level_rows) > 1 and _appended(np.concatenate(level_rows), tol, factor)
-    except FloatingPointError:
-        return False
+    return len(level_rows) > 1 and _appended(np.concatenate(level_rows), tol, factor)
 
 
 def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
@@ -529,11 +523,10 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
     every prefix's smallest value too, so each level kept its row as it
     would have alone. Each of them adds a row, so none can stop the run,
     and the stack is recorded in one step, each level with rank 0 and
-    phi's rank after its row. Declined, its levels go through the body one
-    at a time. An overflow while the lookahead derives simply ends it:
-    deriving that level again when the loop reaches it raises the same
-    error. An overflow inside the block's filter declines the block. So
-    the run raises only where one level at a time does.
+    phi's rank after its row. An overflow or NaN while the lookahead
+    derives the stack or filters it declines the stack, as a failed
+    certificate does. Declined, its levels go through the body one at a
+    time, so the run raises only where one level at a time does.
     """
     _check_tol(tol)
     width = 2 * problem.n + problem.m
@@ -553,9 +546,10 @@ def run(problem: LQProblem, tol: float = 1e-6) -> AlgorithmResult:
                         if _frobenius(ahead[0].rho) > tol:
                             break
                         stack.append(ahead.pop())
+                    batched = _batch_appended([level.rows for level in stack], tol, factor)
                 except FloatingPointError:
-                    pass
-                if _batch_appended([level.rows for level in stack], tol, factor):
+                    batched = False
+                if batched:
                     rank_history += [(0, r + 1) for r in range(factor.rank - len(stack), factor.rank)]
                     prev_rows, prev_rank = 1, factor.rank
                     block = ahead.pop() if ahead else _next_block(stack[-1], None, problem)

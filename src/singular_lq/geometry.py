@@ -77,12 +77,15 @@ class Subspace:
 def max_principal_angle(first: Subspace, second: Subspace) -> float:
     """Largest principal angle between two equal-dimensional subspaces.
 
-    The cosine of the largest angle is the smallest singular value of
-    basis1' basis2. That formula alone loses half the working precision
-    near zero (acos of 1 - eps), so small angles are recomputed from the
-    sine: the largest singular value of basis2 projected off span(basis1).
-    Complements meet at the same largest angle (Bjorck & Golub 1973), so
-    callers pick the smaller side, as sweeps do with phi's two sides.
+    The sine of the largest angle is the largest singular value of basis2
+    projected off span(basis1) (Knyazev & Argentati 2002). It is taken
+    first: it picks the route and gives every angle below pi/4 at full
+    precision. From pi/4 on the angle is the arccosine of the smallest
+    singular value of basis1' basis2 (Bjorck & Golub 1973), and only there
+    is that product factorised: near zero the cosine loses half the
+    working precision (acos of 1 - eps). Complements meet at the same
+    largest angle, so callers pick the smaller side, as sweeps do with
+    phi's two sides.
     Raises SubspaceDimensionMismatch when the subspace dimensions differ
     and ValueError when the ambient spaces do.
     """
@@ -98,13 +101,11 @@ def max_principal_angle(first: Subspace, second: Subspace) -> float:
     if first.dim == 0:
         return 0.0
     cross = u.T @ v
-    svals = np.linalg.svd(cross, compute_uv=False)
-    cos_min = min(max(float(svals[-1]), 0.0), 1.0)
-    if cos_min ** 2 > 0.5:  # angle below pi/4: sine route keeps full precision
-        residual = v - u @ cross
-        sin_max = float(np.linalg.svd(residual, compute_uv=False)[0])
-        return asin(min(max(sin_max, 0.0), 1.0))
-    return acos(cos_min)  # asin and acos of [0, 1] lie in [0, pi/2]
+    sin_max = min(max(float(np.linalg.svd(v - u @ cross, compute_uv=False)[0]), 0.0), 1.0)
+    if sin_max ** 2 < 0.5:  # angle below pi/4: the sine route keeps full precision
+        return asin(sin_max)
+    cos_min = float(np.linalg.svd(cross, compute_uv=False)[-1])
+    return acos(min(max(cos_min, 0.0), 1.0))  # asin and acos of [0, 1] lie in [0, pi/2]
 
 
 def _complement(basis: np.ndarray) -> np.ndarray:
@@ -171,6 +172,9 @@ def _spectral_norm(M: np.ndarray) -> float:
     to the top singular vector. Its start is fixed, so that holds with
     probability one when M is drawn from a continuous distribution, as
     every caller's direction is. Empty and zero matrices have norm 0.
+    Squaring limits the range: entries above about 1e154 overflow the Gram
+    matrix and entries below about 1e-154 lose its precision, which no
+    caller reaches, since ``perturb`` only scales standard normal draws.
     """
     gram = M.T @ M if M.shape[0] >= M.shape[1] else M @ M.T
     if len(gram) < _LANCZOS_ORDER:

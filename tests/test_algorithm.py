@@ -1287,14 +1287,18 @@ def _outcome(problem, tol=1e-6):
 
 def _batches(monkeypatch):
     """One entry per block of several levels the lookahead offers the row
-    filter from here on: (phi's rank before it, its rows, whether it was appended)."""
+    filter from here on: (phi's rank before it, its rows, whether it was
+    appended). A block whose filter overflows is recorded as not appended."""
     original, batches = algorithm._batch_appended, []
 
     def spy(level_rows, tol, factor):
-        rank, appended = factor.rank, original(level_rows, tol, factor)
-        if len(level_rows) > 1:
-            batches.append((rank, len(level_rows), appended))
-        return appended
+        rank, appended = factor.rank, False
+        try:
+            appended = original(level_rows, tol, factor)
+            return appended
+        finally:
+            if len(level_rows) > 1:
+                batches.append((rank, len(level_rows), appended))
 
     monkeypatch.setattr(algorithm, "_batch_appended", spy)
     return batches
@@ -1353,11 +1357,16 @@ def test_family3_declines_only_the_batch_that_holds_the_dependent_row(monkeypatc
 ])
 def test_lookahead_never_raises_past_the_stall(monkeypatch, args, overflows):
     # Each problem stalls at level 2, and a level or a stack beyond it
-    # overflows. An overflow while the lookahead derives ends it, and one
-    # while the filter takes the stack declines the stack: the run stops
-    # where one level at a time stops, and raises nothing.
+    # overflows. An overflow while the lookahead derives the stack, or while
+    # the filter takes it, declines the stack; the first is met before the
+    # stack is offered, so the width-7 case offers none, and the width-3
+    # cases their 3 levels. The run stops where one level at a time stops,
+    # and raises nothing.
     problem = validate(*args)
+    batches = _batches(monkeypatch)
     result = run(problem)
+    width = 2 * problem.n + problem.m
+    assert [rows for _, rows, _ in batches] == ([] if width == 7 else [3])
     assert (result.steps, result.codim, result.halt_reason) == (1, 1, STAGNATION)
     assert result.rank_history == [(0, 1), (0, 1)]
     if overflows:

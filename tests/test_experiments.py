@@ -135,6 +135,9 @@ def test_perturbation_zero_delta_and_bad_family():
     assert _perturbed_problem(2, problem, 0.0, np.random.default_rng(1)) is problem
     with pytest.raises(ValueError, match="family"):
         _perturbed_problem(4, problem, 1e-8, np.random.default_rng(1))
+    # The exact generator guards callers that skip run_sweep's checks.
+    with pytest.raises(ValueError, match="family"):
+        _exact_problem(4, 3, 0)
 
 
 def test_run_sweep_records_regenerate_bit_for_bit():

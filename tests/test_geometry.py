@@ -47,6 +47,24 @@ def test_tiny_rotation_measured_at_full_precision():
     assert abs(angle - theta) <= 1e-14
 
 
+@pytest.mark.parametrize("theta, svds", [(1e-7, 1), (0.5, 1), (1.2, 2)])
+def test_angle_factorises_the_cross_product_only_from_pi_over_4(monkeypatch, theta, svds):
+    # The residual's SVD gives the sine, which picks the route and any angle
+    # below pi/4; u'v is factorised only on the cosine route.
+    e1 = Subspace(np.eye(3)[:, :1])
+    rotated = Subspace(np.array([[np.cos(theta)], [np.sin(theta)], [0.0]]))
+    svd, calls = np.linalg.svd, []
+
+    def spy(*args, **kwargs):
+        calls.append(args[0].shape)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", spy)
+    assert abs(max_principal_angle(e1, rotated) - theta) <= 1e-14
+    # The 3 x 1 residual first, then the 1 x 1 product u'v.
+    assert calls == [(3, 1), (1, 1)][:svds]
+
+
 def test_angle_symmetric_and_basis_independent():
     rng = np.random.default_rng(5)
     for _ in range(25):
