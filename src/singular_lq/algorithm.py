@@ -58,9 +58,9 @@ decides instead whenever a derived bound cannot certify it. No SVD of a
 block or of its R is taken. A one-row block, such as a level that
 :func:`run` could not stack with the levels after it, goes through the
 same row loop. Rows are appended by Gram-Schmidt with
-reorthogonalisation; a single row is written straight into the factor's
-buffers, its q = P / beta and an R^-1 column ending in 1 / beta, with no
-matrix product.
+reorthogonalisation, and both kinds of append go through the factor's one
+``extend``: a single row passes its q = P / beta and its R^-1 column
+[-g / beta; 1 / beta], g = R^-1 (row Q)', with no matrix product.
 Bases that decide no rank are not SVDs: the row filter leaves phi with
 full row rank at the run's tolerance, so the final submanifold there is
 the orthogonal complement of phi's carried row basis (``row_basis``),
@@ -276,35 +276,20 @@ class _RowFactor:
         """The kept rows, stacked into a new (rank, width) array."""
         return np.concatenate(self.kept) if self.kept else np.empty((0, self._qt.shape[1]))
 
-    def extend(self, rows: np.ndarray, qt: np.ndarray, tail: np.ndarray, g: np.ndarray,
-               norm: float, tail_norm: float) -> None:
-        """Append rows with Q' rows qt and grown norm ``norm``; R^-1 gains [-g tail; tail]."""
+    def extend(self, rows: np.ndarray, qt: np.ndarray, off: np.ndarray, tail: np.ndarray | float,
+               norm: float, *inv_norms: float) -> None:
+        """Append k >= 1 rows with Q' rows qt; R^-1 gains the k columns [off; tail].
+
+        ``tail`` is the new rows' own k x k block of R^-1, and may be the
+        scalar 1 / beta of one row, which fills its 1 x 1 slot. ``norm`` is
+        the grown rows' Frobenius norm, and R^-1's grows by ``inv_norms``,
+        the norms of its new blocks.
+        """
         c, k = self.rank, rows.shape[0]
-        off = -g @ tail
         self._qt[c : c + k] = qt
         self._inv_r[:c, c : c + k], self._inv_r[c : c + k, c : c + k] = off, tail
-        self._grow(rows, norm, _frobenius(off), tail_norm)
-
-    def extend_row(self, row: np.ndarray, projected: np.ndarray, beta: float, g: np.ndarray,
-                   g_norm: float, norm: float) -> None:
-        """:meth:`extend` by one row whose projection P off Q is beta q, written in place.
-
-        beta = ||P||_F > 0, the positive R diagonal CholeskyQR2 gives too, so
-        q = P / beta, and R^-1 gains the column [-g / beta; 1 / beta], with
-        -g / beta formed as g times -(1 / beta), as :meth:`extend` forms -g
-        tail. Its norm is taken from ``g_norm`` = ||g||_F, as ||g|| / beta.
-        """
-        c, inv = self.rank, 1.0 / beta
-        np.divide(projected, beta, out=self._qt[c : c + 1])
-        np.multiply(g, -inv, out=self._inv_r[:c, c : c + 1])
-        self._inv_r[c, c] = inv
-        self._grow(row, norm, g_norm / beta, inv)
-
-    def _grow(self, rows: np.ndarray, norm: float, *inv_norms: float) -> None:
-        """Keep rows and take them into the views; R^-1's norm grows by its new blocks' norms."""
         self.kept.append(rows)
-        c = self.rank + rows.shape[0]
-        self.qt, self.inv_r = self._qt[:c], self._inv_r[:c, :c]
+        self.qt, self.inv_r = self._qt[: c + k], self._inv_r[: c + k, : c + k]
         self.norm = norm
         self.inv_norm = math.hypot(self.inv_norm, *inv_norms)
 
@@ -419,7 +404,8 @@ def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
         qt -= drift @ basis_t
         if np.vdot(drift, drift) > _EPS:
             return False
-        factor.extend(M, qt, tail, g, stacked_norm, tail_norm)
+        off = -g @ tail
+        factor.extend(M, qt, off, tail, stacked_norm, _frobenius(off), tail_norm)
         return True
     s = beta = _frobenius(projected)
     if s > tol:
@@ -433,8 +419,10 @@ def _appended(M: np.ndarray, tol: float, factor: _RowFactor) -> bool:
             return False
     elif s <= tol:
         return False
-    # q = P / beta is orthogonal to Q to about eps, since s = ||P||.
-    factor.extend_row(M, projected, beta, g, g_norm, stacked_norm)
+    # q = P / beta is orthogonal to Q to about eps, since s = ||P||, and R^-1
+    # gains the column [-g / beta; 1 / beta].
+    inv = 1.0 / beta
+    factor.extend(M, projected / beta, g * -inv, inv, stacked_norm, g_norm / beta, inv)
     return True
 
 

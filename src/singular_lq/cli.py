@@ -83,28 +83,28 @@ def _output_path(text: str) -> str:
     return text
 
 
+def _items(text: str, what: str) -> list[str]:
+    """The stripped, non-blank items of a comma list, or an error when there are none."""
+    items = [token.strip() for token in text.split(",") if token.strip()]
+    if not items:
+        raise argparse.ArgumentTypeError(f"empty {what} list")
+    return items
+
+
 def _parse_sizes(text: str) -> list[int]:
     sizes = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in _items(text, "size"):
         try:
             sizes.append(int(token))
         except ValueError as exc:
             raise argparse.ArgumentTypeError(f"bad size {token!r}") from exc
-    if not sizes:
-        raise argparse.ArgumentTypeError("empty size list")
     return sizes
 
 
 def _parse_deltas(text: str) -> list[float]:
     """Comma list of magnitudes; ``a..b`` expands the decades a..b inclusive."""
     deltas: list[float] = []
-    for token in text.split(","):
-        token = token.strip()
-        if not token:
-            continue
+    for token in _items(text, "delta"):
         if ".." in token:
             lo_text, hi_text = token.split("..", 1)
             try:
@@ -129,8 +129,6 @@ def _parse_deltas(text: str) -> list[float]:
                 deltas.append(float(token))
             except ValueError as exc:
                 raise argparse.ArgumentTypeError(f"bad delta {token!r}") from exc
-    if not deltas:
-        raise argparse.ArgumentTypeError("empty delta list")
     return deltas
 
 

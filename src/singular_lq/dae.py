@@ -134,18 +134,19 @@ def dae_constraint_chain(dae: LinearDAE, tol: float = 1e-9) -> tuple[list[np.nda
 
 
 def build_weierstrass(spec: WeierstrassSpec) -> LinearDAE:
-    """Assemble A = E^-1 blkdiag(I, Nnil) F^-1, B = E^-1 blkdiag(W, I) F^-1."""
-    d, q = spec.d, spec.q
-    core_a = np.zeros((d + q, d + q))
-    core_a[:d, :d] = np.eye(d)
-    core_a[d:, d:] = spec.Nnil
-    core_b = np.zeros((d + q, d + q))
-    core_b[:d, :d] = spec.W
-    core_b[d:, d:] = np.eye(q)
-    f_inv = np.linalg.inv(spec.F)
-    A = np.linalg.solve(spec.E, core_a) @ f_inv
-    B = np.linalg.solve(spec.E, core_b) @ f_inv
-    return LinearDAE(A=A, B=B)
+    """Assemble A = E^-1 blkdiag(I, Nnil) F^-1, B = E^-1 blkdiag(W, I) F^-1.
+
+    Each is E^-1 blkdiag(top, bottom) F^-1, one solve with E and one product
+    with the inverse of F, which the two share.
+    """
+    d, f_inv = spec.d, np.linalg.inv(spec.F)
+
+    def assembled(top: np.ndarray, bottom: np.ndarray) -> np.ndarray:
+        core = np.zeros(spec.E.shape)
+        core[:d, :d], core[d:, d:] = top, bottom
+        return np.linalg.solve(spec.E, core) @ f_inv
+
+    return LinearDAE(A=assembled(np.eye(d), spec.Nnil), B=assembled(spec.W, np.eye(spec.q)))
 
 
 def pencil_is_regular(dae: LinearDAE) -> bool:

@@ -134,6 +134,11 @@ _SWEEP = ["sweep", "--family", "2", "--n", "3", "--deltas"]
          "error: argument --n: bad size '3.0'"),
         (["sweep", "--family", "2", "--n", ",", "--deltas", "1e-9"], None, 1, "err",
          "empty size list"),
+        (["sweep", "--family", "2", "--n", " , ", "--deltas", "1e-9"], None, 1, "err",
+         "error: argument --n: empty size list"),
+        (_SWEEP + [","], None, 1, "err", "error: argument --deltas: empty delta list"),
+        (_SWEEP + ["0..1e-3"], None, 1, "err",
+         "error: argument --deltas: delta range endpoints must be positive and finite"),
         (_SWEEP + ["1e-3..x"], None, 1, "err", "bad delta range '1e-3..x'"),
         (_SWEEP + ["2e-3..1e-1"], None, 1, "err", "range endpoints must be powers of ten"),
         (_SWEEP + ["abc"], None, 1, "err", "bad delta 'abc'"),
@@ -156,7 +161,8 @@ _SWEEP = ["sweep", "--family", "2", "--n", "3", "--deltas"]
         (["dae"], {"A": [["1"]], "B": [[1.0]]}, 2, "err", "field 'A' is not numeric"),
         (["dae"], {"A": [[1.0]], "B": [[None]]}, 2, "err", "field 'B' is not numeric"),
     ],
-    ids=["trials-0", "size-0", "non-integer-size", "no-sizes", "bad-range", "range-not-decades", "bad-delta",
+    ids=["trials-0", "size-0", "non-integer-size", "no-sizes", "blank-sizes", "no-deltas",
+         "zero-range-endpoint", "bad-range", "range-not-decades", "bad-delta",
          "no-delta-slope", "array-top-level", "missing-n", "non-numeric", "nan-entry",
          "flat-field", "string-entry", "null-entry", "huge-int-entry", "ragged-field",
          "declared-n-differs", "dae-string-entry", "dae-null-entry"],

@@ -55,18 +55,24 @@ def test_linear_dae_validation():
 
 
 def test_weierstrass_assembly_round_trip():
-    rng = np.random.default_rng(7)
-    spec = random_weierstrass_spec(rng)
-    dae = build_weierstrass(spec)
-    d, q = spec.d, spec.q
-    core_a = np.zeros((d + q, d + q))
-    core_a[:d, :d] = np.eye(d)
-    core_a[d:, d:] = spec.Nnil
-    core_b = np.zeros((d + q, d + q))
-    core_b[:d, :d] = spec.W
-    core_b[d:, d:] = np.eye(q)
-    assert np.allclose(spec.E @ dae.A @ spec.F, core_a, atol=1e-12)
-    assert np.allclose(spec.E @ dae.B @ spec.F, core_b, atol=1e-12)
+    # Orthogonal transforms, then ones of condition number up to 100: the
+    # residual scales with cond(E) cond(F); the worst of these 50 specs read
+    # 8.5e-16 times it.
+    for i in range(50):
+        rng = np.random.default_rng(1000 + i)
+        spec = random_weierstrass_spec(rng, d_max=5, q_max=12, nu_max=9,
+                                       max_cond=1.0 if i < 25 else 100.0)
+        dae = build_weierstrass(spec)
+        d, q = spec.d, spec.q
+        core_a = np.zeros((d + q, d + q))
+        core_a[:d, :d] = np.eye(d)
+        core_a[d:, d:] = spec.Nnil
+        core_b = np.zeros((d + q, d + q))
+        core_b[:d, :d] = spec.W
+        core_b[d:, d:] = np.eye(q)
+        bound = 1e-14 * np.linalg.cond(spec.E) * np.linalg.cond(spec.F)
+        assert np.abs(spec.E @ dae.A @ spec.F - core_a).max() <= bound, i
+        assert np.abs(spec.E @ dae.B @ spec.F - core_b).max() <= bound, i
 
 
 def test_index_zero_spec_single_step():
